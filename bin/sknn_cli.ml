@@ -80,7 +80,7 @@ let print_timeline ppf (tl : Clock.timeline) =
         (Clock.quantile l.Clock.round_latency_s 0.5)
         (Clock.quantile l.Clock.round_latency_s 0.95))
     tl.Clock.links;
-  Format.fprintf ppf "  end-to-end: %.6f s (virtual)@." tl.Clock.end_to_end_s
+  Format.fprintf ppf "  wire: %.6f s (virtual)@." tl.Clock.end_to_end_s
 
 (* JSONL records for sknn report: one "net" line for the run, one
    "net-link" line per link, appended after the flight dump so one file
@@ -101,7 +101,35 @@ let append_net_records path (tl : Clock.timeline) =
     tl.Clock.links;
   close_out oc
 
-let query_run data query_s k layout seed jobs repeat packed batch net verbose
+module CM = Sknn_obs.Cost_model
+
+(* The one --path flag of query, cost and plan, and its one parser;
+   [m] is the batch size a "batch" round carries. *)
+let path_t ~doc = Arg.(value & opt string "plain" & info [ "path" ] ~docv:"PATH" ~doc)
+
+let parse_path ~m = function
+  | "plain" -> CM.Plain
+  | "prepared" -> CM.Prepared
+  | "packed" -> CM.Packed
+  | "batch" -> CM.Batch m
+  | other ->
+    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
+    exit 2
+
+(* Every path but the paper's per-coordinate one needs affine masking and
+   d <= ring degree. *)
+let check_path_config config path ~d =
+  if path <> CM.Plain
+     && not (config.Config.mask_degree = 1 && d <= config.Config.bgv.Params.n)
+  then begin
+    Format.eprintf
+      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
+       --layout dot-product)@."
+      (Planner.path_name path);
+    exit 2
+  end
+
+let query_run data query_s k layout seed jobs repeat path_s net verbose
     trace trace_format audit metrics prom flight_out =
   (match jobs with
    | Some j when j < 1 ->
@@ -168,15 +196,19 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
       exit 1
   in
   let db = read_db data in
-  (* --batch runs every ';'-separated query of --query in one
+  (* --path batch runs every ';'-separated query of --query in one
      slot-dimension protocol round; otherwise --query is one query. *)
   let queries =
     String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
   in
-  if (not batch) && Array.length queries > 1 then begin
-    Format.eprintf "multiple ';'-separated queries need --batch@.";
-    exit 2
-  end;
+  let path = parse_path ~m:(Array.length queries) path_s in
+  (match path with
+   | CM.Batch _ -> ()
+   | _ ->
+     if Array.length queries > 1 then begin
+       Format.eprintf "multiple ';'-separated queries need --path batch@.";
+       exit 2
+     end);
   let q = queries.(0) in
   let config = config_of_layout layout in
   (match Config.validate config ~d:(Array.length q) with
@@ -184,97 +216,50 @@ let query_run data query_s k layout seed jobs repeat packed batch net verbose
    | Error e ->
      Format.eprintf "configuration unsound for this data: %s@." e;
      exit 2);
-  let packed_ok =
-    config.Config.mask_degree = 1 && Array.length q <= config.Config.bgv.Params.n
-  in
-  if (packed || batch) && not packed_ok then begin
-    Format.eprintf
-      "the slot-packed path needs affine (degree-1) masking and d <= ring degree \
-       (try --layout dot-product)@.";
-    exit 2
-  end;
+  check_path_config config path ~d:(Array.length q);
   let rng = Util.Rng.of_int seed in
   let trace0 = new_trace () in
   let obs0 = make_ctx trace0 in
   let dep, setup_s =
     Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
   in
-  let net_timeline = ref None in
-  if batch then begin
-    let m = Array.length queries in
-    let results, round_s =
-      Util.Timer.time (fun () ->
-          guarded (fun () -> Protocol.query_batch ~obs:obs0 ?net dep ~queries ~k))
-    in
-    net_timeline := results.(0).Protocol.net;
-    write_trace trace0 0;
-    if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
-    Array.iteri
-      (fun i r ->
-        Format.printf "query %d neighbours:@." i;
-        Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
-        Format.printf "  exact: %b@." (Protocol.exact dep ~db ~query:queries.(i) r))
-      results;
-    Format.printf "setup %a, batched round %a (%d queries, %a per query)@."
-      Util.Timer.pp_duration setup_s Util.Timer.pp_duration round_s m
-      Util.Timer.pp_duration
-      (round_s /. float_of_int m);
-    if verbose then begin
-      List.iter
-        (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
-        results.(0).Protocol.phase_seconds;
-      Format.printf "party A: %a@." Util.Counters.pp results.(0).Protocol.counters_a;
-      Format.printf "party B: %a@." Util.Counters.pp results.(0).Protocol.counters_b;
-      Format.printf "%a@." Transcript.pp results.(0).Protocol.transcript
-    end
-  end
-  else begin
-    (* With --repeat, use the packed path when asked (--packed), else the
-       prepared multi-query path when the configuration supports it
-       (affine masking, d <= n); otherwise fall back to independent
-       queries and say so. *)
-    let use_prepared = repeat > 1 && packed_ok in
-    let run obs () =
-      if packed then Protocol.query_packed ~obs ?net dep ~query:q ~k
-      else if use_prepared then Protocol.query_prepared ~obs ?net dep ~query:q ~k
-      else Protocol.query ~obs ?net dep ~query:q ~k
-    in
-    let r, query_s' = Util.Timer.time (fun () -> guarded (run obs0)) in
-    net_timeline := r.Protocol.net;
-    write_trace trace0 0;
-    let steady_times =
-      List.init (repeat - 1) (fun i ->
-          Gc.full_major ();
-          let tr = new_trace () in
-          let obs = make_ctx tr in
-          let t = snd (Util.Timer.time (fun () -> guarded (run obs))) in
-          write_trace tr (i + 1);
-          t)
-    in
-    if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
-    Format.printf "neighbours:@.";
-    Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
-    Format.printf "exact: %b@." (Protocol.exact dep ~db ~query:q r);
-    Format.printf "setup %a, query %a@." Util.Timer.pp_duration setup_s Util.Timer.pp_duration
-      query_s';
-    if repeat > 1 then begin
-      let n_steady = List.length steady_times in
-      let mean = List.fold_left ( +. ) 0.0 steady_times /. float_of_int n_steady in
-      Format.printf "repeat %d (%s): first %a, steady-state mean %a (%.1fx)@." repeat
-        (if packed then "slot-packed database"
-         else if use_prepared then "prepared database"
-         else "independent queries — prepared path needs affine masking")
-        Util.Timer.pp_duration query_s' Util.Timer.pp_duration mean (query_s' /. mean)
-    end;
-    if verbose then begin
-      List.iter
-        (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
-        r.Protocol.phase_seconds;
-      Format.printf "party A: %a@." Util.Counters.pp r.Protocol.counters_a;
-      Format.printf "party B: %a@." Util.Counters.pp r.Protocol.counters_b;
-      Format.printf "%a@." Transcript.pp r.Protocol.transcript
-    end
+  let run obs () = guarded (fun () -> Protocol.round ~obs ?net dep path ~queries ~k) in
+  let results, query_s' = Util.Timer.time (run obs0) in
+  let r = results.(0) in
+  write_trace trace0 0;
+  let steady_times =
+    List.init (repeat - 1) (fun i ->
+        Gc.full_major ();
+        let tr = new_trace () in
+        let t = snd (Util.Timer.time (run (make_ctx tr))) in
+        write_trace tr (i + 1);
+        t)
+  in
+  if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
+  Array.iteri
+    (fun i r ->
+      if Array.length results > 1 then Format.printf "query %d " i;
+      Format.printf "neighbours:@.";
+      Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
+      Format.printf "exact: %b@." (Protocol.exact dep ~db ~query:queries.(i) r))
+    results;
+  Format.printf "setup %a, %s query %a@." Util.Timer.pp_duration setup_s
+    (Planner.path_name path) Util.Timer.pp_duration query_s';
+  if repeat > 1 then begin
+    let n_steady = List.length steady_times in
+    let mean = List.fold_left ( +. ) 0.0 steady_times /. float_of_int n_steady in
+    Format.printf "repeat %d: first %a, steady-state mean %a (%.1fx)@." repeat
+      Util.Timer.pp_duration query_s' Util.Timer.pp_duration mean (query_s' /. mean)
   end;
+  if verbose then begin
+    List.iter
+      (fun (name, s) -> Format.printf "  %-20s %a@." name Util.Timer.pp_duration s)
+      r.Protocol.phase_seconds;
+    Format.printf "party A: %a@." Util.Counters.pp r.Protocol.counters_a;
+    Format.printf "party B: %a@." Util.Counters.pp r.Protocol.counters_b;
+    Format.printf "%a@." Transcript.pp r.Protocol.transcript
+  end;
+  let net_timeline = ref r.Protocol.net in
   (match !net_timeline with
    | None -> ()
    | Some tl -> Format.printf "@.%a" print_timeline tl);
@@ -362,23 +347,19 @@ let query_cmd =
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ]
-             ~doc:"Run the query $(docv) times and report first-query vs steady-state \
-                   latency; reuses the prepared database when the layout allows it. \
-                   With --trace, run $(docv)'s spans go to FILE.$(docv).ext."
+             ~doc:"Run the query $(docv) times on the same path and report \
+                   first-query vs steady-state latency (a prepared or packed \
+                   database is built once, by the first query).  With --trace, run \
+                   $(docv)'s spans go to FILE.$(docv).ext."
              ~docv:"N")
   in
-  let packed =
-    Arg.(value & flag
-         & info [ "packed" ]
-             ~doc:"Use the slot-packed (SIMD) database layout: one ciphertext per \
-                   $(b,N) points in the distance phase.  Needs affine masking and \
-                   d <= ring degree.")
-  in
-  let batch =
-    Arg.(value & flag
-         & info [ "batch" ]
-             ~doc:"Treat --query as ';'-separated queries and answer them all in one \
-                   slot-dimension protocol round (implies the packed layout).")
+  let path =
+    path_t
+      ~doc:"Query pipeline: plain (the paper's per-query path) | prepared \
+            (inner-product database, one product per point) | packed (slot-packed \
+            database, owner-delegated) | batch (the ';'-separated --query list in \
+            one slot-dimension round).  All but plain need affine masking and d <= \
+            ring degree."
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -395,7 +376,7 @@ let query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc:"Run a secure k-NN query over an encrypted CSV database")
     Term.(const query_run $ data_t $ query_t $ k_t $ layout $ seed_t $ jobs $ repeat
-          $ packed $ batch $ net_t $ verbose_t $ trace $ trace_format $ audit
+          $ path $ net_t $ verbose_t $ trace $ trace_format $ audit
           $ metrics $ prom $ flight_out)
 
 (* ------------------------------------------------------------------ *)
@@ -492,8 +473,6 @@ let report_cmd =
    This subsumes the bench harness's Table 1 printout — the paper-style
    op-count rows land next to the calibrated microsecond attribution. *)
 
-module CM = Sknn_obs.Cost_model
-
 let calib_t =
   Arg.(value & opt (some string) None
        & info [ "calib" ] ~docv:"FILE"
@@ -508,27 +487,21 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
   in
   let q = queries.(0) in
-  let m = Array.length queries in
+  let cm_path = parse_path ~m:(Array.length queries) path_s in
   let config = config_of_layout layout in
   (match Config.validate config ~d:(Array.length q) with
    | Ok () -> ()
    | Error e ->
      Format.eprintf "configuration unsound for this data: %s@." e;
      exit 2);
-  if path_s <> "batch" && m > 1 then begin
-    Format.eprintf "multiple ';'-separated queries need --path batch@.";
-    exit 2
-  end;
-  let packed_ok =
-    config.Config.mask_degree = 1 && Array.length q <= config.Config.bgv.Params.n
-  in
-  if path_s <> "plain" && not packed_ok then begin
-    Format.eprintf
-      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
-       --layout dot-product)@."
-      path_s;
-    exit 2
-  end;
+  (match cm_path with
+   | CM.Batch _ -> ()
+   | _ ->
+     if Array.length queries > 1 then begin
+       Format.eprintf "multiple ';'-separated queries need --path batch@.";
+       exit 2
+     end);
+  check_path_config config cm_path ~d:(Array.length q);
   let n = Array.length db and d = Array.length db.(0) in
   let rng = Util.Rng.of_int seed in
   Format.printf "calibrating per-op unit costs (%s pass%s)...@."
@@ -540,23 +513,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
   let dep = Protocol.deploy ~rng ?jobs config ~db in
-  let r =
-    match path_s with
-    | "plain" -> Protocol.query ?net dep ~query:q ~k
-    | "prepared" -> Protocol.query_prepared ?net dep ~query:q ~k
-    | "packed" -> Protocol.query_packed ?net dep ~query:q ~k
-    | "batch" -> (Protocol.query_batch ?net dep ~queries ~k).(0)
-    | other ->
-      Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-      exit 2
-  in
-  let cm_path =
-    match path_s with
-    | "plain" -> CM.Plain
-    | "prepared" -> CM.Prepared
-    | "packed" -> CM.Packed
-    | _ -> CM.Batch m
-  in
+  let r = (Protocol.round ?net dep cm_path ~queries ~k).(0) in
   (* The one query above pays any prepare-db phase, so predict it too. *)
   let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k cm_path in
   let ledger_exact =
@@ -589,15 +546,21 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   let tot_p = tot (fun p _ -> p) and tot_m = tot (fun _ ms -> ms) in
   Format.printf "%-22s %11.6fs %11.6fs %7s@." "total" tot_p tot_m
     (if tot_p > 0.0 then Printf.sprintf "%.2fx" (tot_m /. tot_p) else "-");
-  (* The paper's Table 1 rows, predicted (closed form, plus the exact
-     serialized-bytes prediction) vs measured. *)
-  let t1p =
-    Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
-      ~mask_degree:config.Config.mask_degree ()
+  (* The paper's Table 1 rows, predicted vs measured: the closed form
+     (plus the exact serialized-bytes prediction) on the per-point paths
+     it describes; the replica's own ledger counts on the slot-packed
+     paths, whose decryption count the closed form does not model. *)
+  let t1p, t1_source =
+    match cm_path with
+    | CM.Plain | CM.Prepared ->
+      ( Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
+          ~mask_degree:config.Config.mask_degree (),
+        "Table 1 closed form" )
+    | CM.Packed | CM.Batch _ -> (Cost.predicted pred, "replica ledger")
   in
   let t1m = Cost.measured r in
-  Format.printf "@.Table 1 (ours): predicted %a@.                measured  %a@." Cost.pp
-    t1p Cost.pp t1m;
+  Format.printf "@.Table 1 (ours): predicted %a  (%s)@.                measured  %a@."
+    Cost.pp t1p t1_source Cost.pp t1m;
   (* Comms-aware end-to-end: the analytic compute critical path plus the
      virtual clock's replay of the predicted transcript, cross-checked
      against the replay of the transcript the live query just recorded.
@@ -681,10 +644,9 @@ let cost_cmd =
          & info [ "layout" ] ~doc:"per-coordinate | dot-product | secure")
   in
   let path =
-    Arg.(value & opt string "plain"
-         & info [ "path" ]
-             ~doc:"Query pipeline to attribute: plain | prepared | packed | batch \
-                   (batch answers the ';'-separated --query list in one round).")
+    path_t
+      ~doc:"Query pipeline to attribute: plain | prepared | packed | batch (batch \
+            answers the ';'-separated --query list in one round)."
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:"OCaml domains.")
@@ -729,21 +691,12 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       Format.eprintf "unknown layout %S (per-coordinate | dot-product)@." other;
       exit 2
   in
-  let path =
-    match path_s with
-    | "plain" -> CM.Plain
-    | "prepared" -> CM.Prepared
-    | "packed" -> CM.Packed
-    | "batch" ->
-      if batch_m < 2 then begin
-        Format.eprintf "--path batch needs --batch at least 2 (got %d)@." batch_m;
-        exit 2
-      end;
-      CM.Batch batch_m
-    | other ->
-      Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-      exit 2
-  in
+  let path = parse_path ~m:batch_m path_s in
+  (match path with
+   | CM.Batch m when m < 2 ->
+     Format.eprintf "--path batch needs --batch at least 2 (got %d)@." m;
+     exit 2
+   | _ -> ());
   let objective =
     match objective_s with
     | "first" -> Planner.First_query
@@ -887,14 +840,10 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
         | _ -> [| q |]
       in
       let dep = Protocol.deploy ~rng ?jobs config ~db in
-      let r, secs =
-        Util.Timer.time (fun () ->
-            match path with
-            | CM.Plain -> Protocol.query dep ~query:q ~k
-            | CM.Prepared -> Protocol.query_prepared dep ~query:q ~k
-            | CM.Packed -> Protocol.query_packed dep ~query:q ~k
-            | CM.Batch _ -> (Protocol.query_batch dep ~queries ~k).(0))
+      let results, secs =
+        Util.Timer.time (fun () -> Protocol.round dep path ~queries ~k)
       in
+      let r = results.(0) in
       let ok = Protocol.exact dep ~db ~query:q r in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;
       if ok then 0 else 1
@@ -912,11 +861,7 @@ let plan_cmd =
     Arg.(value & opt string "per-coordinate"
          & info [ "layout" ] ~doc:"per-coordinate | dot-product")
   in
-  let path =
-    Arg.(value & opt string "plain"
-         & info [ "path" ]
-             ~doc:"Query pipeline to plan for: plain | prepared | packed | batch.")
-  in
+  let path = path_t ~doc:"Query pipeline to plan for: plain | prepared | packed | batch." in
   let batch_m =
     Arg.(value & opt int 4
          & info [ "batch" ] ~docv:"M" ~doc:"Batch size when --path batch.")

@@ -1,28 +1,14 @@
 (* Bridge from a protocol configuration to the observability layer's
-   analytic cost replica (Sknn_obs.Cost_model).  lib/obs deliberately
-   knows nothing about Params/Config/Masking, so the scheme-specific
-   numbers — exact modulus bit lengths, the sound mask-coefficient
-   width, the centered scalar magnitudes — are derived here, with the
-   same arithmetic the live circuit uses (Bgv.centered_magnitude,
-   Masking.max_coeff_bits), and handed over as plain floats/ints. *)
+   analytic replica (Sknn_obs.Cost_model), and the symbolic run that
+   replica is.  lib/obs deliberately knows nothing about
+   Params/Config/Masking, so the scheme-specific numbers — exact modulus
+   bit lengths, the relinearisation key shape — are derived here and
+   handed over as plain floats/ints; the circuit itself is the live one,
+   Entities.Make applied to the symbolic backend. *)
 
 module CM = Sknn_obs.Cost_model
 module NM = Sknn_obs.Noise_model
-
-let lg x = log x /. log 2.0
-
-(* Bgv's centered_magnitude, applied to the worst (largest) value the
-   scalar can take: the live branch decisions are stable across the
-   drawn range, which the ledger-equality tests witness. *)
-let centered_bits ~t_plain v =
-  let c = Mod64.centered t_plain (Mod64.reduce t_plain v) in
-  lg (Float.max 1.0 (Int64.to_float (Int64.abs c)))
-
-let noise_model_params (p : Params.t) : NM.params =
-  { NM.n = p.Params.n;
-    t_bits = lg (Int64.to_float p.Params.t_plain);
-    moduli_bits = Array.map (fun m -> lg (float_of_int m)) p.Params.moduli;
-    eta = float_of_int p.Params.eta }
+module Sym = Entities.Make (CM.Symbolic)
 
 (* Exact bit length of the modulus product with i+1 active primes —
    the prefix-product definition of Rq.modulus ~nprimes, but computable
@@ -51,42 +37,26 @@ let max_distance_bits ~max_coord_bits ~d =
 let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
     ~max_coord_bits ~use_relin ~rescale_distances ~return_level ~n ~d ~k :
     CM.params =
-  let t_plain = pr.Params.pr_t_plain in
   let moduli = pr.Params.pr_moduli in
-  let chain = Array.length moduli in
   let q_ibits = q_ibits_of_moduli moduli in
   let w = pr.Params.pr_relin_digit_bits in
-  let mask_leading_bits =
-    let sound =
-      Masking.max_coeff_bits ~t_plain
-        ~input_bits:(max_distance_bits ~max_coord_bits ~d)
-        ~degree:mask_degree
-    in
-    let c = Stdlib.max 1 (Stdlib.min mask_coeff_bits sound) in
-    (* Masking.draw samples coefficients uniformly from [1, 2^c − 1]. *)
-    centered_bits ~t_plain (Int64.pred (Int64.shift_left 1L c))
-  in
-  let coord_bits =
-    centered_bits ~t_plain (Int64.of_int ((1 lsl max_coord_bits) - 1))
-  in
   { CM.nm =
-      { NM.n = pr.Params.pr_n;
-        t_bits = lg (Int64.to_float t_plain);
-        moduli_bits = Array.map (fun m -> lg (float_of_int m)) moduli;
-        eta = float_of_int pr.Params.pr_eta };
+      NM.make ~n:pr.Params.pr_n ~t_plain:pr.Params.pr_t_plain ~moduli
+        ~eta:pr.Params.pr_eta;
+    t_plain = pr.Params.pr_t_plain;
     q_ibits;
     n_points = n;
     d;
     k;
     per_coordinate = (layout = Config.Per_coordinate);
     mask_degree;
-    mask_leading_bits;
-    coord_bits;
+    mask_coeff_bits;
+    max_coord_bits;
     rescale_distances;
     return_level;
     use_relin;
     relin_digit_bits = w;
-    relin_rows = (q_ibits.(chain - 1) + w - 1) / w;
+    relin_rows = (q_ibits.(Array.length moduli - 1) + w - 1) / w;
     slots = pr.Params.pr_n }
 
 let model_params (config : Config.t) ~n ~d ~k : CM.params =
@@ -99,8 +69,56 @@ let model_params (config : Config.t) ~n ~d ~k : CM.params =
     ~rescale_distances:config.Config.rescale_distances
     ~return_level:config.Config.return_level ~n ~d ~k
 
+(* The worst-case inputs, chosen here and nowhere else: every coordinate
+   of the database and the queries is the largest the configuration
+   admits, and every mask coefficient the largest Masking.draw can
+   return.  The noise bound of every scalar product is then an upper
+   bound on any live run's, while the op counts — blind to the values —
+   are the live ones. *)
+let largest_mask : Entities.mask_source =
+ fun _ ~t_plain ~input_bits ~degree ~coeff_bits ->
+  Masking.largest ~t_plain ~input_bits ~degree ~coeff_bits ()
+
+let symbolic ?(include_prepare = true) (p : CM.params) path =
+  if p.CM.n_points < 1 then invalid_arg "Attribution: empty database";
+  if p.CM.d < 1 then invalid_arg "Attribution: dimension < 1";
+  let run = CM.Symbolic.start p in
+  let config =
+    { Config.bgv = run;
+      layout = (if p.CM.per_coordinate then Config.Per_coordinate else Config.Dot_product);
+      mask_degree = p.CM.mask_degree;
+      mask_coeff_bits = p.CM.mask_coeff_bits;
+      max_coord_bits = p.CM.max_coord_bits;
+      use_relin = p.CM.use_relin;
+      rescale_distances = p.CM.rescale_distances;
+      return_level = p.CM.return_level }
+  in
+  let top = (1 lsl p.CM.max_coord_bits) - 1 in
+  let db = Array.make_matrix p.CM.n_points p.CM.d top in
+  let m = match path with CM.Batch m -> m | _ -> 1 in
+  let rng = Util.Rng.of_int 0 in
+  let dep =
+    Sym.Run.deploy ~jobs:1 ~mask_source:largest_mask (CM.Symbolic.start p) rng config ~db
+  in
+  (* A steady-state query finds its prepared state already built. *)
+  if not include_prepare then begin
+    match path with
+    | CM.Plain -> ()
+    | CM.Prepared -> ignore (Sym.Run.prepare dep)
+    | CM.Packed | CM.Batch _ -> ignore (Sym.Run.prepare_packed dep)
+  end;
+  ignore
+    (Sym.Run.query run dep path rng ~queries:(Array.make m (Array.make p.CM.d top))
+       ~k:p.CM.k);
+  run
+
+let predict_model ?include_prepare p path =
+  CM.Symbolic.prediction (symbolic ?include_prepare p path)
+
+let forecast ?margin_bits p path = CM.Symbolic.report ?margin_bits (symbolic p path)
+
 let predict ?include_prepare config ~n ~d ~k path =
-  CM.predict ?include_prepare (model_params config ~n ~d ~k) path
+  predict_model ?include_prepare (model_params config ~n ~d ~k) path
 
 let predict_end_to_end ?include_prepare config ~n ~d ~k ~unit_costs ~profile path =
   CM.predict_end_to_end ~unit_costs ~profile

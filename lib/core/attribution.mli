@@ -1,13 +1,14 @@
-(** Config → {!Sknn_obs.Cost_model} bridge.
+(** Config → {!Sknn_obs.Cost_model} bridge, and the symbolic run.
 
-    Derives the analytic cost replica's parameters from a protocol
+    Derives the analytic replica's parameters from a protocol
     configuration — exact modulus bit lengths for the key-switch digit
-    count, the sound mask-coefficient width, centered worst-case scalar
-    magnitudes — using the same arithmetic the live circuit uses, so
-    the replica's branch decisions match the instrumented run's.
-    See DESIGN.md §5a for the invariant this upholds. *)
-
-val noise_model_params : Params.t -> Sknn_obs.Noise_model.params
+    count, the relinearisation key shape — and runs the protocol
+    circuit ({!Entities.Make}) on [Cost_model.Symbolic] with worst-case
+    inputs: the largest admissible coordinates and the largest drawable
+    mask coefficients, chosen here and nowhere else.  The ledger and
+    transcript of that run are the cost prediction; the lowest noise
+    headroom it produces is the forecast.  See DESIGN.md §5a for the
+    invariant this upholds. *)
 
 val q_ibits_of_moduli : int array -> int array
 (** Exact bit length of the prefix modulus products (index [i] =
@@ -41,6 +42,36 @@ val model_params :
 (** [n] is the database size, [d] the dimension, [k] the neighbour
     count — the three run-time numbers a [Config.t] does not carry. *)
 
+val symbolic :
+  ?include_prepare:bool ->
+  Sknn_obs.Cost_model.params ->
+  Sknn_obs.Cost_model.path ->
+  Sknn_obs.Cost_model.Symbolic.run
+(** Deploy on the symbolic backend with the worst-case database and run
+    one query (one [Batch m] round) on [path].  [include_prepare]
+    (default [true]) leaves the prepared state to the query, which then
+    records the ["prepare-db"] phase a deployment's first
+    prepared/packed query pays; [false] builds it beforehand, as for a
+    steady-state query.
+    @raise Invalid_argument on nonsensical sizes or a configuration the
+    live circuit rejects. *)
+
+val predict_model :
+  ?include_prepare:bool ->
+  Sknn_obs.Cost_model.params ->
+  Sknn_obs.Cost_model.path ->
+  Sknn_obs.Cost_model.prediction
+(** The ledger and transcript of {!symbolic}. *)
+
+val forecast :
+  ?margin_bits:float ->
+  Sknn_obs.Cost_model.params ->
+  Sknn_obs.Cost_model.path ->
+  Sknn_obs.Noise_model.report
+(** The noise report of {!symbolic} (prepare included): the lowest
+    headroom of every (phase, operation) state.  [margin_bits] defaults
+    to 4. *)
+
 val predict :
   ?include_prepare:bool ->
   Config.t ->
@@ -49,7 +80,7 @@ val predict :
   k:int ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.prediction
-(** One-stop [model_params] + [Cost_model.predict]. *)
+(** One-stop [model_params] + {!predict_model}. *)
 
 val predict_end_to_end :
   ?include_prepare:bool ->

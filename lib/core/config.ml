@@ -1,7 +1,7 @@
 type layout = Per_coordinate | Dot_product
 
-type t = {
-  bgv : Params.t;
+type 'p gen = {
+  bgv : 'p;
   layout : layout;
   mask_degree : int;
   mask_coeff_bits : int;
@@ -10,6 +10,8 @@ type t = {
   rescale_distances : bool;
   return_level : int;
 }
+
+type t = Params.t gen
 
 let memo f =
   let cache = ref None in
@@ -48,12 +50,12 @@ let secure =
         max_coord_bits = 6; use_relin = false; rescale_distances = true;
         return_level = 6 })
 
-let with_layout layout t = { t with layout }
-let with_bgv bgv t = { t with bgv }
-let with_return_level return_level t = { t with return_level }
-let with_rescale_distances rescale_distances t = { t with rescale_distances }
-let with_mask_degree mask_degree t = { t with mask_degree }
-let with_relin use_relin t = { t with use_relin }
+let with_layout layout (t : t) = { t with layout }
+let with_bgv bgv (t : t) = { t with bgv }
+let with_return_level return_level (t : t) = { t with return_level }
+let with_rescale_distances rescale_distances (t : t) = { t with rescale_distances }
+let with_mask_degree mask_degree (t : t) = { t with mask_degree }
+let with_relin use_relin (t : t) = { t with use_relin }
 
 let bits_of v =
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
@@ -67,11 +69,10 @@ let layout_name = function
   | Per_coordinate -> "per-coordinate"
   | Dot_product -> "dot-product"
 
-let validate t ~d =
-  let n = t.bgv.Params.n in
+let check ~n ~t_plain ~chain_length t ~d =
   let input_bits = max_distance_bits t ~d in
   let sound =
-    Masking.max_coeff_bits ~t_plain:t.bgv.Params.t_plain ~input_bits ~degree:t.mask_degree
+    Masking.max_coeff_bits ~t_plain ~input_bits ~degree:t.mask_degree
   in
   if t.mask_degree < 1 then Error "mask_degree must be >= 1"
   else if sound < 1 then
@@ -79,16 +80,20 @@ let validate t ~d =
       (Printf.sprintf
          "masking envelope violated: degree-%d polynomial on %d-bit distances cannot fit \
           under t=%Ld; lower mask_degree or max_coord_bits"
-         t.mask_degree input_bits t.bgv.Params.t_plain)
+         t.mask_degree input_bits t_plain)
   else if t.layout = Dot_product && t.mask_degree <> 1 then
     Error "Dot_product layout supports only affine (degree-1) masking"
   else if t.layout = Dot_product && d > n then
     Error (Printf.sprintf "Dot_product layout needs d <= ring degree (%d > %d)" d n)
-  else if t.return_level < 1 || t.return_level > Params.chain_length t.bgv then
+  else if t.return_level < 1 || t.return_level > chain_length then
     Error "return_level out of range"
   else Ok ()
 
-let pp ppf t =
+let validate (t : t) ~d =
+  check ~n:t.bgv.Params.n ~t_plain:t.bgv.Params.t_plain
+    ~chain_length:(Params.chain_length t.bgv) t ~d
+
+let pp ppf (t : t) =
   Format.fprintf ppf
     "@[<v>layout=%s mask(degree=%d, <=%d-bit coeffs) coords<=%d bits relin=%b return_level=%d@ bgv: %a@]"
     (layout_name t.layout) t.mask_degree t.mask_coeff_bits t.max_coord_bits t.use_relin

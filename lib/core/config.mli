@@ -25,8 +25,8 @@
 
 type layout = Per_coordinate | Dot_product
 
-type t = {
-  bgv : Params.t;
+type 'p gen = {
+  bgv : 'p;  (** the scheme's parameter set; {!Params.t} on live runs *)
   layout : layout;
   mask_degree : int;        (** degree of Party A's masking polynomial *)
   mask_coeff_bits : int;    (** requested coefficient width (clamped) *)
@@ -37,6 +37,11 @@ type t = {
           needed when the masking polynomial consumes further depth *)
   return_level : int;       (** RNS level of the Return-kNN phase *)
 }
+(** Generic in the parameter set so the protocol circuit
+    ({!Entities.Make}) can run over a symbolic backend whose parameters
+    carry no ring tables. *)
+
+type t = Params.t gen
 
 val standard : unit -> t
 (** [Per_coordinate], degree-2 mask, 1024-slot ring (memoised). *)
@@ -60,13 +65,18 @@ val with_mask_degree : int -> t -> t
 val with_relin : bool -> t -> t
 val with_rescale_distances : bool -> t -> t
 
-val max_distance_bits : t -> d:int -> int
+val max_distance_bits : 'p gen -> d:int -> int
 (** Bits of the largest squared distance for [d]-dimensional data under
     [max_coord_bits]. *)
 
 val validate : t -> d:int -> (unit, string) result
 (** Checks the masking envelope (see {!Masking}) and layout constraints
     ([Dot_product] requires [mask_degree = 1] and [d <= n]). *)
+
+val check :
+  n:int -> t_plain:int64 -> chain_length:int -> 'p gen -> d:int -> (unit, string) result
+(** {!validate} with the parameter set's ring degree, plaintext modulus
+    and chain length given explicitly. *)
 
 val layout_name : layout -> string
 val pp : Format.formatter -> t -> unit

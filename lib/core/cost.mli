@@ -33,6 +33,11 @@ val measured : Protocol.result -> row
 (** Party A + Party B homomorphic work, Party B encryptions/decryptions,
     measured A↔B rounds and bytes from the transcript. *)
 
+val predicted : Sknn_obs.Cost_model.prediction -> row
+(** {!measured}'s rows from a symbolic run's ledger and transcript — the
+    exact counts of a path whose shape Table 1's closed form does not
+    describe (the slot-packed and batched paths). *)
+
 val within_asymptotic : measured:row -> predicted:row -> slack:float -> bool
 (** Each measured count is at most [slack] times the prediction (and the
     prediction is not wildly pessimistic either: measured >=

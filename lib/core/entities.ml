@@ -5,7 +5,12 @@ module Pool = Util.Pool
 module Obs = Sknn_obs.Ctx
 module Trace = Sknn_obs.Trace
 module Audit = Sknn_obs.Audit
+module Metrics = Sknn_obs.Metrics
 module NM = Sknn_obs.Noise_model
+module CM = Sknn_obs.Cost_model
+
+module type CT = Entities_intf.CT
+module type S = Entities_intf.S
 
 (* Per-worker counters keep recording race-free under Pool.map_local;
    absorbing them in worker order makes the totals exact (and identical)
@@ -17,988 +22,1116 @@ let merge_into counters w = Counters.absorb ~into:counters w
    whatever the job count. *)
 let split_streams rng n = Array.init n (fun _ -> Rng.split rng)
 
-type encrypted_point = {
-  coords : Bgv.ct array option;
-  packed : Bgv.ct;
-  norm : Bgv.ct option;
-}
-
-type encrypted_db = { db_n : int; db_d : int; points : encrypted_point array }
-
-type encrypted_query = {
-  q_coords : Bgv.ct array option;
-  q_rev : Bgv.ct option;
-  q_norm : Bgv.ct option;
-  q_dim : int;
-}
-
-(* Slot-batched multi-query form: ciphertext j carries query m's j-th
-   coordinate in slot m, so M queries ride one set of d+1 ciphertexts. *)
-type batched_query = {
-  bq_coords : Bgv.ct array;
-  bq_norm : Bgv.ct;
-  bq_count : int;
-  bq_dim : int;
-}
-
-let ct_bytes = Bgv.byte_size
-
-let point_bytes p =
-  ct_bytes p.packed
-  + (match p.coords with None -> 0 | Some a -> Array.fold_left (fun s c -> s + ct_bytes c) 0 a)
-  + (match p.norm with None -> 0 | Some c -> ct_bytes c)
-
-let db_bytes db = Array.fold_left (fun s p -> s + point_bytes p) 0 db.points
-
-let query_bytes q =
-  (match q.q_coords with None -> 0 | Some a -> Array.fold_left (fun s c -> s + ct_bytes c) 0 a)
-  + (match q.q_rev with None -> 0 | Some c -> ct_bytes c)
-  + (match q.q_norm with None -> 0 | Some c -> ct_bytes c)
-
-let batched_query_bytes bq =
-  Array.fold_left (fun s c -> s + ct_bytes c) (ct_bytes bq.bq_norm) bq.bq_coords
-
-(* Coefficient-packed plaintext for a point: p_j at coefficient j. *)
-let packed_plaintext params point =
-  let coeffs = Array.make params.Params.n 0L in
-  Array.iteri (fun j v -> coeffs.(j) <- Int64.of_int v) point;
-  Plaintext.of_coeffs params coeffs
-
-(* Reversed query for the inner-product trick: constant term q_0, and
-   -q_j at x^(n-j) for j >= 1, so that the constant coefficient of
-   P(x)·Qrev(x) in Z_t[x]/(x^n+1) equals <p, q>. *)
-let reversed_query_plaintext params query =
-  let n = params.Params.n in
-  let t = params.Params.t_plain in
-  let coeffs = Array.make n 0L in
-  Array.iteri
-    (fun j v ->
-      let v64 = Int64.of_int v in
-      if j = 0 then coeffs.(0) <- Mod64.reduce t v64
-      else coeffs.(n - j) <- Mod64.neg t (Mod64.reduce t v64))
-    query;
-  Plaintext.of_coeffs params coeffs
-
 let squared_norm point = Array.fold_left (fun s v -> s + (v * v)) 0 point
 
-(* ------------------------------------------------------------------ *)
+type mask_source = Entities_intf.mask_source
 
-module Data_owner = struct
-  type t = { config : Config.t; keys : Bgv.keys }
-
-  let create rng config = { config; keys = Bgv.keygen rng config.Config.bgv }
-  let keys t = t.keys
-  let config t = t.config
-
-  let validate_point config ~d point =
-    if Array.length point <> d then invalid_arg "Data_owner.encrypt_db: ragged data";
-    let bound = 1 lsl config.Config.max_coord_bits in
-    Array.iter
-      (fun v ->
-        if v < 0 || v >= bound then
-          invalid_arg
-            (Printf.sprintf
-               "Data_owner.encrypt_db: coordinate %d outside [0, 2^%d) — preprocess the data \
-                (Preprocess.scale_to_max)"
-               v config.Config.max_coord_bits))
-      point
-
-  let encrypt_db ?(obs = Obs.disabled) ?counters ?jobs rng t db =
-    let config = t.config in
-    let n_points = Array.length db in
-    if n_points = 0 then invalid_arg "Data_owner.encrypt_db: empty database";
-    let d = Array.length db.(0) in
-    (match Config.validate config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Data_owner.encrypt_db: " ^ msg));
-    if d > config.Config.bgv.Params.n then
-      invalid_arg "Data_owner.encrypt_db: dimension exceeds ring degree";
-    Array.iter (validate_point config ~d) db;
-    let params = config.Config.bgv in
-    let pk = t.keys.Bgv.pk in
-    let rngs = split_streams rng n_points in
-    let span_counters =
-      match counters with Some c -> [ ("data-owner", c) ] | None -> []
-    in
-    let points =
-      Obs.with_span obs ~kind:Trace.Phase ~counters:span_counters
-        ~args:[ ("points", string_of_int n_points) ]
-        "encrypt-db"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"encrypt-db" (fun () ->
-              Pool.map_local ?jobs ~make:Counters.create
-                ~merge:(fun w -> Option.iter (fun c -> merge_into c w) counters)
-                ~f:(fun counters i point ->
-                  let rng = rngs.(i) in
-                  let enc pt = Bgv.encrypt ~counters rng pk pt in
-                  let packed = enc (packed_plaintext params point) in
-                  match config.Config.layout with
-                  | Config.Per_coordinate ->
-                    let coords =
-                      Array.map
-                        (fun v -> enc (Plaintext.constant params (Int64.of_int v)))
-                        point
-                    in
-                    { coords = Some coords; packed; norm = None }
-                  | Config.Dot_product ->
-                    let norm =
-                      enc (Plaintext.constant params (Int64.of_int (squared_norm point)))
-                    in
-                    { coords = None; packed; norm = Some norm })
-                db))
-    in
-    { db_n = n_points; db_d = d; points }
-end
+let draw_mask rng ~t_plain ~input_bits ~degree ~coeff_bits =
+  Masking.draw rng ~t_plain ~input_bits ~degree ~coeff_bits ()
 
 (* ------------------------------------------------------------------ *)
-
-module Party_a = struct
-  type t = {
-    config : Config.t;
-    (* Party A holds the public key in the paper's setup even though
-       the current pipeline never re-encrypts on its side. *)
-    pk : Bgv.public_key; [@warning "-69"]
-    rlk : Bgv.relin_key;
-    db : encrypted_db;
-    counters : Counters.t;
-    jobs : int;
-  }
-
-  let create ?jobs config pk rlk db =
-    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-    { config; pk; rlk; db; counters = Counters.create (); jobs }
-
-  let counters t = t.counters
-  let db_size t = t.db.db_n
-  let jobs t = t.jobs
-
-  type query_state = { mask : Masking.t; perm : Perm.t }
-
-  let state_mask s = s.mask
-  let state_perm s = s.perm
-
-  let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
-
-  let encrypted_distance t ~counters query point =
-    match t.config.Config.layout, point.coords, query.q_coords with
-    | Config.Per_coordinate, Some coords, Some q_coords ->
-      (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1.  The
-         per-dimension squares are left unrescaled (fused inner product
-         of the difference vector with itself); one rescale after the
-         sum costs d-1 fewer modulus switches per point. *)
-      let diffs = Array.mapi (fun j c -> Bgv.sub ~counters c q_coords.(j)) coords in
-      (* jobs:1 — compute_distances already parallelises over points. *)
-      let ed = Bgv.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) diffs diffs in
-      if t.config.Config.rescale_distances then Bgv.rescale_to_floor ~counters ed else ed
-    | Config.Dot_product, _, _ ->
-      let q_rev = Option.get query.q_rev and q_norm = Option.get query.q_norm in
-      let norm = Option.get point.norm in
-      (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant coefficient. *)
-      let ip = Bgv.mul ~counters ~rescale:false point.packed q_rev in
-      Bgv.sub ~counters
-        (Bgv.add ~counters norm q_norm)
-        (Bgv.mul_scalar ~counters ip 2L)
-    | Config.Per_coordinate, _, _ ->
-      invalid_arg "Party_a.compute_distances: layout/ciphertext mismatch"
-
-  (* A uniformly random polynomial with zero constant coefficient; added
-     to Dot_product masked distances to destroy the cross-term
-     coefficients the inner-product trick leaves behind. *)
-  let zero_constant_randomizer rng params =
-    let t = params.Params.t_plain in
-    let coeffs =
-      Array.init params.Params.n (fun i -> if i = 0 then 0L else Rng.int64_below rng t)
-    in
-    Plaintext.of_coeffs params coeffs
-
-  let compute_distances ?(obs = Obs.disabled) t rng query =
-    let config = t.config in
-    let d = t.db.db_d in
-    if query.q_dim <> d then invalid_arg "Party_a.compute_distances: dimension mismatch";
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
-    in
-    let coeffs = Masking.coeffs mask in
-    let rngs = split_streams rng t.db.db_n in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters i point ->
-                  let ed = encrypted_distance t ~counters query point in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
-                  match config.Config.layout with
-                  | Config.Per_coordinate -> m
-                  | Config.Dot_product ->
-                    Bgv.add_plain ~counters m
-                      (zero_constant_randomizer rngs.(i) config.Config.bgv))
-                t.db.points))
-    in
-    Obs.with_span obs "permute" (fun () ->
-        let perm = Perm.random rng t.db.db_n in
-        ({ mask; perm }, Perm.apply perm masked))
-
-  let return_level t =
-    Stdlib.min t.config.Config.return_level (Params.chain_length t.config.Config.bgv)
-
-  (* ---- Prepared (multi-query) path ------------------------------- *)
-
-  (* Query-independent work hoisted out of the per-query loop: the
-     packed ciphertexts (already NTT/Eval-domain) and an encrypted
-     squared norm per point.  With ED = ||p||^2 - 2<p,q> + ||q||^2 the
-     per-query cost per point drops from d ciphertext products
-     (Per_coordinate) to one packed product against the reversed query,
-     amortising the d-fold work across the database lifetime. *)
-  type prepared = {
-    prep_packed : Bgv.ct array;
-    prep_norms : Bgv.ct array;
-    prep_return_packed : Bgv.ct array;
-        (* packed points already truncated to the return level, so
-           Return-kNN skips the per-query truncation pass *)
-  }
-
-  (* The inner-product trick leaves cross terms in the non-constant
-     coefficients, so only affine masking keeps the constant coefficient
-     sound — the same restriction Config.validate puts on Dot_product. *)
-  let prepared_supported config ~d =
-    if config.Config.mask_degree <> 1 then
-      Error "prepared queries need affine (degree-1) masking"
-    else if d > config.Config.bgv.Params.n then
-      Error "prepared queries need d <= ring degree"
-    else Ok ()
-
-  (* ---- Noise forecast ------------------------------------------- *)
-
-  (* Worst-case end-of-circuit headroom for the prepared path, predicted
-     from the parameter chain alone — the planner's forecast trace
-     ([Planner.forecast], which the parameter search also prunes with),
-     over the same Config→model bridge the cost replica uses.  A
-     negative forecast here means a live query would raise
-     Decryption_failure. *)
-  let forecast_noise ?(margin_bits = 4.0) t =
-    Planner.forecast ~margin_bits
-      (Attribution.model_params t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1)
-      Sknn_obs.Cost_model.Prepared
-
-  let prepare ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t =
-    (match prepared_supported t.config ~d:t.db.db_d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.prepare: " ^ msg));
-    let forecast = forecast_noise ~margin_bits:noise_margin_bits t in
-    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
-      (Audit.Float forecast.NM.min_headroom_bits);
-    if forecast.NM.below_margin then begin
-      Obs.audit obs ~party:"party-a" ~phase:"prepare-db"
-        ~label:"noise-low-headroom-warning"
-        (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
-      Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
-      Format.eprintf
-        "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin \
-         %.1f) — deepen the modulus chain or lower the circuit depth@."
-        forecast.NM.min_headroom_bits noise_margin_bits
-    end;
-    let norms =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
-        "prepare-norms"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"prepare-norms" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters _ point ->
-                  match point.norm, point.coords with
-                  | Some norm, _ -> norm
-                  | None, Some coords ->
-                    (* ||p||^2 homomorphically, once per database. *)
-                    Bgv.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) coords coords
-                  | None, None ->
-                    invalid_arg "Party_a.prepare: point carries no norm or coordinates")
-                t.db.points))
-    in
-    let lvl = return_level t in
-    { prep_packed = Array.map (fun p -> p.packed) t.db.points;
-      prep_norms = norms;
-      prep_return_packed =
-        Array.map
-          (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-          t.db.points }
-
-  let compute_distances_prepared ?(obs = Obs.disabled) t prep rng query =
-    let config = t.config in
-    let d = t.db.db_d in
-    if query.q_dim <> d then
-      invalid_arg "Party_a.compute_distances_prepared: dimension mismatch";
-    let q_rev, q_norm =
-      match query.q_rev, query.q_norm with
-      | Some r, Some n -> (r, n)
-      | _ ->
-        invalid_arg
-          "Party_a.compute_distances_prepared: query lacks inner-product form \
-           (use Client.encrypt_query_ip)"
-    in
-    (match prepared_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_prepared: " ^ msg));
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:config.Config.bgv.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
-    in
-    let coeffs = Masking.coeffs mask in
-    let rngs = split_streams rng t.db.db_n in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int t.db.db_n) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters i packed ->
-                  (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant
-                     coefficient; one ciphertext product per point. *)
-                  let ip =
-                    Bgv.mul ~counters ?rlk:(rlk_opt t) ~rescale:false packed q_rev
-                  in
-                  let ed =
-                    Bgv.sub ~counters
-                      (Bgv.add ~counters prep.prep_norms.(i) q_norm)
-                      (Bgv.mul_scalar ~counters ip 2L)
-                  in
-                  (* ED is one multiplication deep, so its noise bound
-                     sits far below the full modulus: find the lowest
-                     level whose modulus still leaves headroom for the
-                     affine mask (coefficients < t) and drop the spare
-                     RNS components in one cheap truncation.  Masking,
-                     transport and B's decryption then all run on the
-                     small ciphertext, without the per-point modswitch
-                     chain a full rescale would cost.  If no level has
-                     the headroom, fall back to the configured rescale
-                     (which actually reduces the noise). *)
-                  let ed =
-                    let params = config.Config.bgv in
-                    let mask_bits =
-                      log (Int64.to_float params.Params.t_plain) /. log 2.
-                    in
-                    let need = Bgv.noise_bits ed +. mask_bits +. 17. in
-                    let lvl = ref 0 and bits = ref 0. in
-                    while !bits <= need && !lvl < Bgv.level ed do
-                      bits :=
-                        !bits
-                        +. (log (float_of_int params.Params.moduli.(!lvl)) /. log 2.);
-                      incr lvl
-                    done;
-                    let lvl = Stdlib.max !lvl (return_level t) in
-                    if !bits > need && lvl < Bgv.level ed then
-                      Bgv.truncate_to_level ~counters ed lvl
-                    else if config.Config.rescale_distances then
-                      Bgv.rescale_to_floor ~counters ed
-                    else ed
-                  in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
-                  Bgv.add_plain ~counters m
-                    (zero_constant_randomizer rngs.(i) config.Config.bgv))
-                prep.prep_packed))
-    in
-    Obs.with_span obs "permute" (fun () ->
-        let perm = Perm.random rng t.db.db_n in
-        ({ mask; perm }, Perm.apply perm masked))
-
-  let select_row ?(obs = Obs.disabled) t permuted_packed row =
-    (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
-       inner product is fused and split across domains; return_knn keeps
-       the k rows sequential so parallelism is never nested. *)
-    Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
-        Bgv.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
-
-  let permuted_packed t state =
-    let lvl = return_level t in
-    Perm.apply state.perm
-      (Array.map
-         (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-         t.db.points)
-
-  let permuted_packed_prepared prep state =
-    Perm.apply state.perm prep.prep_return_packed
-
-  (* ---- Slot-packed (SIMD) path ----------------------------------- *)
-
-  (* The packed path models the outsourced-query setting (SANNS-style):
-     Party A acts for the data owner and holds the database in the
-     clear, dimension-major — column j is the n-vector of j-th
-     coordinates, one slot per point — while the client's query stays
-     encrypted.  A batch of N = slot_count points then costs d plain
-     products plus adds instead of N ciphertext products, and Party B
-     decrypts ceil(n/N) ciphertexts instead of n.  B's §5 view (masked
-     permuted distance multiset, n, k) is unchanged. *)
-  type prepared_packed = {
-    pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
-    pp_norms : int64 array;       (* ‖p_i‖² mod t *)
-    pp_return_packed : Bgv.ct array;
-        (* return-level packed points, as in [prepared] *)
-  }
-
-  let packed_supported config ~d =
-    if config.Config.mask_degree <> 1 then
-      Error "packed queries need affine (degree-1) masking"
-    else if d > config.Config.bgv.Params.n then
-      Error "packed queries need d <= ring degree"
-    else Ok ()
-
-  let lg2 x = log x /. log 2.0
-
-  let log2_add a b =
-    let hi = Float.max a b and lo = Float.min a b in
-    hi +. lg2 (1.0 +. (2.0 ** (lo -. hi)))
-
-  (* Worst-case headroom for the packed SIMD circuit — strictly
-     shallower than the prepared path (d plain products summed
-     slot-wise, so no tensor term ever appears).  Delegated to the
-     planner's trace for the same reason as [forecast_noise]. *)
-  let forecast_noise_packed ?(margin_bits = 4.0) t =
-    Planner.forecast ~margin_bits
-      (Attribution.model_params t.config ~n:t.db.db_n ~d:t.db.db_d ~k:1)
-      Sknn_obs.Cost_model.Packed
-
-  let prepare_packed ?(obs = Obs.disabled) ?(noise_margin_bits = 4.0) t ~db =
-    let config = t.config in
-    let d = t.db.db_d and n = t.db.db_n in
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.prepare_packed: " ^ msg));
-    if Array.length db <> n then
-      invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
-    Array.iter (Data_owner.validate_point config ~d) db;
-    let forecast = forecast_noise_packed ~margin_bits:noise_margin_bits t in
-    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
-      (Audit.Float forecast.NM.min_headroom_bits);
-    if forecast.NM.below_margin then begin
-      Obs.audit obs ~party:"party-a" ~phase:"prepare-db"
-        ~label:"noise-low-headroom-warning"
-        (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
-      Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
-      Format.eprintf
-        "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin \
-         %.1f) — deepen the modulus chain or lower the circuit depth@."
-        forecast.NM.min_headroom_bits noise_margin_bits
-    end;
-    let tp = config.Config.bgv.Params.t_plain in
-    let lvl = return_level t in
-    { pp_cols =
-        Array.init d (fun j ->
-            Array.init n (fun i -> Mod64.reduce tp (Int64.of_int db.(i).(j))));
-      pp_norms =
-        Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i))));
-      pp_return_packed =
-        Array.map
-          (fun p -> Bgv.truncate_to_level ~counters:t.counters p.packed lvl)
-          t.db.points }
-
-  (* Walk the RNS chain for the lowest level whose modulus clears [need]
-     bits — the prepared level-drop rule, applied predictively to the
-     query ciphertexts before the products.  Every packed op's noise
-     increment is level-independent, so truncating up front reaches the
-     same end-of-circuit bound while all the per-batch work runs on the
-     short chain.  [None] when even the full chain lacks the headroom
-     (callers then fall back to the configured rescale). *)
-  let level_for_need t ~need =
-    let params = t.config.Config.bgv in
-    let chain = Params.chain_length params in
-    let lvl = ref 0 and bits = ref 0.0 in
-    while !bits <= need && !lvl < chain do
-      bits := !bits +. lg2 (float_of_int params.Params.moduli.(!lvl));
-      incr lvl
-    done;
-    let lvl = Stdlib.max !lvl (return_level t) in
-    if !bits > need then Some lvl else None
-
-  let packed_query_level t ~q_noise_bits ~d =
-    let params = t.config.Config.bgv in
-    let t_bits = lg2 (Int64.to_float params.Params.t_plain) in
-    let ip =
-      q_noise_bits +. lg2 (float_of_int params.Params.n) +. t_bits -. 1.0
-      +. lg2 (float_of_int (Stdlib.max 1 d))
-    in
-    let ed = log2_add (log2_add q_noise_bits (t_bits -. 1.0)) (ip +. 1.0) in
-    level_for_need t ~need:(ed +. t_bits +. 17.0)
-
-  let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let d = t.db.db_d and n = t.db.db_n in
-    if query.q_dim <> d then
-      invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
-    let q_coords, q_norm =
-      match query.q_coords, query.q_norm with
-      | Some c, Some nr when Array.length c = d -> (c, nr)
-      | _ ->
-        invalid_arg
-          "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
-           Client.encrypt_query_packed)"
-    in
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_packed: " ^ msg));
-    if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
-      invalid_arg "Party_a.compute_distances_packed: prepared state mismatch";
-    let slots = Params.slot_count params in
-    let nbatches = (n + slots - 1) / slots in
-    let mask =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Masking.draw rng ~t_plain:params.Params.t_plain
-            ~input_bits:(Config.max_distance_bits config ~d)
-            ~degree:config.Config.mask_degree
-            ~coeff_bits:config.Config.mask_coeff_bits ())
-    in
-    let coeffs = Masking.coeffs mask in
-    let rngs = split_streams rng nbatches in
-    (* The permutation is drawn before the homomorphic loop: the slot
-       layout must already be in permuted order when the batches are
-       packed.  Party A repacks its plaintext columns per query — d+1
-       cheap slot NTTs per batch — so Π needs no Galois machinery and
-       stays uniform over all n! choices exactly as in Algorithm 1. *)
-    let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
-    let q_noise =
-      Array.fold_left
-        (fun m c -> Float.max m (Bgv.noise_bits c))
-        (Bgv.noise_bits q_norm) q_coords
-    in
-    let drop = packed_query_level t ~q_noise_bits:q_noise ~d in
-    let q_coords, q_norm =
-      match drop with
-      | Some lvl when lvl < Bgv.level q_norm ->
-        ( Array.map (fun c -> Bgv.truncate_to_level ~counters:t.counters c lvl) q_coords,
-          Bgv.truncate_to_level ~counters:t.counters q_norm lvl )
-      | _ -> (q_coords, q_norm)
-    in
-    let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
-    let norms_p = Perm.apply perm pp.pp_norms in
-    let slice src base len =
-      let a = Array.make slots 0L in
-      Array.blit src base a 0 len;
-      a
-    in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int n); ("batches", string_of_int nbatches) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"packed-distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters b rng_b ->
-                  let base = b * slots in
-                  let len = Stdlib.min slots (n - base) in
-                  (* Slot s of batch b holds point Π⁻¹(b·N + s); ED and
-                     the affine mask act slot-wise, so one ciphertext
-                     carries N masked distances. *)
-                  let ip = ref None in
-                  for j = 0 to d - 1 do
-                    let col =
-                      Plaintext.of_slots ~counters params (slice cols_p.(j) base len)
-                    in
-                    let p = Bgv.mul_plain ~counters q_coords.(j) col in
-                    ip :=
-                      Some (match !ip with None -> p | Some s -> Bgv.add ~counters s p)
-                  done;
-                  let ip = Option.get !ip in
-                  let norms = Plaintext.of_slots ~counters params (slice norms_p base len) in
-                  let ed =
-                    Bgv.sub ~counters
-                      (Bgv.add_plain ~counters q_norm norms)
-                      (Bgv.mul_scalar ~counters ip 2L)
-                  in
-                  let ed =
-                    if drop = None && config.Config.rescale_distances then
-                      Bgv.rescale_to_floor ~counters ed
-                    else ed
-                  in
-                  let m = Bgv.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
-                  if len < slots then
-                    (* Ragged tail: slots past the database carry phantom
-                       points whose masked values would order against the
-                       real ones; one uniform value per dead slot makes
-                       them carry no information before B discards them. *)
-                    let tail =
-                      Array.init slots (fun s ->
-                          if s < len then 0L
-                          else Rng.int64_below rng_b params.Params.t_plain)
-                    in
-                    Bgv.add_plain ~counters m (Plaintext.of_slots ~counters params tail)
-                  else m)
-                rngs))
-    in
-    ({ mask; perm }, masked)
-
-  let permuted_return_packed pp state = Perm.apply state.perm pp.pp_return_packed
-
-  (* ---- Slot-batched multi-query evaluation ------------------------ *)
-
-  type batch_state = { b_masks : Masking.t array; b_perm : Perm.t }
-
-  let batch_state_masks s = s.b_masks
-  let batch_state_perm s = s.b_perm
-
-  let batch_query_level t ~q_noise_bits ~d =
-    let params = t.config.Config.bgv in
-    let t_bits = lg2 (Int64.to_float params.Params.t_plain) in
-    let ip =
-      q_noise_bits
-      +. float_of_int t.config.Config.max_coord_bits
-      +. lg2 (float_of_int (Stdlib.max 1 d))
-      +. 1.0
-    in
-    let ed = log2_add (log2_add q_noise_bits (t_bits -. 1.0)) ip in
-    let masked = ed +. lg2 (float_of_int params.Params.n) +. t_bits -. 1.0 in
-    let masked = log2_add masked (t_bits -. 1.0) in
-    level_for_need t ~need:(masked +. 17.0)
-
-  (* M queries in the slot dimension: per point the inner products of
-     all M queries cost d scalar products on the slot-packed query
-     ciphertexts, and one plain product + plain add applies every
-     query's own affine mask (slot q carries query q's coefficients).
-     The n output ciphertexts share one permutation, which is the extra
-     declared leakage of the batch mode: Party B can align positions
-     across the M views of a batch (audited as "batch-query-count"). *)
-  let compute_distances_batch ?(obs = Obs.disabled) t pp rng bq =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let d = t.db.db_d and n = t.db.db_n in
-    if bq.bq_dim <> d then
-      invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
-    (match packed_supported config ~d with
-     | Ok () -> ()
-     | Error msg -> invalid_arg ("Party_a.compute_distances_batch: " ^ msg));
-    if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
-      invalid_arg "Party_a.compute_distances_batch: prepared state mismatch";
-    let slots = Params.slot_count params in
-    let nqueries = bq.bq_count in
-    if nqueries < 1 || nqueries > slots then
-      invalid_arg "Party_a.compute_distances_batch: batch size out of range";
-    let masks =
-      Obs.with_span obs "draw-mask" (fun () ->
-          Array.init nqueries (fun _ ->
-              Masking.draw rng ~t_plain:params.Params.t_plain
-                ~input_bits:(Config.max_distance_bits config ~d)
-                ~degree:config.Config.mask_degree
-                ~coeff_bits:config.Config.mask_coeff_bits ()))
-    in
-    let a1 = Array.make slots 1L and a0 = Array.make slots 0L in
-    Array.iteri
-      (fun q mq ->
-        let c = Masking.coeffs mq in
-        a0.(q) <- c.(0);
-        a1.(q) <- c.(1))
-      masks;
-    let a1_pt = Plaintext.of_slots ~counters:t.counters params a1 in
-    let a0_shared =
-      if nqueries = slots then Some (Plaintext.of_slots ~counters:t.counters params a0)
-      else None
-    in
-    let rngs = split_streams rng n in
-    let perm = Obs.with_span obs "permute" (fun () -> Perm.random rng n) in
-    let q_noise =
-      Array.fold_left
-        (fun x c -> Float.max x (Bgv.noise_bits c))
-        (Bgv.noise_bits bq.bq_norm) bq.bq_coords
-    in
-    let drop = batch_query_level t ~q_noise_bits:q_noise ~d in
-    let bq_coords, bq_norm =
-      match drop with
-      | Some lvl when lvl < Bgv.level bq.bq_norm ->
-        ( Array.map
-            (fun c -> Bgv.truncate_to_level ~counters:t.counters c lvl)
-            bq.bq_coords,
-          Bgv.truncate_to_level ~counters:t.counters bq.bq_norm lvl )
-      | _ -> (bq.bq_coords, bq.bq_norm)
-    in
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-a", t.counters) ]
-        ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-        "distance-batches"
-        (fun () ->
-          Obs.with_pool_chunks obs ~label:"batched-distances" (fun () ->
-              Pool.map_local ~jobs:t.jobs ~make:Counters.create
-                ~merge:(merge_into t.counters)
-                ~f:(fun counters i rng_i ->
-                  let ip = ref None in
-                  for j = 0 to d - 1 do
-                    let p = Bgv.mul_scalar ~counters bq_coords.(j) pp.pp_cols.(j).(i) in
-                    ip :=
-                      Some (match !ip with None -> p | Some s -> Bgv.add ~counters s p)
-                  done;
-                  let ip = Option.get !ip in
-                  let ed =
-                    Bgv.add_const ~counters
-                      (Bgv.sub ~counters bq_norm (Bgv.mul_scalar ~counters ip 2L))
-                      pp.pp_norms.(i)
-                  in
-                  let ed =
-                    if drop = None && config.Config.rescale_distances then
-                      Bgv.rescale_to_floor ~counters ed
-                    else ed
-                  in
-                  let md = Bgv.mul_plain ~counters ed a1_pt in
-                  let a0_pt =
-                    match a0_shared with
-                    | Some pt -> pt
-                    | None ->
-                      (* Dead slots (no query) get a fresh uniform value
-                         per point, killing the cross-point order their
-                         unit-slope masking would otherwise expose. *)
-                      Plaintext.of_slots ~counters params
-                        (Array.init slots (fun q ->
-                             if q < nqueries then a0.(q)
-                             else Rng.int64_below rng_i params.Params.t_plain))
-                  in
-                  Bgv.add_plain ~counters md a0_pt)
-                rngs))
-    in
-    ({ b_masks = masks; b_perm = perm }, Perm.apply perm masked)
-
-  let permuted_return_packed_batch pp bstate = Perm.apply bstate.b_perm pp.pp_return_packed
-
-  let return_knn ?obs t state rows =
-    let packed = permuted_packed t state in
-    Array.map (fun row -> select_row ?obs t packed row) rows
-end
-
+(* The protocol, once, over any ciphertext backend                     *)
 (* ------------------------------------------------------------------ *)
 
-module Party_b = struct
-  type t = {
-    config : Config.t;
-    sk : Bgv.secret_key;
-    pk : Bgv.public_key;
-    counters : Counters.t;
-    jobs : int;
+(* The parameter is named after the deployed backend: the invariant
+   linter resolves calls by name, so it analyses this circuit exactly as
+   [include Make (Live)] deploys it — Party B's secret-key code and the
+   ledgered Bgv ops included. *)
+module Make (Live : CT) = struct
+  type ct = Live.ct
+  type params = Live.params
+  type secret_key = Live.secret_key
+  type public_key = Live.public_key
+  type relin_key = Live.relin_key
+  type keys = Live.keys
+  type env = Live.env
+  type config = Live.params Config.gen
+
+  type encrypted_point = { coords : ct array option; packed : ct; norm : ct option }
+  type encrypted_db = { db_n : int; db_d : int; points : encrypted_point array }
+
+  type encrypted_query = {
+    q_coords : ct array option;
+    q_rev : ct option;
+    q_norm : ct option;
+    q_dim : int;
   }
 
-  let create ?jobs config sk pk =
-    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-    { config; sk; pk; counters = Counters.create (); jobs }
+  (* Slot-batched multi-query form: ciphertext j carries query m's j-th
+     coordinate in slot m, so M queries ride one set of d+1 ciphertexts. *)
+  type batched_query = { bq_coords : ct array; bq_norm : ct; bq_count : int; bq_dim : int }
 
-  let counters t = t.counters
+  let cts_bytes = Array.fold_left (fun s c -> s + Live.byte_size c) 0
+  let opt_cts = function None -> [||] | Some c -> [| c |]
+  let opt_arr = function None -> [||] | Some a -> a
 
-  type view = { masked_distances : int64 array; selected : int array }
+  let query_cts q = Array.concat [ opt_arr q.q_coords; opt_cts q.q_rev; opt_cts q.q_norm ]
+  let batched_query_cts bq = Array.append bq.bq_coords [| bq.bq_norm |]
+  let query_bytes q = cts_bytes (query_cts q)
 
-  let select_neighbours ?(obs = Obs.disabled) t cts ~k =
-    let n = Array.length cts in
-    if k < 1 || k > n then invalid_arg "Party_b: k out of range";
-    (* The decrypt-and-select half runs sequentially on purpose: it
-       handles secret-key material and masked plaintexts, and keeping it
-       single-domain keeps B's trusted computing base minimal.  The scan
-       itself is the O(n log k) heap replication of Algorithm 2's
-       streaming max-replacement (Util.Topk). *)
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-b", t.counters) ]
-        ~args:[ ("points", string_of_int n) ]
-        "decrypt-distances"
-        (fun () ->
-          Array.map (fun ct -> Bgv.decrypt_coeff0 ~counters:t.counters t.sk ct) cts)
-    in
-    Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
-        { masked_distances = masked; selected = Util.Topk.smallest ~k masked })
+  let db_bytes db =
+    Array.fold_left
+      (fun s p ->
+        s + cts_bytes (Array.concat [ [| p.packed |]; opt_arr p.coords; opt_cts p.norm ]))
+      0 db.points
 
-  let select_neighbours_packed ?(obs = Obs.disabled) t cts ~n ~k =
-    let params = t.config.Config.bgv in
-    let slots = Params.slot_count params in
-    if n < 1 then invalid_arg "Party_b.select_neighbours_packed: empty database";
-    if Array.length cts <> (n + slots - 1) / slots then
-      invalid_arg "Party_b.select_neighbours_packed: ciphertext count mismatch";
-    if k < 1 || k > n then invalid_arg "Party_b: k out of range";
-    let masked =
-      Obs.with_span obs
-        ~counters:[ ("party-b", t.counters) ]
-        ~args:
-          [ ("points", string_of_int n); ("ciphertexts", string_of_int (Array.length cts)) ]
-        "decrypt-distances"
-        (fun () ->
-          (* Slot-unpack before any accounting: every downstream consumer
-             (Topk, Leakage, the audit channel) must see the n per-point
-             masked distances, never per-ciphertext aggregates. *)
-          let out = Array.make n 0L in
-          Array.iteri
-            (fun b ct ->
-              let s =
-                Plaintext.to_slots ~counters:t.counters
-                  (Bgv.decrypt ~counters:t.counters t.sk ct)
-              in
-              let base = b * slots in
-              Array.blit s 0 out base (Stdlib.min slots (n - base)))
-            cts;
-          out)
-    in
-    Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
-        { masked_distances = masked; selected = Util.Topk.smallest ~k masked })
+  let chain_length params = NM.chain_length (Live.noise_params params)
 
-  let select_views_batch ?(obs = Obs.disabled) t cts ~m:nqueries ~k =
-    let params = t.config.Config.bgv in
-    let slots = Params.slot_count params in
-    let n = Array.length cts in
-    if n < 1 then invalid_arg "Party_b.select_views_batch: empty database";
-    if nqueries < 1 || nqueries > slots then
-      invalid_arg "Party_b.select_views_batch: batch size out of range";
-    if k < 1 || k > n then invalid_arg "Party_b: k out of range";
-    let slot_rows =
-      Obs.with_span obs
-        ~counters:[ ("party-b", t.counters) ]
-        ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-        "decrypt-distances"
-        (fun () ->
-          Array.map
-            (fun ct ->
-              Plaintext.to_slots ~counters:t.counters
-                (Bgv.decrypt ~counters:t.counters t.sk ct))
-            cts)
-    in
-    Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" (fun () ->
-        Array.init nqueries (fun q ->
-            let masked = Array.init n (fun i -> slot_rows.(i).(q)) in
-            { masked_distances = masked; selected = Util.Topk.smallest ~k masked }))
+  let validate config ~d =
+    let bgv = config.Config.bgv in
+    Config.check ~n:(Live.ring_degree bgv) ~t_plain:(Live.t_plain bgv)
+      ~chain_length:(chain_length bgv) config ~d
 
-  let return_level t =
-    Stdlib.min t.config.Config.return_level (Params.chain_length t.config.Config.bgv)
+  (* Coefficient-packed plaintext for a point: p_j at coefficient j. *)
+  let packed_plaintext params point =
+    let d = Array.length point in
+    Live.pt_coeffs params (fun j -> if j < d then Int64.of_int point.(j) else 0L)
 
-  let indicator_row ?(obs = Obs.disabled) t rng view ~n ~j =
-    let params = t.config.Config.bgv in
-    let level = return_level t in
-    let sel = view.selected.(j) in
-    let rngs = split_streams rng n in
-    Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
-        Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-          ~f:(fun counters i rng ->
-            let bit = if i = sel then 1L else 0L in
-            Bgv.encrypt ~counters ~level rng t.pk (Plaintext.constant params bit))
-          rngs)
-
-  let find_neighbours ?obs t rng cts ~k =
-    let n = Array.length cts in
-    let view = select_neighbours ?obs t cts ~k in
-    let rows = Array.init k (fun j -> indicator_row ?obs t rng view ~n ~j) in
-    (rows, view)
-end
-
-(* ------------------------------------------------------------------ *)
-
-module Client = struct
-  type t = {
-    config : Config.t;
-    sk : Bgv.secret_key;
-    pk : Bgv.public_key;
-    counters : Counters.t;
-    jobs : int;
-  }
-
-  let create ?jobs config sk pk =
-    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-    { config; sk; pk; counters = Counters.create (); jobs }
-
-  let counters t = t.counters
-
-  (* Inner-product query form (reversed-packed query + encrypted norm):
-     what the Dot_product layout sends, and what the prepared multi-query
-     path consumes regardless of layout. *)
-  let encrypt_query_ip t rng query =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let counters = t.counters in
+  (* Reversed query for the inner-product trick: constant term q_0, and
+     -q_j at x^(n-j) for j >= 1, so that the constant coefficient of
+     P(x)·Qrev(x) in Z_t[x]/(x^n+1) equals <p, q>. *)
+  let reversed_query_plaintext params query =
+    let n = Live.ring_degree params and t = Live.t_plain params in
     let d = Array.length query in
-    Data_owner.validate_point config ~d query;
-    if d > params.Params.n then
-      invalid_arg "Client.encrypt_query_ip: dimension exceeds ring degree";
-    let q_rev = Bgv.encrypt ~counters rng t.pk (reversed_query_plaintext params query) in
-    let q_norm =
-      Bgv.encrypt ~counters rng t.pk
-        (Plaintext.constant params (Int64.of_int (squared_norm query)))
-    in
-    { q_coords = None; q_rev = Some q_rev; q_norm = Some q_norm; q_dim = d }
+    Live.pt_coeffs params (fun i ->
+        if i = 0 then Mod64.reduce t (Int64.of_int query.(0))
+        else if n - i < d then Mod64.neg t (Mod64.reduce t (Int64.of_int query.(n - i)))
+        else 0L)
 
-  let encrypt_query t rng query =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let counters = t.counters in
-    let d = Array.length query in
-    Data_owner.validate_point config ~d query;
-    match config.Config.layout with
-    | Config.Per_coordinate ->
-      let q_coords =
-        Array.map
-          (fun v -> Bgv.encrypt ~counters rng t.pk (Plaintext.constant params (Int64.of_int v)))
-          query
+  let constant params v = Live.pt_const params (Int64.of_int v)
+
+  (* ---------------------------------------------------------------- *)
+
+  module Data_owner = struct
+    type t = { config : config; keys : keys }
+
+    let create rng config = { config; keys = Live.keygen rng config.Config.bgv }
+    let keys t = t.keys
+    let config t = t.config
+
+    let validate_point config ~d point =
+      if Array.length point <> d then invalid_arg "Data_owner.encrypt_db: ragged data";
+      let bound = 1 lsl config.Config.max_coord_bits in
+      Array.iter
+        (fun v ->
+          if v < 0 || v >= bound then
+            invalid_arg
+              (Printf.sprintf
+                 "Data_owner.encrypt_db: coordinate %d outside [0, 2^%d) — preprocess the \
+                  data (Preprocess.scale_to_max)"
+                 v config.Config.max_coord_bits))
+        point
+
+    let encrypt_db ?(obs = Obs.disabled) ?counters ?jobs rng t db =
+      let config = t.config in
+      let n_points = Array.length db in
+      if n_points = 0 then invalid_arg "Data_owner.encrypt_db: empty database";
+      let d = Array.length db.(0) in
+      (match validate config ~d with
+       | Ok () -> ()
+       | Error msg -> invalid_arg ("Data_owner.encrypt_db: " ^ msg));
+      let params = config.Config.bgv in
+      if d > Live.ring_degree params then
+        invalid_arg "Data_owner.encrypt_db: dimension exceeds ring degree";
+      Array.iter (validate_point config ~d) db;
+      let pk = Live.public_key t.keys in
+      let rngs = split_streams rng n_points in
+      let span_counters =
+        match counters with Some c -> [ ("data-owner", c) ] | None -> []
       in
-      { q_coords = Some q_coords; q_rev = None; q_norm = None; q_dim = d }
-    | Config.Dot_product -> encrypt_query_ip t rng query
+      let points =
+        Obs.with_span obs ~kind:Trace.Phase ~counters:span_counters
+          ~args:[ ("points", string_of_int n_points) ]
+          "encrypt-db"
+          (fun () ->
+            Obs.with_pool_chunks obs ~label:"encrypt-db" (fun () ->
+                Pool.map_local ?jobs ~make:Counters.create
+                  ~merge:(fun w -> Option.iter (fun c -> merge_into c w) counters)
+                  ~f:(fun counters i point ->
+                    let rng = rngs.(i) in
+                    let enc pt = Live.encrypt ~counters rng pk pt in
+                    let packed = enc (packed_plaintext params point) in
+                    match config.Config.layout with
+                    | Config.Per_coordinate ->
+                      let coords = Array.map (fun v -> enc (constant params v)) point in
+                      { coords = Some coords; packed; norm = None }
+                    | Config.Dot_product ->
+                      let norm = enc (constant params (squared_norm point)) in
+                      { coords = None; packed; norm = Some norm })
+                  db))
+      in
+      { db_n = n_points; db_d = d; points }
+  end
 
-  (* Broadcast-slot query form for the packed path: d coordinate
-     ciphertexts with the same value in every slot, plus ‖q‖²
-     broadcast — still O(d) ciphertexts whatever the batch count. *)
-  let encrypt_query_packed t rng query =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let counters = t.counters in
-    let d = Array.length query in
-    Data_owner.validate_point config ~d query;
-    if d > params.Params.n then
-      invalid_arg "Client.encrypt_query_packed: dimension exceeds ring degree";
-    let q_coords =
-      Array.map
-        (fun v -> Bgv.encrypt ~counters rng t.pk (Plaintext.constant params (Int64.of_int v)))
-        query
-    in
-    let q_norm =
-      Bgv.encrypt ~counters rng t.pk
-        (Plaintext.constant params (Int64.of_int (squared_norm query)))
-    in
-    { q_coords = Some q_coords; q_rev = None; q_norm = Some q_norm; q_dim = d }
+  (* ---------------------------------------------------------------- *)
 
-  let encrypt_query_batch t rng queries =
-    let config = t.config in
-    let params = config.Config.bgv in
-    let counters = t.counters in
-    let m = Array.length queries in
-    let slots = Params.slot_count params in
-    if m = 0 then invalid_arg "Client.encrypt_query_batch: empty batch";
-    if m > slots then
-      invalid_arg "Client.encrypt_query_batch: batch exceeds the slot count";
-    let d = Array.length queries.(0) in
-    Array.iter
-      (fun q ->
-        if Array.length q <> d then invalid_arg "Client.encrypt_query_batch: ragged batch";
-        Data_owner.validate_point config ~d q)
-      queries;
-    let enc slot_of =
-      let s = Array.make slots 0L in
-      Array.iteri (fun q query -> s.(q) <- Int64.of_int (slot_of query)) queries;
-      Bgv.encrypt ~counters rng t.pk (Plaintext.of_slots ~counters params s)
-    in
-    { bq_coords = Array.init d (fun j -> enc (fun query -> query.(j)));
-      bq_norm = enc squared_norm;
-      bq_count = m;
-      bq_dim = d }
+  module Party_a = struct
+    type t = {
+      config : config;
+      nm : NM.params;
+      (* Party A holds the public key in the paper's setup even though
+         the current pipeline never re-encrypts on its side. *)
+      pk : Live.public_key; [@warning "-69"]
+      rlk : Live.relin_key;
+      db : encrypted_db;
+      counters : Counters.t;
+      jobs : int;
+      mask_source : mask_source;
+    }
 
-  let decrypt_points ?(obs = Obs.disabled) t ~d cts =
-    Obs.with_pool_chunks obs ~label:"decrypt-result" (fun () ->
-        Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-          ~f:(fun counters _ ct ->
-            let pt = Bgv.decrypt ~counters t.sk ct in
-            let coeffs = Plaintext.to_coeffs pt in
-            Array.init d (fun j -> Int64.to_int coeffs.(j)))
-          cts)
+    let create ?jobs ?(mask_source = draw_mask) config pk rlk db =
+      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+      { config; nm = Live.noise_params config.Config.bgv; pk; rlk; db;
+        counters = Counters.create (); jobs; mask_source }
+
+    let counters t = t.counters
+    let db_size t = t.db.db_n
+    let jobs t = t.jobs
+
+    (* Per-query secrets: one fresh mask per query (one per slot-batched
+       query) and the permutation Π. *)
+    type query_state = { masks : Masking.t array; perm : Perm.t }
+    type batch_state = query_state
+
+    let state_mask s = s.masks.(0)
+    let state_perm s = s.perm
+    let batch_state_masks s = s.masks
+    let batch_state_perm s = s.perm
+    let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
+
+    let return_level t =
+      Stdlib.min t.config.Config.return_level (NM.chain_length t.nm)
+
+    let draw_masks ?(count = 1) obs t rng =
+      let c = t.config in
+      Obs.with_span obs "draw-mask" (fun () ->
+          Array.init count (fun _ ->
+              t.mask_source rng ~t_plain:(Live.t_plain c.Config.bgv)
+                ~input_bits:(Config.max_distance_bits c ~d:t.db.db_d)
+                ~degree:c.Config.mask_degree ~coeff_bits:c.Config.mask_coeff_bits))
+
+    (* The level-drop rule, the one place a ciphertext leaves the chain
+       early: the lowest level whose modulus clears [masked_bits] (the
+       worst-case masked noise) with 17 bits of slack, floored at the
+       return level.  [None] when no level below [top] qualifies; the
+       caller then falls back to the configured rescale. *)
+    let drop_level t ~top ~masked_bits =
+      let need = masked_bits +. 17.0 in
+      let lvl = ref 0 and bits = ref 0.0 in
+      while !bits <= need && !lvl < top do
+        bits := !bits +. t.nm.NM.moduli_bits.(!lvl);
+        incr lvl
+      done;
+      let lvl = Stdlib.max !lvl (return_level t) in
+      if !bits > need && lvl < top then Some lvl else None
+
+    let rescale_if_configured t ~counters ed =
+      if t.config.Config.rescale_distances then Live.rescale_to_floor ~counters ed else ed
+
+    let encrypted_distance t ~counters query point =
+      match t.config.Config.layout, point.coords, query.q_coords with
+      | Config.Per_coordinate, Some coords, Some q_coords ->
+        (* ED = sum_j (p'_j - q'_j)^2, Steps 2-4 of Algorithm 1.  The
+           per-dimension squares are left unrescaled (fused inner product
+           of the difference vector with itself); one rescale after the
+           sum costs d-1 fewer modulus switches per point. *)
+        let diffs = Array.mapi (fun j c -> Live.sub ~counters c q_coords.(j)) coords in
+        (* jobs:1 — compute_distances already parallelises over points. *)
+        rescale_if_configured t ~counters
+          (Live.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) diffs diffs)
+      | Config.Dot_product, _, _ ->
+        let q_rev = Option.get query.q_rev and q_norm = Option.get query.q_norm in
+        let norm = Option.get point.norm in
+        (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant coefficient. *)
+        let ip = Live.mul ~counters ~rescale:false point.packed q_rev in
+        Live.sub ~counters (Live.add ~counters norm q_norm) (Live.mul_scalar ~counters ip 2L)
+      | Config.Per_coordinate, _, _ ->
+        invalid_arg "Party_a.compute_distances: layout/ciphertext mismatch"
+
+    (* A uniformly random polynomial with zero constant coefficient; added
+       to Dot_product masked distances to destroy the cross-term
+       coefficients the inner-product trick leaves behind. *)
+    let zero_constant_randomizer rng params =
+      let t = Live.t_plain params in
+      Live.pt_coeffs params (fun i -> if i = 0 then 0L else Rng.int64_below rng t)
+
+    (* Masked distances of every point, pool-parallel with one RNG stream
+       per item; [f counters i item] is the per-point circuit. *)
+    let distance_batches obs t ~label ~args items f =
+      Obs.with_span obs
+        ~counters:[ ("party-a", t.counters) ]
+        ~args "distance-batches"
+        (fun () ->
+          Obs.with_pool_chunks obs ~label (fun () ->
+              Pool.map_local ~jobs:t.jobs ~make:Counters.create
+                ~merge:(merge_into t.counters) ~f items))
+
+    let permute obs rng n = Obs.with_span obs "permute" (fun () -> Perm.random rng n)
+    let points_arg t = ("points", string_of_int t.db.db_n)
+
+    let compute_distances ?(obs = Obs.disabled) t rng query =
+      let config = t.config in
+      if query.q_dim <> t.db.db_d then
+        invalid_arg "Party_a.compute_distances: dimension mismatch";
+      let masks = draw_masks obs t rng in
+      let coeffs = Masking.coeffs masks.(0) in
+      let rngs = split_streams rng t.db.db_n in
+      let masked =
+        distance_batches obs t ~label:"distances" ~args:[ points_arg t ] t.db.points
+          (fun counters i point ->
+            let ed = encrypted_distance t ~counters query point in
+            let m = Live.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
+            match config.Config.layout with
+            | Config.Per_coordinate -> m
+            | Config.Dot_product ->
+              Live.add_plain ~counters m (zero_constant_randomizer rngs.(i) config.Config.bgv))
+      in
+      let perm = permute obs rng t.db.db_n in
+      ({ masks; perm }, Perm.apply perm masked)
+
+    (* ---- Prepared (multi-query) path ----------------------------- *)
+
+    (* Query-independent work hoisted out of the per-query loop: the
+       packed ciphertexts (already NTT/Eval-domain) and an encrypted
+       squared norm per point.  With ED = ||p||^2 - 2<p,q> + ||q||^2 the
+       per-query cost per point drops from d ciphertext products
+       (Per_coordinate) to one packed product against the reversed query,
+       amortising the d-fold work across the database lifetime. *)
+    type prepared = {
+      prep_packed : ct array;
+      prep_norms : ct array;
+      prep_return_packed : ct array;
+          (* packed points already truncated to the return level, so
+             Return-kNN skips the per-query truncation pass *)
+    }
+
+    (* The inner-product trick leaves cross terms in the non-constant
+       coefficients, so only affine masking keeps the constant
+       coefficient sound — the same restriction Config.validate puts on
+       Dot_product.  The slot-packed path shares it. *)
+    let check_affine t ~what ~caller =
+      if t.config.Config.mask_degree <> 1 then
+        invalid_arg
+          (Printf.sprintf "%s: %s queries need affine (degree-1) masking" caller what)
+      else if t.db.db_d > Live.ring_degree t.config.Config.bgv then
+        invalid_arg (Printf.sprintf "%s: %s queries need d <= ring degree" caller what)
+
+    let return_packed t =
+      let lvl = return_level t in
+      Array.map (fun p -> Live.truncate ~counters:t.counters p.packed lvl) t.db.points
+
+    let prepare ?(obs = Obs.disabled) t =
+      check_affine t ~what:"prepared" ~caller:"Party_a.prepare";
+      let norms =
+        Obs.with_span obs
+          ~counters:[ ("party-a", t.counters) ]
+          ~args:[ points_arg t ] "prepare-norms"
+          (fun () ->
+            Obs.with_pool_chunks obs ~label:"prepare-norms" (fun () ->
+                Pool.map_local ~jobs:t.jobs ~make:Counters.create
+                  ~merge:(merge_into t.counters)
+                  ~f:(fun counters _ point ->
+                    match point.norm, point.coords with
+                    | Some norm, _ -> norm
+                    | None, Some coords ->
+                      (* ||p||^2 homomorphically, once per database. *)
+                      Live.mul_sum ~counters ~jobs:1 ?rlk:(rlk_opt t) coords coords
+                    | None, None ->
+                      invalid_arg "Party_a.prepare: point carries no norm or coordinates")
+                  t.db.points))
+      in
+      { prep_packed = Array.map (fun p -> p.packed) t.db.points;
+        prep_norms = norms;
+        prep_return_packed = return_packed t }
+
+    let compute_distances_prepared ?(obs = Obs.disabled) t prep rng query =
+      let config = t.config in
+      if query.q_dim <> t.db.db_d then
+        invalid_arg "Party_a.compute_distances_prepared: dimension mismatch";
+      let q_rev, q_norm =
+        match query.q_rev, query.q_norm with
+        | Some r, Some n -> (r, n)
+        | _ ->
+          invalid_arg
+            "Party_a.compute_distances_prepared: query lacks inner-product form \
+             (use Client.encrypt_query_ip)"
+      in
+      check_affine t ~what:"prepared" ~caller:"Party_a.compute_distances_prepared";
+      let masks = draw_masks obs t rng in
+      let coeffs = Masking.coeffs masks.(0) in
+      let rngs = split_streams rng t.db.db_n in
+      let masked =
+        distance_batches obs t ~label:"distances" ~args:[ points_arg t ] prep.prep_packed
+          (fun counters i packed ->
+            (* ED = ||p||^2 - 2<p,q> + ||q||^2 in the constant coefficient;
+               one ciphertext product per point. *)
+            let ip = Live.mul ~counters ?rlk:(rlk_opt t) ~rescale:false packed q_rev in
+            let ed =
+              Live.sub ~counters
+                (Live.add ~counters prep.prep_norms.(i) q_norm)
+                (Live.mul_scalar ~counters ip 2L)
+            in
+            (* ED is one multiplication deep, so its noise sits far below
+               the full modulus: drop the spare RNS components in one cheap
+               truncation, so masking, transport and B's decryption all run
+               on the small ciphertext. *)
+            let ed =
+              match
+                drop_level t ~top:(Live.level ed)
+                  ~masked_bits:(Live.noise_bits ed +. t.nm.NM.t_bits)
+              with
+              | Some lvl -> Live.truncate ~counters ed lvl
+              | None -> rescale_if_configured t ~counters ed
+            in
+            let m = Live.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
+            Live.add_plain ~counters m (zero_constant_randomizer rngs.(i) config.Config.bgv))
+      in
+      let perm = permute obs rng t.db.db_n in
+      ({ masks; perm }, Perm.apply perm masked)
+
+    let select_row ?(obs = Obs.disabled) t permuted_packed row =
+      (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
+         inner product is fused and split across domains; return_knn
+         keeps the k rows sequential so parallelism is never nested. *)
+      Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
+          Live.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
+
+    let permuted_packed t state = Perm.apply state.perm (return_packed t)
+    let permuted_packed_prepared prep state = Perm.apply state.perm prep.prep_return_packed
+
+    (* ---- Slot-packed (SIMD) path --------------------------------- *)
+
+    (* Owner-delegated mode (SANNS-style outsourced queries): Party A acts
+       for the data owner and holds the plaintext database,
+       dimension-major — column j is the n-vector of j-th coordinates,
+       one slot per point — while the client's query stays encrypted.  A
+       batch of N = slot_count points then costs d plain products plus
+       adds instead of N ciphertext products, and Party B decrypts
+       ceil(n/N) ciphertexts instead of n.  B's §5 view (masked permuted
+       distance multiset, n, k) is unchanged; A's plaintext access is
+       declared through the audit channel in [prepare_packed]. *)
+    type prepared_packed = {
+      pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
+      pp_norms : int64 array;       (* ‖p_i‖² mod t *)
+      pp_return_packed : ct array;  (* return-level packed points, as in [prepared] *)
+    }
+
+    let prepare_packed ?(obs = Obs.disabled) t ~db =
+      let config = t.config in
+      let d = t.db.db_d and n = t.db.db_n in
+      check_affine t ~what:"packed" ~caller:"Party_a.prepare_packed";
+      if Array.length db <> n then
+        invalid_arg "Party_a.prepare_packed: plaintext database size mismatch";
+      Array.iter (Data_owner.validate_point config ~d) db;
+      Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"plaintext-database"
+        (Audit.Int (n * d));
+      let tp = Live.t_plain config.Config.bgv in
+      { pp_cols =
+          Array.init d (fun j ->
+              Array.init n (fun i -> Mod64.reduce tp (Int64.of_int db.(i).(j))));
+        pp_norms =
+          Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i))));
+        pp_return_packed = return_packed t }
+
+    (* The packed and batched circuits truncate the query ciphertexts up
+       front, at the level the level-drop rule picks for the predicted
+       masked bound: every later op's noise increment is
+       level-independent, so all per-batch work runs on the short chain
+       and ends at the same bound.  [masked q] predicts the masked noise
+       from the query's worst noise state [q]. *)
+    let truncate_query t ~masked (coords, norm) =
+      let q_noise =
+        Array.fold_left (fun m c -> Float.max m (Live.noise_bits c)) (Live.noise_bits norm) coords
+      in
+      let q = { NM.level = Live.level norm; degree = 1; bits = q_noise } in
+      match drop_level t ~top:(Live.level norm) ~masked_bits:(masked q).NM.bits with
+      | Some lvl ->
+        let cut c = Live.truncate ~counters:t.counters c lvl in
+        (Array.map cut coords, cut norm, true)
+      | None -> (coords, norm, false)
+
+    let check_packed_state t pp ~caller =
+      check_affine t ~what:"packed" ~caller;
+      if Array.length pp.pp_norms <> t.db.db_n || Array.length pp.pp_cols <> t.db.db_d then
+        invalid_arg (caller ^ ": prepared state mismatch")
+
+    let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
+      let config = t.config in
+      let params = config.Config.bgv in
+      let d = t.db.db_d and n = t.db.db_n in
+      if query.q_dim <> d then
+        invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
+      let q_coords, q_norm =
+        match query.q_coords, query.q_norm with
+        | Some c, Some nr when Array.length c = d -> (c, nr)
+        | _ ->
+          invalid_arg
+            "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
+             Client.encrypt_query_packed)"
+      in
+      check_packed_state t pp ~caller:"Party_a.compute_distances_packed";
+      let slots = Live.ring_degree params in
+      let nbatches = (n + slots - 1) / slots in
+      let masks = draw_masks obs t rng in
+      let coeffs = Masking.coeffs masks.(0) in
+      let rngs = split_streams rng nbatches in
+      (* The permutation is drawn before the homomorphic loop: the slot
+         layout must already be in permuted order when the batches are
+         packed.  Party A repacks its plaintext columns per query — d+1
+         cheap slot NTTs per batch — so Π needs no Galois machinery and
+         stays uniform over all n! choices exactly as in Algorithm 1. *)
+      let perm = permute obs rng n in
+      let nm = t.nm in
+      let q_coords, q_norm, dropped =
+        truncate_query t (q_coords, q_norm) ~masked:(fun q ->
+            let ip = NM.mul_scalar (NM.sum (NM.mul_plain nm q) ~terms:d) ~bits:1.0 in
+            NM.mul_scalar (NM.sub (NM.add_plain nm q) ip) ~bits:nm.NM.t_bits)
+      in
+      let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
+      let norms_p = Perm.apply perm pp.pp_norms in
+      let masked =
+        distance_batches obs t ~label:"packed-distances"
+          ~args:[ ("points", string_of_int n); ("batches", string_of_int nbatches) ]
+          rngs
+          (fun counters b rng_b ->
+            let base = b * slots in
+            let len = Stdlib.min slots (n - base) in
+            let slice src s = if s < len then src.(base + s) else 0L in
+            (* Slot s of batch b holds point Π⁻¹(b·N + s); ED and the
+               affine mask act slot-wise, so one ciphertext carries N
+               masked distances. *)
+            let ip = ref None in
+            for j = 0 to d - 1 do
+              let col = Live.pack ~counters params (slice cols_p.(j)) in
+              let p = Live.mul_plain ~counters q_coords.(j) col in
+              ip := Some (match !ip with None -> p | Some s -> Live.add ~counters s p)
+            done;
+            let ip = Option.get !ip in
+            let norms = Live.pack ~counters params (slice norms_p) in
+            let ed =
+              Live.sub ~counters
+                (Live.add_plain ~counters q_norm norms)
+                (Live.mul_scalar ~counters ip 2L)
+            in
+            let ed = if dropped then ed else rescale_if_configured t ~counters ed in
+            let m = Live.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
+            if len < slots then
+              (* Ragged tail: slots past the database carry phantom points
+                 whose masked values would order against the real ones; one
+                 uniform value per dead slot makes them carry no
+                 information before B discards them. *)
+              let tp = Live.t_plain params in
+              Live.add_plain ~counters m
+                (Live.pack ~counters params (fun s ->
+                     if s < len then 0L else Rng.int64_below rng_b tp))
+            else m)
+      in
+      ({ masks; perm }, masked)
+
+    let permuted_return_packed pp state = Perm.apply state.perm pp.pp_return_packed
+
+    (* ---- Slot-batched multi-query evaluation --------------------- *)
+
+    (* M queries in the slot dimension: per point the inner products of
+       all M queries cost d scalar products on the slot-packed query
+       ciphertexts, and one plain product + plain add applies every
+       query's own affine mask (slot q carries query q's coefficients).
+       The n output ciphertexts share one permutation, which is the extra
+       declared leakage of the batch mode: Party B can align positions
+       across the M views of a batch (audited as "batch-query-count"). *)
+    let compute_distances_batch ?(obs = Obs.disabled) t pp rng bq =
+      let config = t.config in
+      let params = config.Config.bgv in
+      let d = t.db.db_d and n = t.db.db_n in
+      if bq.bq_dim <> d then invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
+      check_packed_state t pp ~caller:"Party_a.compute_distances_batch";
+      let slots = Live.ring_degree params in
+      let nqueries = bq.bq_count in
+      if nqueries < 1 || nqueries > slots then
+        invalid_arg "Party_a.compute_distances_batch: batch size out of range";
+      let masks = draw_masks ~count:nqueries obs t rng in
+      let coeff q i = (Masking.coeffs masks.(q)).(i) in
+      let a1_pt =
+        Live.pack ~counters:t.counters params (fun q -> if q < nqueries then coeff q 1 else 1L)
+      in
+      let a0_shared =
+        if nqueries = slots then Some (Live.pack ~counters:t.counters params (fun q -> coeff q 0))
+        else None
+      in
+      let rngs = split_streams rng n in
+      let perm = permute obs rng n in
+      let nm = t.nm in
+      let bq_coords, bq_norm, dropped =
+        truncate_query t (bq.bq_coords, bq.bq_norm) ~masked:(fun q ->
+            let coord = NM.mul_scalar q ~bits:(float_of_int config.Config.max_coord_bits) in
+            let ip = NM.mul_scalar (NM.sum coord ~terms:d) ~bits:1.0 in
+            NM.add_plain nm (NM.mul_plain nm (NM.add_plain nm (NM.sub q ip))))
+      in
+      let masked =
+        distance_batches obs t ~label:"batched-distances"
+          ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
+          rngs
+          (fun counters i rng_i ->
+            let ip = ref None in
+            for j = 0 to d - 1 do
+              let p = Live.mul_scalar ~counters bq_coords.(j) pp.pp_cols.(j).(i) in
+              ip := Some (match !ip with None -> p | Some s -> Live.add ~counters s p)
+            done;
+            let ip = Option.get !ip in
+            let ed =
+              Live.add_const ~counters
+                (Live.sub ~counters bq_norm (Live.mul_scalar ~counters ip 2L))
+                pp.pp_norms.(i)
+            in
+            let ed = if dropped then ed else rescale_if_configured t ~counters ed in
+            let md = Live.mul_plain ~counters ed a1_pt in
+            let a0_pt =
+              match a0_shared with
+              | Some pt -> pt
+              | None ->
+                (* Dead slots (no query) get a fresh uniform value per
+                   point, killing the cross-point order their unit-slope
+                   masking would otherwise expose. *)
+                let tp = Live.t_plain params in
+                Live.pack ~counters params (fun q ->
+                    if q < nqueries then coeff q 0 else Rng.int64_below rng_i tp)
+            in
+            Live.add_plain ~counters md a0_pt)
+      in
+      ({ masks; perm }, Perm.apply perm masked)
+
+    let permuted_return_packed_batch = permuted_return_packed
+
+    let return_knn ?obs t state rows =
+      let packed = permuted_packed t state in
+      Array.map (fun row -> select_row ?obs t packed row) rows
+  end
+
+  (* ---------------------------------------------------------------- *)
+
+  module Party_b = struct
+    type t = {
+      config : config;
+      sk : Live.secret_key;
+      pk : Live.public_key;
+      counters : Counters.t;
+      jobs : int;
+    }
+
+    let create ?jobs config sk pk =
+      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+      { config; sk; pk; counters = Counters.create (); jobs }
+
+    let counters t = t.counters
+
+    type view = Leakage.view = { masked_distances : int64 array; selected : int array }
+
+    let check_k ~n ~k = if k < 1 || k > n then invalid_arg "Party_b: k out of range"
+
+    let decrypt_span obs t args f =
+      Obs.with_span obs ~counters:[ ("party-b", t.counters) ] ~args "decrypt-distances" f
+
+    let select_top_k obs ~k f =
+      Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" f
+
+    let view_of ~k masked = { masked_distances = masked; selected = Util.Topk.smallest ~k masked }
+
+    let select_neighbours ?(obs = Obs.disabled) t cts ~k =
+      let n = Array.length cts in
+      check_k ~n ~k;
+      (* The decrypt-and-select half runs sequentially on purpose: it
+         handles secret-key material and masked plaintexts, and keeping it
+         single-domain keeps B's trusted computing base minimal.  The scan
+         itself is the O(n log k) heap replication of Algorithm 2's
+         streaming max-replacement (Util.Topk). *)
+      let masked =
+        decrypt_span obs t [ ("points", string_of_int n) ] (fun () ->
+            Array.map (fun ct -> Live.decrypt_coeff0 ~counters:t.counters t.sk ct) cts)
+      in
+      select_top_k obs ~k (fun () -> view_of ~k masked)
+
+    let select_neighbours_packed ?(obs = Obs.disabled) t cts ~n ~k =
+      let slots = Live.ring_degree t.config.Config.bgv in
+      if n < 1 then invalid_arg "Party_b.select_neighbours_packed: empty database";
+      if Array.length cts <> (n + slots - 1) / slots then
+        invalid_arg "Party_b.select_neighbours_packed: ciphertext count mismatch";
+      check_k ~n ~k;
+      let masked =
+        decrypt_span obs t
+          [ ("points", string_of_int n); ("ciphertexts", string_of_int (Array.length cts)) ]
+          (fun () ->
+            (* Slot-unpack before any accounting: every downstream consumer
+               (Topk, Leakage, the audit channel) must see the n per-point
+               masked distances, never per-ciphertext aggregates. *)
+            let out = Array.make n 0L in
+            Array.iteri
+              (fun b ct ->
+                let base = b * slots in
+                let len = Stdlib.min slots (n - base) in
+                let s =
+                  Live.unpack ~counters:t.counters (Live.decrypt ~counters:t.counters t.sk ct) ~len
+                in
+                Array.blit s 0 out base len)
+              cts;
+            out)
+      in
+      select_top_k obs ~k (fun () -> view_of ~k masked)
+
+    let select_views_batch ?(obs = Obs.disabled) t cts ~m:nqueries ~k =
+      let n = Array.length cts in
+      if n < 1 then invalid_arg "Party_b.select_views_batch: empty database";
+      if nqueries < 1 || nqueries > Live.ring_degree t.config.Config.bgv then
+        invalid_arg "Party_b.select_views_batch: batch size out of range";
+      check_k ~n ~k;
+      let slot_rows =
+        decrypt_span obs t
+          [ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
+          (fun () ->
+            Array.map
+              (fun ct ->
+                Live.unpack ~counters:t.counters (Live.decrypt ~counters:t.counters t.sk ct)
+                  ~len:nqueries)
+              cts)
+      in
+      select_top_k obs ~k (fun () ->
+          Array.init nqueries (fun q -> view_of ~k (Array.init n (fun i -> slot_rows.(i).(q)))))
+
+    let indicator_row ?(obs = Obs.disabled) t rng view ~n ~j =
+      let params = t.config.Config.bgv in
+      let level =
+        Stdlib.min t.config.Config.return_level (chain_length params)
+      in
+      let sel = view.selected.(j) in
+      let rngs = split_streams rng n in
+      Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
+          Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+            ~f:(fun counters i rng ->
+              let bit = if i = sel then 1 else 0 in
+              Live.encrypt ~counters ~level rng t.pk (constant params bit))
+            rngs)
+
+    let find_neighbours ?obs t rng cts ~k =
+      let n = Array.length cts in
+      let view = select_neighbours ?obs t cts ~k in
+      let rows = Array.init k (fun j -> indicator_row ?obs t rng view ~n ~j) in
+      (rows, view)
+  end
+
+  (* ---------------------------------------------------------------- *)
+
+  module Client = struct
+    type t = {
+      config : config;
+      sk : Live.secret_key;
+      pk : Live.public_key;
+      counters : Counters.t;
+      jobs : int;
+    }
+
+    let create ?jobs config sk pk =
+      let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+      { config; sk; pk; counters = Counters.create (); jobs }
+
+    let counters t = t.counters
+    let enc t rng pt = Live.encrypt ~counters:t.counters rng t.pk pt
+
+    let checked t ~caller query =
+      let d = Array.length query in
+      Data_owner.validate_point t.config ~d query;
+      if d > Live.ring_degree t.config.Config.bgv then
+        invalid_arg (caller ^ ": dimension exceeds ring degree");
+      d
+
+    (* Inner-product query form (reversed-packed query + encrypted norm):
+       what the Dot_product layout sends, and what the prepared
+       multi-query path consumes regardless of layout. *)
+    let encrypt_query_ip t rng query =
+      let params = t.config.Config.bgv in
+      let d = checked t ~caller:"Client.encrypt_query_ip" query in
+      let q_rev = enc t rng (reversed_query_plaintext params query) in
+      let q_norm = enc t rng (constant params (squared_norm query)) in
+      { q_coords = None; q_rev = Some q_rev; q_norm = Some q_norm; q_dim = d }
+
+    let encrypt_query t rng query =
+      let config = t.config in
+      let d = Array.length query in
+      Data_owner.validate_point config ~d query;
+      match config.Config.layout with
+      | Config.Per_coordinate ->
+        let q_coords = Array.map (fun v -> enc t rng (constant config.Config.bgv v)) query in
+        { q_coords = Some q_coords; q_rev = None; q_norm = None; q_dim = d }
+      | Config.Dot_product -> encrypt_query_ip t rng query
+
+    (* Broadcast-slot query form for the packed path: d coordinate
+       ciphertexts with the same value in every slot, plus ‖q‖²
+       broadcast — still O(d) ciphertexts whatever the batch count. *)
+    let encrypt_query_packed t rng query =
+      let params = t.config.Config.bgv in
+      let d = checked t ~caller:"Client.encrypt_query_packed" query in
+      let q_coords = Array.map (fun v -> enc t rng (constant params v)) query in
+      let q_norm = enc t rng (constant params (squared_norm query)) in
+      { q_coords = Some q_coords; q_rev = None; q_norm = Some q_norm; q_dim = d }
+
+    let encrypt_query_batch t rng queries =
+      let config = t.config in
+      let params = config.Config.bgv in
+      let m = Array.length queries in
+      if m = 0 then invalid_arg "Client.encrypt_query_batch: empty batch";
+      if m > Live.ring_degree params then
+        invalid_arg "Client.encrypt_query_batch: batch exceeds the slot count";
+      let d = Array.length queries.(0) in
+      Array.iter
+        (fun q ->
+          if Array.length q <> d then invalid_arg "Client.encrypt_query_batch: ragged batch";
+          Data_owner.validate_point config ~d q)
+        queries;
+      let enc slot_of =
+        let slot q = if q < m then Int64.of_int (slot_of queries.(q)) else 0L in
+        enc t rng (Live.pack ~counters:t.counters params slot)
+      in
+      { bq_coords = Array.init d (fun j -> enc (fun query -> query.(j)));
+        bq_norm = enc squared_norm;
+        bq_count = m;
+        bq_dim = d }
+
+    let decrypt_points ?(obs = Obs.disabled) t ~d cts =
+      Obs.with_pool_chunks obs ~label:"decrypt-result" (fun () ->
+          Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+            ~f:(fun counters _ ct ->
+              Array.map Int64.to_int (Live.coeffs (Live.decrypt ~counters t.sk ct) ~len:d))
+            cts)
+  end
+
+  (* ---------------------------------------------------------------- *)
+  (* The query driver                                                 *)
+  (* ---------------------------------------------------------------- *)
+
+  module Run = struct
+    type deployment = {
+      config : config;
+      db_n : int;
+      db_d : int;
+      db : int array array;
+          (* the plaintext database — retained for the slot-packed path,
+             which runs in owner-delegated mode (Party_a.prepare_packed) *)
+      a : Party_a.t;
+      b : Party_b.t;
+      cl : Client.t;
+      query_seed : Rng.t;
+      setup : env;  (* the Setup phase's recorder: its transcript *)
+      mutable prepared : Party_a.prepared option;
+      mutable prepared_packed : Party_a.prepared_packed option;
+          (* query-independent state, built once per deployment *)
+    }
+
+    (* Setup (§3): key generation at the data owner, database encryption,
+       and the key/ciphertext distribution, recorded through [setup]. *)
+    let deploy ?(obs = Obs.disabled) ?counters ?jobs ?mask_source setup rng config ~db =
+      let owner =
+        Obs.with_span obs ~kind:Trace.Phase "keygen" (fun () ->
+            Data_owner.create (Rng.split rng) config)
+      in
+      let enc_db = Data_owner.encrypt_db ~obs ?counters ?jobs (Rng.split rng) owner db in
+      let keys = Data_owner.keys owner in
+      let sk = Live.secret_key keys and pk = Live.public_key keys in
+      let bgv = config.Config.bgv in
+      (* Two ring elements at the full chain, 4 bytes per residue; the
+         secret key one byte per coefficient. *)
+      let pk_bytes = 2 * chain_length bgv * Live.ring_degree bgv * 4 in
+      let sk_bytes = Live.ring_degree bgv + pk_bytes in
+      List.iter
+        (fun (receiver, label, bytes) ->
+          Live.send setup ~sender:Transcript.Data_owner ~receiver ~label ~bytes)
+        [ (Transcript.Party_a, "public key", pk_bytes);
+          (Transcript.Party_a, "encrypted database", db_bytes enc_db);
+          (Transcript.Party_b, "secret + public key", sk_bytes);
+          (Transcript.Client, "secret + public key", sk_bytes) ];
+      { config;
+        db_n = Array.length db;
+        db_d = Array.length db.(0);
+        db;
+        a = Party_a.create ?jobs ?mask_source config pk (Live.relin_key keys) enc_db;
+        b = Party_b.create ?jobs config sk pk;
+        cl = Client.create ?jobs config sk pk;
+        query_seed = Rng.split rng;
+        setup;
+        prepared = None;
+        prepared_packed = None }
+
+    let prepare ?obs d =
+      match d.prepared with
+      | Some p -> p
+      | None ->
+        let p = Party_a.prepare ?obs d.a in
+        d.prepared <- Some p;
+        p
+
+    let prepare_packed ?obs d =
+      match d.prepared_packed with
+      | Some p -> p
+      | None ->
+        let p = Party_a.prepare_packed ?obs d.a ~db:d.db in
+        d.prepared_packed <- Some p;
+        p
+
+    (* Sample chain level and noise-budget headroom of a ciphertext batch
+       into the metrics registry (stride keeps it O(16) per batch).  Runs
+       in the orchestrating domain only, after the batch is complete. *)
+    let level_buckets = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 8.0 |]
+    let noise_buckets = [| 0.0; 8.0; 16.0; 24.0; 32.0; 48.0; 64.0; 96.0; 128.0 |]
+
+    let sample_cts obs ~name cts =
+      let m = Obs.metrics obs in
+      let flight_on = Option.is_some (Obs.flight obs) in
+      let n = Array.length cts in
+      if n > 0 && (Option.is_some m || flight_on) then begin
+        let hists =
+          Option.map
+            (fun m ->
+              ( Metrics.histogram ~buckets:level_buckets m ("bgv." ^ name ^ ".level"),
+                Metrics.histogram ~buckets:noise_buckets m
+                  ("bgv." ^ name ^ ".noise_budget_bits") ))
+            m
+        in
+        let stride = Stdlib.max 1 (n / 16) in
+        let min_budget = ref infinity in
+        let i = ref 0 in
+        while !i < n do
+          let level = Live.level cts.(!i) in
+          let budget = Live.noise_budget_bits cts.(!i) in
+          if budget < !min_budget then min_budget := budget;
+          (match hists with
+           | None -> ()
+           | Some (h_lvl, h_nb) ->
+             Metrics.observe h_lvl (float_of_int level);
+             Metrics.observe h_nb budget);
+          Obs.observe_noise obs ~name ~level ~budget_bits:budget;
+          i := !i + stride
+        done;
+        match m with
+        | None -> ()
+        | Some m ->
+          (* Per-phase headroom gauge: the tightest sampled budget this
+             batch, the number a dashboard alerts on. *)
+          Metrics.set (Metrics.gauge m ("bgv." ^ name ^ ".min_noise_budget_bits")) !min_budget
+      end
+
+    type outcome = { neighbours : int array array array; views : Party_b.view array }
+
+    (* One protocol round on any path: the client encrypts, A computes
+       the masked distances (Algorithm 1), B decrypts and selects
+       (Algorithm 2), B's indicator rows stream to A row by row so the
+       O(nk) ciphertexts never live in memory at once, A returns the
+       selected points (Algorithm 3), the client decrypts.  A [Batch m]
+       round answers the m [queries] at once; every other path takes one.
+       Party counters are reset at the start, so they report this round;
+       the backend's [phase]/[send] hooks time it and record its
+       transcript. *)
+    let query ?(obs = Obs.disabled) env d path rng ~queries ~k =
+      let m = Array.length queries in
+      (match path with
+       | CM.Batch _ -> if m = 0 then invalid_arg "Protocol.query_batch: empty batch"
+       | _ -> if m <> 1 then invalid_arg "Protocol.query: one query per round");
+      Array.iter
+        (fun q ->
+          if Array.length q <> d.db_d then invalid_arg "Protocol.query: dimension mismatch")
+        queries;
+      if k < 1 || k > d.db_n then invalid_arg "Protocol.query: k out of range";
+      let ca = Party_a.counters d.a and cb = Party_b.counters d.b in
+      let cc = Client.counters d.cl in
+      List.iter Counters.reset [ ca; cb; cc ];
+      let pa = ("party-a", ca) and pb = ("party-b", cb) and pc = ("client", cc) in
+      let phase parties name f = Live.phase env parties name f in
+      let audit party ph label v = Obs.audit obs ~party ~phase:ph ~label v in
+      let send sender receiver label bytes = Live.send env ~sender ~receiver ~label ~bytes in
+      (* Prepared/packed paths: only the first such query of a deployment
+         pays (and records) the "prepare-db" phase. *)
+      let prepared f = phase [ pa ] "prepare-db" (fun () -> f ?obs:(Some obs) d) in
+      let returned, cts, distances =
+        let single prep encrypt distances =
+          let q = phase [ pc ] "encrypt-query" (fun () -> encrypt d.cl rng queries.(0)) in
+          (prep, query_cts q, fun () -> distances rng q)
+        in
+        match path with
+        | CM.Plain ->
+          single (Party_a.permuted_packed d.a) Client.encrypt_query
+            (Party_a.compute_distances ~obs d.a)
+        | CM.Prepared ->
+          let p = match d.prepared with Some p -> p | None -> prepared prepare in
+          single (Party_a.permuted_packed_prepared p) Client.encrypt_query_ip
+            (Party_a.compute_distances_prepared ~obs d.a p)
+        | CM.Packed ->
+          let p = match d.prepared_packed with Some p -> p | None -> prepared prepare_packed in
+          single (Party_a.permuted_return_packed p) Client.encrypt_query_packed
+            (Party_a.compute_distances_packed ~obs d.a p)
+        | CM.Batch _ ->
+          let p = match d.prepared_packed with Some p -> p | None -> prepared prepare_packed in
+          let bq =
+            phase [ pc ] "encrypt-query" (fun () -> Client.encrypt_query_batch d.cl rng queries)
+          in
+          ( Party_a.permuted_return_packed p,
+            batched_query_cts bq,
+            fun () -> Party_a.compute_distances_batch ~obs d.a p rng bq )
+      in
+      send Transcript.Client Transcript.Party_a "encrypted query" (cts_bytes cts);
+      audit "party-a" "compute-distances" "query-ciphertexts" (Audit.Int (Array.length cts));
+      audit "party-a" "compute-distances" "query-bytes" (Audit.Int (cts_bytes cts));
+      let state, masked = phase [ pa ] "compute-distances" distances in
+      sample_cts obs ~name:"masked-distance" masked;
+      send Transcript.Party_a Transcript.Party_b "masked permuted distances" (cts_bytes masked);
+      let views =
+        phase [ pb ] "find-neighbours" (fun () ->
+            match path with
+            | CM.Plain | CM.Prepared -> [| Party_b.select_neighbours ~obs d.b masked ~k |]
+            | CM.Packed -> [| Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k |]
+            | CM.Batch _ -> Party_b.select_views_batch ~obs d.b masked ~m ~k)
+      in
+      audit "party-b" "find-neighbours" "n" (Audit.Int d.db_n);
+      audit "party-b" "find-neighbours" "k" (Audit.Int k);
+      (* The one leakage the batch mode adds: B learns how many queries
+         share the round's permutation, and can align positions across
+         their views. *)
+      (match path with
+       | CM.Batch _ -> audit "party-b" "find-neighbours" "batch-query-count" (Audit.Int m)
+       | _ -> ());
+      Array.iter
+        (fun view ->
+          audit "party-b" "find-neighbours" "masked-distance-multiset"
+            (Audit.Int64s (Leakage.view_multiset view));
+          audit "party-b" "find-neighbours" "equidistant-group-sizes"
+            (Audit.Ints (Leakage.equidistant_group_sizes view)))
+        views;
+      (* Return kNN: each party's work in its own child span. *)
+      let indicator_bytes = ref 0 in
+      let results =
+        phase [ pa; pb ] "return-knn" (fun () ->
+            let packed =
+              Obs.with_span obs ~counters:[ pa ] "return-points" (fun () -> returned state)
+            in
+            Array.map
+              (fun view ->
+                Array.init k (fun j ->
+                    let args = [ ("j", string_of_int j) ] in
+                    let row =
+                      Obs.with_span obs ~counters:[ pb ] ~args "indicator-row" (fun () ->
+                          Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j)
+                    in
+                    let bytes = cts_bytes row in
+                    indicator_bytes := !indicator_bytes + bytes;
+                    send Transcript.Party_b Transcript.Party_a
+                      (Printf.sprintf "indicator vector B^%d" (j + 1))
+                      bytes;
+                    Obs.with_span obs ~counters:[ pa ] ~args "select-row" (fun () ->
+                        Party_a.select_row ~obs d.a packed row)))
+              views)
+      in
+      Array.iter (fun cts -> sample_cts obs ~name:"result" cts) results;
+      audit "party-a" "return-knn" "indicator-ciphertexts"
+        (Audit.Int (Array.length views * k * d.db_n));
+      audit "party-a" "return-knn" "indicator-bytes" (Audit.Int !indicator_bytes);
+      send Transcript.Party_a Transcript.Client "encrypted k-NN result"
+        (Array.fold_left (fun s cts -> s + cts_bytes cts) 0 results);
+      let neighbours =
+        phase [ pc ] "decrypt-result" (fun () ->
+            Array.map (fun cts -> Client.decrypt_points ~obs d.cl ~d:d.db_d cts) results)
+      in
+      audit "client" "decrypt-result" "neighbour-count" (Audit.Int k);
+      { neighbours; views }
+  end
 end
+
+(* ------------------------------------------------------------------ *)
+(* The live backend: Bgv + Plaintext, recording into the cost ledger   *)
+(* ------------------------------------------------------------------ *)
+
+module Live = struct
+  type params = Params.t
+  type secret_key = Bgv.secret_key
+  type public_key = Bgv.public_key
+  type relin_key = Bgv.relin_key
+  type keys = Bgv.keys
+  type ct = Bgv.ct
+  type pt = Plaintext.t
+
+  type env = {
+    obs : Obs.t;
+    tr : Transcript.t;
+    clock : Clock.cursor option;
+    mutable phases : (string * float) list;
+  }
+
+  let t_plain p = p.Params.t_plain
+  let ring_degree p = p.Params.n
+  let noise_params (p : Params.t) =
+    NM.make ~n:p.Params.n ~t_plain:p.Params.t_plain ~moduli:p.Params.moduli ~eta:p.Params.eta
+
+  let keygen rng p = Bgv.keygen rng p
+  let secret_key k = k.Bgv.sk
+  let public_key k = k.Bgv.pk
+  let relin_key k = k.Bgv.rlk
+  let encrypt ~counters ?level rng pk pt = Bgv.encrypt ~counters ?level rng pk pt
+  let decrypt ~counters sk ct = Bgv.decrypt ~counters sk ct
+  let decrypt_coeff0 ~counters sk ct = Bgv.decrypt_coeff0 ~counters sk ct
+  let pt_coeffs p f = Plaintext.of_coeffs p (Array.init p.Params.n f)
+  let pt_const = Plaintext.constant
+  let pack ~counters p f = Plaintext.of_slots ~counters p (Array.init p.Params.n f)
+  let unpack ~counters pt ~len = Array.sub (Plaintext.to_slots ~counters pt) 0 len
+  let coeffs pt ~len = Array.sub (Plaintext.to_coeffs pt) 0 len
+  let add ~counters a b = Bgv.add ~counters a b
+  let sub ~counters a b = Bgv.sub ~counters a b
+  let add_plain ~counters ct pt = Bgv.add_plain ~counters ct pt
+  let add_const ~counters ct v = Bgv.add_const ~counters ct v
+  let mul_plain ~counters ct pt = Bgv.mul_plain ~counters ct pt
+  let mul_scalar ~counters ct v = Bgv.mul_scalar ~counters ct v
+  let mul ~counters ?rlk ?rescale a b = Bgv.mul ~counters ?rlk ?rescale a b
+  let mul_sum ~counters ?jobs ?rlk a b = Bgv.mul_sum ~counters ?jobs ?rlk a b
+  let truncate ~counters ct lvl = Bgv.truncate_to_level ~counters ct lvl
+  let rescale_to_floor ~counters ct = Bgv.rescale_to_floor ~counters ct
+  let eval_poly ~counters ?rlk ~coeffs ct = Bgv.eval_poly ~counters ?rlk ~coeffs ct
+  let level = Bgv.level
+  let noise_bits = Bgv.noise_bits
+  let noise_budget_bits = Bgv.noise_budget_bits
+  let byte_size = Bgv.byte_size
+
+  let env ?(obs = Obs.disabled) ?net () =
+    { obs; tr = Transcript.create (); clock = Option.map Clock.cursor net; phases = [] }
+
+  let transcript env = env.tr
+  let phase_seconds env = List.rev env.phases
+
+  (* A phase span carries its party's counter deltas, which the chrome
+     sink turns into per-party lanes; a phase shared by two parties
+     leaves the counters to its one-party child spans. *)
+  let phase env parties name f =
+    let counters = match parties with [ _ ] -> parties | _ -> [] in
+    let args =
+      match parties with
+      | [] -> []
+      | ps -> [ ("party", String.concat "+" (List.map fst ps)) ]
+    in
+    Obs.with_span env.obs ~kind:Trace.Phase ~counters ~args name (fun () ->
+        let x, dt = Util.Timer.time f in
+        env.phases <- (name, dt) :: env.phases;
+        Obs.observe_phase env.obs name dt;
+        x)
+
+  (* Record a transcript entry and mirror it into the flight recorder, so
+     a post-mortem dump shows the link traffic leading up to a failure.
+     With a clock cursor (a --net run) the flight event also carries the
+     message's transcript seq and virtual arrival time; stepping the
+     cursor in send order reproduces Clock.replay of the final transcript
+     exactly. *)
+  let send env ~sender ~receiver ~label ~bytes =
+    Transcript.send env.tr ~sender ~receiver ~label ~bytes;
+    let sender_n = Transcript.party_name sender in
+    let receiver_n = Transcript.party_name receiver in
+    match env.clock with
+    | None -> Obs.record_send env.obs ~sender:sender_n ~receiver:receiver_n ~bytes ()
+    | Some c ->
+      let _departure, arrival = Clock.step c ~sender ~receiver ~bytes in
+      Obs.record_send env.obs
+        ~seq:(Transcript.messages env.tr - 1)
+        ~arrival_s:arrival ~sender:sender_n ~receiver:receiver_n ~bytes ()
+end
+
+include Make (Live)

@@ -1,4 +1,13 @@
-(** The four protocol entities of Figure 1 and their local computations.
+(** The four protocol entities of Figure 1, their local computations and
+    the query driver — written once, as a functor over the ciphertext
+    backend.
+
+    The paper uses the (S)HE scheme as a black box; {!CT} is that box.
+    {!Make} applied to {!Live} ([Bgv] + [Plaintext]) is the deployed
+    protocol, included below.  Applied to [Sknn_obs.Cost_model.Symbolic]
+    (noise states instead of ring elements) the same circuit yields the
+    cost ledger, transcript and noise forecast ({!Attribution}), so a
+    level-drop rule or a message exists exactly once.
 
     Each party owns exactly the key material the paper gives it: Party A
     the public key and the encrypted database, Party B the secret and
@@ -7,316 +16,50 @@
     {!Util.Counters.t}, which is how Table 1 is measured rather than
     quoted. *)
 
-type encrypted_point = {
-  coords : Bgv.ct array option;
-      (** [Per_coordinate] layout: one constant-polynomial ciphertext per
-          coordinate. *)
-  packed : Bgv.ct;
-      (** Coordinates as polynomial coefficients — used by the
-          Return-kNN phase in both layouts, and by the [Dot_product]
-          distance computation. *)
-  norm : Bgv.ct option;
-      (** [Dot_product] layout: encryption of [‖p‖²] (constant). *)
-}
+module type CT = Entities_intf.CT
+(** A ciphertext backend: every operation the protocol performs, plus
+    the two driver hooks ([phase], [send]). *)
 
-type encrypted_db = { db_n : int; db_d : int; points : encrypted_point array }
+type mask_source = Entities_intf.mask_source
 
-type encrypted_query = {
-  q_coords : Bgv.ct array option;
-      (** [Per_coordinate]: d constants; packed form: d broadcast-slot
-          coordinates *)
-  q_rev : Bgv.ct option;           (** [Dot_product]: reversed query *)
-  q_norm : Bgv.ct option;          (** [Dot_product] and packed: [‖q‖²] *)
-  q_dim : int;
-}
+module type S = Entities_intf.S
+(** The protocol over one backend. *)
 
-type batched_query = {
-  bq_coords : Bgv.ct array;
-      (** ciphertext [j] carries query [m]'s coordinate [j] in slot [m] *)
-  bq_norm : Bgv.ct;  (** slot [m] = [‖q_m‖²] *)
-  bq_count : int;  (** M, the number of queries packed in the slots *)
-  bq_dim : int;
-}
-(** Slot-batched multi-query form: M queries ride one set of [d + 1]
-    ciphertexts through the packed pipeline. *)
+module Make (B : CT) :
+  S
+    with type ct = B.ct
+     and type params = B.params
+     and type secret_key = B.secret_key
+     and type public_key = B.public_key
+     and type relin_key = B.relin_key
+     and type keys = B.keys
+     and type env = B.env
 
-(** {1 Data owner} *)
+(** The live backend: [Bgv] and [Plaintext], recording into the cost
+    ledger; phases are timed spans and sends go to a transcript (and,
+    with a network profile, through a virtual clock). *)
+module Live : sig
+  include
+    CT
+      with type params = Params.t
+       and type secret_key = Bgv.secret_key
+       and type public_key = Bgv.public_key
+       and type relin_key = Bgv.relin_key
+       and type keys = Bgv.keys
+       and type ct = Bgv.ct
+       and type pt = Plaintext.t
 
-module Data_owner : sig
-  type t
-
-  val create : Util.Rng.t -> Config.t -> t
-  val keys : t -> Bgv.keys
-  val config : t -> Config.t
-
-  val encrypt_db :
-    ?obs:Sknn_obs.Ctx.t -> ?counters:Util.Counters.t -> ?jobs:int -> Util.Rng.t -> t ->
-    int array array -> encrypted_db
-  (** Validates every coordinate against [max_coord_bits] and the layout
-      constraints before encrypting.  Points are encrypted in parallel
-      over [jobs] domains (default {!Util.Pool.default_jobs}); each
-      point's randomness comes from its own stream split off [rng]
-      sequentially, so the result is bit-identical for every job count.
-      [obs] wraps the loop in an ["encrypt-db"] span with pool chunks.
-      @raise Invalid_argument on bad data. *)
+  val env : ?obs:Sknn_obs.Ctx.t -> ?net:Profile.t -> unit -> env
+  val transcript : env -> Transcript.t
+  val phase_seconds : env -> (string * float) list  (** in protocol order *)
 end
 
-(** {1 Party A — encrypted storage and blind computation} *)
-
-module Party_a : sig
-  type t
-
-  val create :
-    ?jobs:int -> Config.t -> Bgv.public_key -> Bgv.relin_key -> encrypted_db -> t
-  (** [jobs] is the domain count used by {!compute_distances} and
-      {!select_row} (default {!Util.Pool.default_jobs}).  Results and
-      counter totals are identical for every value. *)
-
-  val counters : t -> Util.Counters.t
-  val db_size : t -> int
-  val jobs : t -> int
-
-  type query_state
-  (** Party A's per-query secrets: the fresh masking polynomial and the
-      fresh permutation Π. *)
-
-  val compute_distances :
-    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1: returns the masked encrypted distances in permuted
-      order, [D'_i = Π(m(ED_i))].  [obs] records the ["draw-mask"],
-      ["distance-batches"] (with per-point pool chunks) and ["permute"]
-      sub-stages. *)
-
-  val return_knn :
-    ?obs:Sknn_obs.Ctx.t -> t -> query_state -> Bgv.ct array array -> Bgv.ct array
-  (** Algorithm 3: given the k indicator vectors [B^j] (in permuted index
-      space), returns k re-randomised encryptions of the neighbour
-      points (coefficient-packed). *)
-
-  val permuted_packed : t -> query_state -> Bgv.ct array
-  (** [Π(P')] at the return level — the first step of Algorithm 3,
-      exposed so the protocol driver can stream indicator rows. *)
-
-  val select_row : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> Bgv.ct array -> Bgv.ct
-  (** [select_row t Π(P') B^j] computes the inner product and sum of one
-      indicator row: one encrypted neighbour point. *)
-
-  val state_mask : query_state -> Masking.t
-  val state_perm : query_state -> Util.Perm.t
-  (** Exposed for the leakage-audit tests only — a deployed Party A
-      would keep both secret and drop them after the query. *)
-
-  (** {2 Prepared multi-query state}
-
-      Query-independent work hoisted out of the per-query loop: the
-      packed (NTT-domain) database ciphertexts plus an encrypted
-      [‖p_i‖²] per point, computed homomorphically once when the layout
-      does not already ship norms.  With
-      [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] each subsequent query costs one
-      ciphertext product per point instead of [d]. *)
-
-  type prepared
-
-  val forecast_noise : ?margin_bits:float -> t -> Sknn_obs.Noise_model.report
-  (** Worst-case end-of-circuit noise headroom predicted from the
-      parameter chain alone (no ciphertexts touched): fresh encryptions
-      through the ED combine, the prepared path's level-drop rule, the
-      affine mask and the Return-kNN row selection.  A negative
-      [min_headroom_bits] means a live query would raise
-      {!Bgv.Decryption_failure}.  [margin_bits] defaults to 4. *)
-
-  val prepare : ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> prepared
-  (** Computes the prepared state (norms in parallel over [jobs]
-      domains, counted against Party A).  Requires affine (degree-1)
-      masking and [d <= n] — the inner-product trick leaves cross terms
-      in the non-constant coefficients, so higher-degree masks would
-      corrupt the constant coefficient.
-
-      Also runs {!forecast_noise} and, when the predicted minimum
-      headroom drops below [noise_margin_bits] (default 4), emits a
-      structured warning: an audit entry
-      [party-a/prepare-db/noise-low-headroom-warning], a [Warning]
-      flight event and a stderr line.  The forecast minimum is always
-      recorded as the audit entry
-      [party-a/prepare-db/noise-min-headroom-bits].
-      @raise Invalid_argument when the config is unsupported. *)
-
-  val compute_distances_prepared :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1 against prepared state.  The query must be in
-      inner-product form ({!Client.encrypt_query_ip}).  Output
-      distribution, determinism and observability mirror
-      {!compute_distances}: results are bit-identical for every job
-      count. *)
-
-  val permuted_packed_prepared : prepared -> query_state -> Bgv.ct array
-  (** {!permuted_packed} from the prepared cache: the return-level
-      truncation was done once in {!prepare}, so this is just the
-      permutation. *)
-
-  (** {2 Slot-packed (SIMD) prepared state}
-
-      The packed path models the outsourced-query setting (SANNS-style):
-      Party A acts for the data owner and holds the database in the
-      clear, laid out dimension-major — for coordinate [j] one
-      [n]-vector whose entry [i] is [p_i(j)], packed into plaintext
-      slots per batch — while the client's query stays encrypted.  A
-      batch of [N = slot_count] points then costs [d] plain products
-      plus adds instead of [N] ciphertext products, and Party B decrypts
-      [⌈n/N⌉] ciphertexts instead of [n].  Party B's §5 view (the masked
-      permuted distance multiset, [n] and [k]) is unchanged. *)
-
-  type prepared_packed
-
-  val forecast_noise_packed : ?margin_bits:float -> t -> Sknn_obs.Noise_model.report
-  (** {!forecast_noise} for the packed circuit, which is strictly
-      shallower (plain products only, no tensor term); the prepared
-      level-drop rule is replayed verbatim on the smaller bound. *)
-
-  val prepare_packed :
-    ?obs:Sknn_obs.Ctx.t -> ?noise_margin_bits:float -> t -> db:int array array ->
-    prepared_packed
-  (** Lays [db] (the plaintext database, dimension-major) out for the
-      packed path and caches the return-level packed ciphertexts.  Emits
-      the same [prepare-db] audit entries and low-headroom warning as
-      {!prepare}, driven by {!forecast_noise_packed}.  Requires affine
-      masking and [d <= n].
-      @raise Invalid_argument when the config is unsupported or [db]
-      does not match the encrypted database's dimensions. *)
-
-  val compute_distances_packed :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query ->
-    query_state * Bgv.ct array
-  (** Algorithm 1 on the packed layout: returns [⌈n/N⌉] ciphertexts
-      whose slot [s] of batch [b] holds the masked distance of point
-      [Π⁻¹(b·N + s)] — the permutation is applied when the plaintext
-      columns are repacked, so it stays uniform and per-query.  The
-      query must be in broadcast-slot form
-      ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
-      batch are overwritten with uniform randomness.  The query
-      ciphertexts are truncated up front by the prepared level-drop
-      rule, applied predictively (every later op's noise increment is
-      level-independent).  Batches run pool-parallel with per-batch RNG
-      streams: results, counters and transcripts are bit-identical for
-      every job count. *)
-
-  val permuted_return_packed : prepared_packed -> query_state -> Bgv.ct array
-  (** {!permuted_packed_prepared} for the packed state. *)
-
-  (** {2 Slot-batched multi-query evaluation} *)
-
-  type batch_state
-  (** Per-batch secrets: one fresh affine mask per query and the shared
-      permutation Π. *)
-
-  val compute_distances_batch :
-    ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> batched_query ->
-    batch_state * Bgv.ct array
-  (** M queries at once: returns [n] ciphertexts (in permuted point
-      order) whose slot [m] holds query [m]'s masked distance to the
-      point.  Each query gets its own fresh affine mask (slot-wise
-      coefficients); dead slots are overwritten with per-point uniform
-      randomness.  The M views share one permutation — the batch mode's
-      extra declared leakage (audited as ["batch-query-count"]). *)
-
-  val permuted_return_packed_batch : prepared_packed -> batch_state -> Bgv.ct array
-
-  val batch_state_masks : batch_state -> Masking.t array
-  val batch_state_perm : batch_state -> Util.Perm.t
-  (** Exposed for the leakage-audit tests only, like {!state_mask}. *)
-end
-
-(** {1 Party B — key holder, never sees the database} *)
-
-module Party_b : sig
-  type t
-
-  val create : ?jobs:int -> Config.t -> Bgv.secret_key -> Bgv.public_key -> t
-  (** [jobs] parallelises {!indicator_row}'s batch encryption only; the
-      decrypt-and-select half of Algorithm 2 always runs in B's own
-      domain (it touches secret-key material). *)
-
-  val counters : t -> Util.Counters.t
-
-  type view = {
-    masked_distances : int64 array;
-        (** What B actually decrypts, in A's permuted order. *)
-    selected : int array;
-        (** Permuted indices of the k chosen minima. *)
-  }
-
-  val find_neighbours :
-    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> Bgv.ct array -> k:int ->
-    Bgv.ct array array * view
-  (** Algorithm 2: decrypts the masked distances, selects the k smallest
-      with an O(n log k) heap that replicates the paper's streaming
-      max-replacement scan exactly (ties included; see {!Util.Topk}),
-      and returns the k encrypted indicator vectors.  The [view] is
-      returned for leakage auditing. *)
-
-  val select_neighbours : ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> k:int -> view
-  (** The decrypt-and-select half of Algorithm 2 without materialising
-      the indicator vectors. *)
-
-  val select_neighbours_packed :
-    ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> n:int -> k:int -> view
-  (** {!select_neighbours} over slot-packed distances: decrypts the
-      [⌈n/N⌉] ciphertexts, unpacks the slots ({!Plaintext.to_slots}) and
-      discards the dead tail slots, so the view carries exactly the [n]
-      per-point masked distances — Leakage accounting (equidistant
-      groups, multiset) is computed on the same surface as the unpacked
-      path, never on per-ciphertext aggregates. *)
-
-  val select_views_batch :
-    ?obs:Sknn_obs.Ctx.t -> t -> Bgv.ct array -> m:int -> k:int -> view array
-  (** Batched-query selection: one {!view} per packed query, unpacked
-      from slot [m] of each of the [n] ciphertexts. *)
-
-  val indicator_row :
-    ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> Bgv.ct array
-  (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
-      1).  Used by the protocol driver to stream row-by-row so that the
-      O(nk) ciphertexts never live in memory at once. *)
-end
-
-(** {1 Client} *)
-
-module Client : sig
-  type t
-
-  val create : ?jobs:int -> Config.t -> Bgv.secret_key -> Bgv.public_key -> t
-  (** [jobs] parallelises {!decrypt_points}. *)
-
-  val counters : t -> Util.Counters.t
-
-  val encrypt_query : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Layout-matched query form: [d] constants ([Per_coordinate]) or the
-      reversed-packed polynomial plus norm ([Dot_product]). *)
-
-  val encrypt_query_ip : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Inner-product query form (reversed-packed query + encrypted
-      [‖q‖²]) regardless of layout — two ciphertexts instead of [d];
-      what {!Party_a.compute_distances_prepared} consumes.
-      @raise Invalid_argument when [d] exceeds the ring degree. *)
-
-  val encrypt_query_packed : t -> Util.Rng.t -> int array -> encrypted_query
-  (** Broadcast-slot query form for the packed path: [d] coordinate
-      ciphertexts with the same value in every slot plus [‖q‖²]
-      broadcast; what {!Party_a.compute_distances_packed} consumes.
-      @raise Invalid_argument when [d] exceeds the ring degree. *)
-
-  val encrypt_query_batch : t -> Util.Rng.t -> int array array -> batched_query
-  (** M queries packed in the slot dimension, M ≤ {!Params.slot_count};
-      what {!Party_a.compute_distances_batch} consumes.
-      @raise Invalid_argument on an empty, ragged or oversized batch. *)
-
-  val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> Bgv.ct array -> int array array
-end
-
-(** {1 Serialised sizes} *)
-
-val query_bytes : encrypted_query -> int
-val batched_query_bytes : batched_query -> int
-val db_bytes : encrypted_db -> int
+include
+  S
+    with type ct = Bgv.ct
+     and type params = Params.t
+     and type secret_key = Bgv.secret_key
+     and type public_key = Bgv.public_key
+     and type relin_key = Bgv.relin_key
+     and type keys = Bgv.keys
+     and type env = Live.env

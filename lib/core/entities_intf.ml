@@ -1,0 +1,420 @@
+(* The signatures of Entities: the ciphertext backend the protocol is
+   written against, and the protocol it yields over one backend.  Kept in
+   their own file so each is written once (see entities.mli). *)
+
+(** A ciphertext backend: every operation the protocol performs, plus
+    the two driver hooks.  Operations record into [~counters] exactly
+    the ledger cells the live scheme records. *)
+module type CT = sig
+  type params
+  type secret_key
+  type public_key
+  type relin_key
+  type keys
+  type ct
+  type pt
+  type env
+  (** One protocol run's recorder (timing, transcript). *)
+
+
+  val t_plain : params -> int64
+  val ring_degree : params -> int
+  (** Also the slot count. *)
+
+  val noise_params : params -> Sknn_obs.Noise_model.params
+  val keygen : Util.Rng.t -> params -> keys
+  val secret_key : keys -> secret_key
+  val public_key : keys -> public_key
+  val relin_key : keys -> relin_key
+
+  val encrypt :
+    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> pt -> ct
+
+  val decrypt : counters:Util.Counters.t -> secret_key -> ct -> pt
+  val decrypt_coeff0 : counters:Util.Counters.t -> secret_key -> ct -> int64
+
+  val pt_coeffs : params -> (int -> int64) -> pt
+  (** Coefficient embedding of [f i] for [i] below the ring degree; a
+      backend that never reads plaintexts need not evaluate [f]. *)
+
+  val pt_const : params -> int64 -> pt
+
+  val pack : counters:Util.Counters.t -> params -> (int -> int64) -> pt
+  (** Slot packing of [f s] (records the slot NTT). *)
+
+  val unpack : counters:Util.Counters.t -> pt -> len:int -> int64 array
+  (** The first [len] slots (records the slot NTT). *)
+
+  val coeffs : pt -> len:int -> int64 array
+  val add : counters:Util.Counters.t -> ct -> ct -> ct
+  val sub : counters:Util.Counters.t -> ct -> ct -> ct
+  val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val add_const : counters:Util.Counters.t -> ct -> int64 -> ct
+  val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
+
+  val mul :
+    counters:Util.Counters.t -> ?rlk:relin_key -> ?rescale:bool -> ct -> ct -> ct
+
+  val mul_sum :
+    counters:Util.Counters.t -> ?jobs:int -> ?rlk:relin_key -> ct array -> ct array -> ct
+
+  val truncate : counters:Util.Counters.t -> ct -> int -> ct
+  val rescale_to_floor : counters:Util.Counters.t -> ct -> ct
+
+  val eval_poly :
+    counters:Util.Counters.t -> ?rlk:relin_key -> coeffs:int64 array -> ct -> ct
+
+  val level : ct -> int
+  val noise_bits : ct -> float
+  val noise_budget_bits : ct -> float
+  val byte_size : ct -> int
+
+  val phase : env -> (string * Util.Counters.t) list -> string -> (unit -> 'a) -> 'a
+  (** [phase env parties name f] runs one protocol phase: its span and
+      time, and each watched party's counter delta. *)
+
+  val send :
+    env -> sender:Transcript.party -> receiver:Transcript.party -> label:string ->
+    bytes:int -> unit
+  (** Append a message to the run's transcript. *)
+end
+
+type mask_source =
+  Util.Rng.t -> t_plain:int64 -> input_bits:int -> degree:int -> coeff_bits:int ->
+  Masking.t
+(** How Party A draws its masking polynomials: {!Masking.draw} on live
+    runs, {!Masking.largest} on the symbolic worst-case run. *)
+
+(** The protocol over one backend. *)
+module type S = sig
+  type ct
+  type params
+  type secret_key
+  type public_key
+  type relin_key
+  type keys
+  type env
+  type config = params Config.gen
+
+  type encrypted_point = {
+    coords : ct array option;
+        (** [Per_coordinate] layout: one constant-polynomial ciphertext per
+            coordinate. *)
+    packed : ct;
+        (** Coordinates as polynomial coefficients — used by the
+            Return-kNN phase in both layouts, and by the [Dot_product]
+            distance computation. *)
+    norm : ct option;  (** [Dot_product] layout: encryption of [‖p‖²] (constant). *)
+  }
+
+  type encrypted_db = { db_n : int; db_d : int; points : encrypted_point array }
+
+  type encrypted_query = {
+    q_coords : ct array option;
+        (** [Per_coordinate]: d constants; packed form: d broadcast-slot
+            coordinates *)
+    q_rev : ct option;  (** [Dot_product]: reversed query *)
+    q_norm : ct option;  (** [Dot_product] and packed: [‖q‖²] *)
+    q_dim : int;
+  }
+
+  type batched_query = {
+    bq_coords : ct array;  (** ciphertext [j] carries query [m]'s coordinate [j] in slot [m] *)
+    bq_norm : ct;  (** slot [m] = [‖q_m‖²] *)
+    bq_count : int;  (** M, the number of queries packed in the slots *)
+    bq_dim : int;
+  }
+  (** Slot-batched multi-query form: M queries ride one set of [d + 1]
+      ciphertexts through the packed pipeline. *)
+
+  val query_bytes : encrypted_query -> int
+
+  (** {1 Data owner} *)
+
+  module Data_owner : sig
+    type t
+
+    val create : Util.Rng.t -> config -> t
+    val keys : t -> keys
+    val config : t -> config
+
+    val encrypt_db :
+      ?obs:Sknn_obs.Ctx.t -> ?counters:Util.Counters.t -> ?jobs:int -> Util.Rng.t -> t ->
+      int array array -> encrypted_db
+    (** Validates every coordinate against [max_coord_bits] and the
+        layout constraints before encrypting.  Points are encrypted in
+        parallel over [jobs] domains (default {!Util.Pool.default_jobs});
+        each point's randomness comes from its own stream split off [rng]
+        sequentially, so the result is bit-identical for every job count.
+        [obs] wraps the loop in an ["encrypt-db"] span with pool chunks.
+        @raise Invalid_argument on bad data. *)
+  end
+
+  (** {1 Party A — encrypted storage and blind computation} *)
+
+  module Party_a : sig
+    type t
+
+    val create :
+      ?jobs:int -> ?mask_source:mask_source -> config -> public_key -> relin_key ->
+      encrypted_db -> t
+    (** [jobs] is the domain count used by {!compute_distances} and
+        {!select_row} (default {!Util.Pool.default_jobs}).  Results and
+        counter totals are identical for every value. *)
+
+    val counters : t -> Util.Counters.t
+    val db_size : t -> int
+    val jobs : t -> int
+
+    type query_state
+    (** Party A's per-query secrets: the fresh masking polynomial(s) and
+        the fresh permutation Π. *)
+
+    val compute_distances :
+      ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query -> query_state * ct array
+    (** Algorithm 1: returns the masked encrypted distances in permuted
+        order, [D'_i = Π(m(ED_i))].  [obs] records the ["draw-mask"],
+        ["distance-batches"] (with per-point pool chunks) and ["permute"]
+        sub-stages. *)
+
+    val return_knn : ?obs:Sknn_obs.Ctx.t -> t -> query_state -> ct array array -> ct array
+    (** Algorithm 3: given the k indicator vectors [B^j] (in permuted
+        index space), returns k re-randomised encryptions of the
+        neighbour points (coefficient-packed). *)
+
+    val permuted_packed : t -> query_state -> ct array
+    (** [Π(P')] at the return level — the first step of Algorithm 3,
+        exposed so the protocol driver can stream indicator rows. *)
+
+    val select_row : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> ct array -> ct
+    (** [select_row t Π(P') B^j] computes the inner product and sum of
+        one indicator row: one encrypted neighbour point. *)
+
+    val state_mask : query_state -> Masking.t
+    val state_perm : query_state -> Util.Perm.t
+    (** Exposed for the leakage-audit tests only — a deployed Party A
+        would keep both secret and drop them after the query. *)
+
+    (** {2 Prepared multi-query state}
+
+        Query-independent work hoisted out of the per-query loop: the
+        packed (NTT-domain) database ciphertexts plus an encrypted
+        [‖p_i‖²] per point, computed homomorphically once when the layout
+        does not already ship norms.  With [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²]
+        each subsequent query costs one ciphertext product per point
+        instead of [d]. *)
+
+    type prepared
+
+    val prepare : ?obs:Sknn_obs.Ctx.t -> t -> prepared
+    (** Computes the prepared state (norms in parallel over [jobs]
+        domains, counted against Party A).  Requires affine (degree-1)
+        masking and [d <= n] — the inner-product trick leaves cross terms
+        in the non-constant coefficients, so higher-degree masks would
+        corrupt the constant coefficient.
+        @raise Invalid_argument when the config is unsupported. *)
+
+    val compute_distances_prepared :
+      ?obs:Sknn_obs.Ctx.t -> t -> prepared -> Util.Rng.t -> encrypted_query ->
+      query_state * ct array
+    (** Algorithm 1 against prepared state.  The query must be in
+        inner-product form ({!Client.encrypt_query_ip}).  The one-product
+        distance is truncated by the level-drop rule before masking.
+        Results are bit-identical for every job count. *)
+
+    val permuted_packed_prepared : prepared -> query_state -> ct array
+    (** {!permuted_packed} from the prepared cache (the return-level
+        truncation was done once in {!prepare}). *)
+
+    (** {2 Slot-packed (SIMD) prepared state}
+
+        The packed path runs in {e owner-delegated} mode (SANNS-style
+        outsourced queries): Party A acts for the data owner and holds
+        the database {e in the clear}, laid out dimension-major — for
+        coordinate [j] one [n]-vector whose entry [i] is [p_i(j)], packed
+        into plaintext slots per batch — while the client's query stays
+        encrypted.  A batch of [N = slot_count] points then costs [d]
+        plain products plus adds instead of [N] ciphertext products, and
+        Party B decrypts [⌈n/N⌉] ciphertexts instead of [n].  Party B's
+        §5 view (the masked permuted distance multiset, [n] and [k]) is
+        unchanged; Party A's plaintext access is audited. *)
+
+    type prepared_packed
+
+    val prepare_packed : ?obs:Sknn_obs.Ctx.t -> t -> db:int array array -> prepared_packed
+    (** Lays [db] (the plaintext database, dimension-major) out for the
+        packed path, caches the return-level packed ciphertexts, and
+        audits [party-a/prepare-db/plaintext-database] (= n·d plaintext
+        coordinates handed to Party A).  Requires affine masking and
+        [d <= n].
+        @raise Invalid_argument when the config is unsupported or [db]
+        does not match the encrypted database's dimensions. *)
+
+    val compute_distances_packed :
+      ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query ->
+      query_state * ct array
+    (** Algorithm 1 on the packed layout: returns [⌈n/N⌉] ciphertexts
+        whose slot [s] of batch [b] holds the masked distance of point
+        [Π⁻¹(b·N + s)] — the permutation is applied when the plaintext
+        columns are repacked, so it stays uniform and per-query.  The
+        query must be in broadcast-slot form
+        ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
+        batch are overwritten with uniform randomness.  The query
+        ciphertexts are truncated up front by the level-drop rule,
+        applied predictively.  Results, counters and transcripts are
+        bit-identical for every job count. *)
+
+    val permuted_return_packed : prepared_packed -> query_state -> ct array
+    (** {!permuted_packed_prepared} for the packed state. *)
+
+    (** {2 Slot-batched multi-query evaluation} *)
+
+    type batch_state = query_state
+    (** Per-batch secrets: one fresh affine mask per query and the shared
+        permutation Π. *)
+
+    val compute_distances_batch :
+      ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> batched_query ->
+      batch_state * ct array
+    (** M queries at once: returns [n] ciphertexts (in permuted point
+        order) whose slot [m] holds query [m]'s masked distance to the
+        point.  Each query gets its own fresh affine mask; dead slots are
+        overwritten with per-point uniform randomness.  The M views share
+        one permutation — the batch mode's extra declared leakage
+        (audited as ["batch-query-count"]). *)
+
+    val permuted_return_packed_batch : prepared_packed -> batch_state -> ct array
+    val batch_state_masks : batch_state -> Masking.t array
+    val batch_state_perm : batch_state -> Util.Perm.t
+    (** Exposed for the leakage-audit tests only, like {!state_mask}. *)
+  end
+
+  (** {1 Party B — key holder, never sees the database} *)
+
+  module Party_b : sig
+    type t
+
+    val create : ?jobs:int -> config -> secret_key -> public_key -> t
+    (** [jobs] parallelises {!indicator_row}'s batch encryption only; the
+        decrypt-and-select half of Algorithm 2 always runs in B's own
+        domain (it touches secret-key material). *)
+
+    val counters : t -> Util.Counters.t
+
+    type view = Leakage.view = {
+      masked_distances : int64 array;  (** What B actually decrypts, in A's permuted order. *)
+      selected : int array;  (** Permuted indices of the k chosen minima. *)
+    }
+
+    val find_neighbours :
+      ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> ct array -> k:int -> ct array array * view
+    (** Algorithm 2: decrypts the masked distances, selects the k
+        smallest with an O(n log k) heap that replicates the paper's
+        streaming max-replacement scan exactly (ties included; see
+        {!Util.Topk}), and returns the k encrypted indicator vectors.
+        The [view] is returned for leakage auditing. *)
+
+    val select_neighbours : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> k:int -> view
+    (** The decrypt-and-select half of Algorithm 2 without materialising
+        the indicator vectors. *)
+
+    val select_neighbours_packed :
+      ?obs:Sknn_obs.Ctx.t -> t -> ct array -> n:int -> k:int -> view
+    (** {!select_neighbours} over slot-packed distances: decrypts the
+        [⌈n/N⌉] ciphertexts, unpacks the slots and discards the dead tail
+        slots, so the view carries exactly the [n] per-point masked
+        distances. *)
+
+    val select_views_batch : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> m:int -> k:int -> view array
+    (** Batched-query selection: one {!view} per packed query, unpacked
+        from slot [m] of each of the [n] ciphertexts. *)
+
+    val indicator_row :
+      ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> ct array
+    (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
+        1), streamed row by row so the O(nk) ciphertexts never live in
+        memory at once. *)
+  end
+
+  (** {1 Client} *)
+
+  module Client : sig
+    type t
+
+    val create : ?jobs:int -> config -> secret_key -> public_key -> t
+    (** [jobs] parallelises {!decrypt_points}. *)
+
+    val counters : t -> Util.Counters.t
+
+    val encrypt_query : t -> Util.Rng.t -> int array -> encrypted_query
+    (** Layout-matched query form: [d] constants ([Per_coordinate]) or
+        the reversed-packed polynomial plus norm ([Dot_product]). *)
+
+    val encrypt_query_ip : t -> Util.Rng.t -> int array -> encrypted_query
+    (** Inner-product query form (reversed-packed query + encrypted
+        [‖q‖²]) regardless of layout — what
+        {!Party_a.compute_distances_prepared} consumes.
+        @raise Invalid_argument when [d] exceeds the ring degree. *)
+
+    val encrypt_query_packed : t -> Util.Rng.t -> int array -> encrypted_query
+    (** Broadcast-slot query form for the packed path: [d] coordinate
+        ciphertexts with the same value in every slot plus [‖q‖²].
+        @raise Invalid_argument when [d] exceeds the ring degree. *)
+
+    val encrypt_query_batch : t -> Util.Rng.t -> int array array -> batched_query
+    (** M queries packed in the slot dimension, M ≤ the slot count.
+        @raise Invalid_argument on an empty, ragged or oversized batch. *)
+
+    val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> ct array -> int array array
+  end
+
+  (** {1 The query driver} *)
+
+  module Run : sig
+    type deployment = {
+      config : config;
+      db_n : int;
+      db_d : int;
+      db : int array array;  (** plaintext database, for the owner-delegated packed path *)
+      a : Party_a.t;
+      b : Party_b.t;
+      cl : Client.t;
+      query_seed : Util.Rng.t;  (** source of per-query randomness *)
+      setup : env;  (** the Setup phase's recorder *)
+      mutable prepared : Party_a.prepared option;
+      mutable prepared_packed : Party_a.prepared_packed option;
+    }
+
+    val deploy :
+      ?obs:Sknn_obs.Ctx.t -> ?counters:Util.Counters.t -> ?jobs:int ->
+      ?mask_source:mask_source -> env -> Util.Rng.t -> config -> db:int array array ->
+      deployment
+    (** The Setup phase: key generation (a ["keygen"] span), database
+        encryption, and the key/ciphertext distribution to the parties,
+        sent through the given recorder. *)
+
+    val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared
+    val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared_packed
+    (** The cached prepared states, built on first use. *)
+
+    type outcome = {
+      neighbours : int array array array;  (** per query: the k decrypted points *)
+      views : Party_b.view array;  (** per query *)
+    }
+
+    val query :
+      ?obs:Sknn_obs.Ctx.t -> env -> deployment -> Sknn_obs.Cost_model.path ->
+      Util.Rng.t -> queries:int array array -> k:int -> outcome
+    (** One protocol round on [path]: one query, or the [m] of a [Batch m]
+        round.  Phases — ["prepare-db"] (first prepared/packed query
+        only), ["encrypt-query"], ["compute-distances"],
+        ["find-neighbours"], ["return-knn"] (B's ["indicator-row"] and
+        A's ["select-row"] as one-party child spans), ["decrypt-result"]
+        — and messages go through the backend's hooks; the leakage
+        surface through [obs]'s audit channel.  Party counters are reset
+        first.
+        @raise Invalid_argument on dimension mismatch or k out of range. *)
+  end
+end
+

@@ -1,5 +1,7 @@
-let view_multiset (v : Entities.Party_b.view) =
-  let a = Array.copy v.Entities.Party_b.masked_distances in
+type view = { masked_distances : int64 array; selected : int array }
+
+let view_multiset (v : view) =
+  let a = Array.copy v.masked_distances in
   Array.sort Int64.compare a;
   a
 
@@ -39,7 +41,7 @@ let recovers_true_order v true_dists =
   !ok
 
 let mask_hides_values v true_dists =
-  let masked = v.Entities.Party_b.masked_distances in
+  let masked = v.masked_distances in
   let as_set = Hashtbl.create 16 in
   Array.iter (fun d -> Hashtbl.replace as_set (Int64.of_int d) ()) true_dists;
   not (Array.exists (fun m -> Hashtbl.mem as_set m) masked)

@@ -16,7 +16,8 @@ let max_coeff_bits ~t_plain ~input_bits ~degree =
   in
   Stdlib.max 0 (int_of_float (floor (budget -. 1e-9)))
 
-let draw rng ~t_plain ~input_bits ~degree ?coeff_bits () =
+(* 2^C for the clamped coefficient width C: draws are uniform in [1, 2^C). *)
+let coeff_bound ~t_plain ~input_bits ~degree coeff_bits =
   let sound = max_coeff_bits ~t_plain ~input_bits ~degree in
   let c =
     match coeff_bits with
@@ -29,12 +30,19 @@ let draw rng ~t_plain ~input_bits ~degree ?coeff_bits () =
          "Masking.draw: no sound coefficient width for t=%Ld, %d input bits, degree %d \
           (reduce the degree or rescale the data)"
          t_plain input_bits degree);
-  let upper = Int64.shift_left 1L c in
+  Int64.shift_left 1L c
+
+let draw rng ~t_plain ~input_bits ~degree ?coeff_bits () =
+  let upper = coeff_bound ~t_plain ~input_bits ~degree coeff_bits in
   let coeffs =
     Array.init (degree + 1) (fun _ ->
         Int64.succ (Util.Rng.int64_below rng (Int64.pred upper)))
   in
   { coeffs }
+
+let largest ~t_plain ~input_bits ~degree ?coeff_bits () =
+  let upper = coeff_bound ~t_plain ~input_bits ~degree coeff_bits in
+  { coeffs = Array.make (degree + 1) (Int64.pred upper) }
 
 let eval m x =
   if Int64.compare x 0L < 0 then invalid_arg "Masking.eval: negative input";

@@ -34,6 +34,12 @@ val draw :
     @raise Invalid_argument if no positive-width coefficient is sound or
     [degree < 1]. *)
 
+val largest :
+  t_plain:int64 -> input_bits:int -> degree:int -> ?coeff_bits:int -> unit -> t
+(** The worst case {!draw} can return: every coefficient [2^C − 1].  The
+    symbolic protocol run masks with it, so its noise forecast bounds
+    every live draw. *)
+
 val eval : t -> int64 -> int64
 (** Exact evaluation (no reduction); sound for inputs within the drawn
     envelope. *)

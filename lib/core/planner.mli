@@ -8,13 +8,14 @@
       only; structured {!Params.Infeasible} specs are counted, not
       fatal), with the plaintext width sized to the masking envelope via
       {!Masking.max_coeff_bits};
-    - feasibility pruning runs the worst-case {!Sknn_obs.Noise_model}
-      trace of the workload's query path ({!forecast} — the same walks
-      [Party_a.prepare]/[prepare_packed] audit) against the noise
-      margin, and {!Params.security_bits_for} against the security
-      floor; the return level is the lowest that clears the margin;
+    - feasibility pruning runs the workload's query path on the
+      symbolic backend with worst-case inputs ({!forecast},
+      {!Attribution.symbolic} — the same run the live prepare-time
+      guard audits) against the noise margin, and
+      {!Params.security_bits_for} against the security floor; the
+      return level is the lowest that clears the margin;
     - survivors are ranked by {!Sknn_obs.Cost_model.predict_seconds}
-      of the symbolically-executed circuit, priced by a
+      of the same run's ledger, priced by a
       {!Sknn_obs.Cost_model.unit_model} fitted from one measured
       calibration — both the first-query (prepare included) and
       steady-state objectives are computed.
@@ -25,11 +26,11 @@
 
 (** {1 Noise forecasts}
 
-    Worst-case end-of-circuit noise walks per query path, over
-    {!Sknn_obs.Cost_model.params} (see {!Attribution} for the bridge).
-    [Party_a.forecast_noise]/[forecast_noise_packed] delegate here, so
-    the planner's feasibility rule and the live prepare-time guard are
-    the same code.  A negative minimum headroom means a live query
+    The minimum noise headroom over every state the symbolic run of a
+    query path produces, over {!Sknn_obs.Cost_model.params} (see
+    {!Attribution} for the bridge).  [Protocol.prepare] guards with it,
+    so the planner's feasibility rule and the live prepare-time guard
+    are the same run.  A negative minimum headroom means a live query
     would raise [Bgv.Decryption_failure]. *)
 
 val forecast :

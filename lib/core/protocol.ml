@@ -4,41 +4,20 @@ module Obs = Sknn_obs.Ctx
 module Otrace = Sknn_obs.Trace
 module Audit = Sknn_obs.Audit
 module Metrics = Sknn_obs.Metrics
+module NM = Sknn_obs.Noise_model
+module CM = Sknn_obs.Cost_model
+module Run = Entities.Run
 
-type deployment = {
-  config : Config.t;
-  db_n : int;
-  db_d : int;
-  db : int array array;
-      (* the plaintext database — retained for the slot-packed path,
-         which models Party A as the data owner's delegate (SANNS-style
-         outsourced queries; see Entities.Party_a.prepare_packed) *)
-  a : Entities.Party_a.t;
-  b : Entities.Party_b.t;
-  cl : Entities.Client.t;
-  setup_transcript : Transcript.t;
-  query_seed : Rng.t; (* source of per-query randomness *)
-  jobs : int;
-  mutable prepared : Entities.Party_a.prepared option;
-      (* query-independent state for the multi-query path, built lazily
-         on the first prepared query and reused for the rest of the
-         deployment's lifetime *)
-  mutable prepared_packed : Entities.Party_a.prepared_packed option;
-}
+type deployment = Run.deployment
 
-let config d = d.config
-let db_size d = d.db_n
-let dimension d = d.db_d
-let setup_transcript d = d.setup_transcript
-let party_a d = d.a
-let party_b d = d.b
-let client d = d.cl
-let jobs d = d.jobs
-
-let pk_bytes config =
-  (* Two ring elements at the full chain, 4 bytes per residue. *)
-  let p = config.Config.bgv in
-  2 * Params.chain_length p * p.Params.n * 4
+let config d = d.Run.config
+let db_size d = d.Run.db_n
+let dimension d = d.Run.db_d
+let setup_transcript d = Entities.Live.transcript d.Run.setup
+let party_a d = d.Run.a
+let party_b d = d.Run.b
+let client d = d.Run.cl
+let jobs d = Entities.Party_a.jobs d.Run.a
 
 (* Fold a finished transcript into the per-party counters: every entry's
    bytes to its sender, and each link's round count to both endpoints.
@@ -61,61 +40,15 @@ let tally_transcript tr counter_of =
       add x; add y)
     (Transcript.links tr)
 
-(* Record a transcript entry and mirror it into the flight recorder, so
-   a post-mortem dump shows the link traffic leading up to a failure.
-   With a clock cursor (a --net run) the flight event also carries the
-   message's transcript seq and virtual arrival time; stepping the
-   cursor in send order reproduces Clock.replay of the final transcript
-   exactly. *)
-let send_tracked ?clock obs tr ~sender ~receiver ~label ~bytes =
-  Transcript.send tr ~sender ~receiver ~label ~bytes;
-  let sender_n = Transcript.party_name sender in
-  let receiver_n = Transcript.party_name receiver in
-  match clock with
-  | None -> Obs.record_send obs ~sender:sender_n ~receiver:receiver_n ~bytes ()
-  | Some c ->
-    let _departure, arrival = Clock.step c ~sender ~receiver ~bytes in
-    Obs.record_send obs
-      ~seq:(Transcript.messages tr - 1)
-      ~arrival_s:arrival ~sender:sender_n ~receiver:receiver_n ~bytes ()
-
 let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs config ~db =
   let rng = match rng with Some r -> r | None -> Rng.of_int 0x5ecdb in
   let jobs = match jobs with Some j -> j | None -> Util.Pool.default_jobs () in
-  let owner =
-    Obs.with_span obs ~kind:Otrace.Phase "keygen" (fun () ->
-        Entities.Data_owner.create (Rng.split rng) config)
-  in
-  let enc_db =
-    Entities.Data_owner.encrypt_db ~obs ?counters ~jobs (Rng.split rng) owner db
-  in
-  let keys = Entities.Data_owner.keys owner in
-  let a = Entities.Party_a.create ~jobs config keys.Bgv.pk keys.Bgv.rlk enc_db in
-  let b = Entities.Party_b.create ~jobs config keys.Bgv.sk keys.Bgv.pk in
-  let cl = Entities.Client.create ~jobs config keys.Bgv.sk keys.Bgv.pk in
-  let tr = Transcript.create () in
-  let open Transcript in
-  send_tracked obs tr ~sender:Data_owner ~receiver:Party_a ~label:"public key"
-    ~bytes:(pk_bytes config);
-  send_tracked obs tr ~sender:Data_owner ~receiver:Party_a ~label:"encrypted database"
-    ~bytes:(Entities.db_bytes enc_db);
-  send_tracked obs tr ~sender:Data_owner ~receiver:Party_b ~label:"secret + public key"
-    ~bytes:(config.Config.bgv.Params.n + pk_bytes config);
-  send_tracked obs tr ~sender:Data_owner ~receiver:Client ~label:"secret + public key"
-    ~bytes:(config.Config.bgv.Params.n + pk_bytes config);
-  tally_transcript tr (function
+  let setup = Entities.Live.env ~obs () in
+  let d = Run.deploy ~obs ?counters ~jobs setup rng config ~db in
+  tally_transcript (setup_transcript d) (function
     | Transcript.Data_owner -> counters
     | _ -> None);
-  { config;
-    db_n = Array.length db;
-    db_d = Array.length db.(0);
-    db;
-    a; b; cl;
-    setup_transcript = tr;
-    query_seed = Rng.split rng;
-    jobs;
-    prepared = None;
-    prepared_packed = None }
+  d
 
 type result = {
   neighbours : int array array;
@@ -174,203 +107,73 @@ let observe_net obs tr = function
         tl.Clock.messages;
     Some tl
 
-let timed obs phases ?counters name f =
-  (* The watched counters name the parties at work, which the chrome
-     trace sink turns into per-party lanes. *)
-  let args =
-    match counters with
-    | None | Some [] -> []
-    | Some cs -> [ ("party", String.concat "+" (List.map fst cs)) ]
-  in
-  Obs.with_span obs ~kind:Otrace.Phase ?counters ~args name (fun () ->
-      let x, dt = Util.Timer.time f in
-      phases := (name, dt) :: !phases;
-      Obs.observe_phase obs name dt;
-      x)
+(* ------------------------------------------------------------------ *)
+(* Prepared state and its noise guard                                  *)
+(* ------------------------------------------------------------------ *)
 
-(* Sample chain level and noise-budget headroom of a ciphertext batch
-   into the metrics registry (stride keeps it O(16) per batch).  Runs in
-   the orchestrating domain only, after the batch is complete. *)
-let level_buckets = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 8.0 |]
-let noise_buckets = [| 0.0; 8.0; 16.0; 24.0; 32.0; 48.0; 64.0; 96.0; 128.0 |]
+(* The forecast path that prices a prepared state: the batch round runs
+   the packed state's circuit with per-slot masks. *)
+let forecast_path = function CM.Batch _ -> CM.Packed | p -> p
 
-let sample_cts obs ~name cts =
-  let m = Obs.metrics obs in
-  let flight_on = Option.is_some (Obs.flight obs) in
-  let n = Array.length cts in
-  if n > 0 && (Option.is_some m || flight_on) then begin
-    let hists =
-      Option.map
-        (fun m ->
-          ( Metrics.histogram ~buckets:level_buckets m ("bgv." ^ name ^ ".level"),
-            Metrics.histogram ~buckets:noise_buckets m ("bgv." ^ name ^ ".noise_budget_bits")
-          ))
-        m
-    in
-    let stride = Stdlib.max 1 (n / 16) in
-    let min_budget = ref infinity in
-    let i = ref 0 in
-    while !i < n do
-      let level = Bgv.level cts.(!i) in
-      let budget = Bgv.noise_budget_bits cts.(!i) in
-      if budget < !min_budget then min_budget := budget;
-      (match hists with
-       | None -> ()
-       | Some (h_lvl, h_nb) ->
-         Metrics.observe h_lvl (float_of_int level);
-         Metrics.observe h_nb budget);
-      Obs.observe_noise obs ~name ~level ~budget_bits:budget;
-      i := !i + stride
-    done;
-    match m with
-    | None -> ()
-    | Some m ->
-      (* Per-phase headroom gauge: the tightest sampled budget this
-         batch, the number a dashboard alerts on. *)
-      Metrics.set (Metrics.gauge m ("bgv." ^ name ^ ".min_noise_budget_bits")) !min_budget
+let forecast_noise ?(margin_bits = 4.0) ?(path = CM.Prepared) d =
+  Planner.forecast ~margin_bits
+    (Attribution.model_params (config d) ~n:(db_size d) ~d:(dimension d) ~k:1)
+    (forecast_path path)
+
+(* Before a prepared state is built, the worst-case symbolic run of its
+   circuit is audited; a forecast below the margin warns (audit entry,
+   flight event, stderr) instead of letting a query die mid-flight. *)
+let guard obs d path =
+  let margin_bits = 4.0 in
+  let forecast = forecast_noise ~margin_bits ~path d in
+  Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
+    (Audit.Float forecast.NM.min_headroom_bits);
+  if forecast.NM.below_margin then begin
+    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-low-headroom-warning"
+      (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
+    Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
+    Format.eprintf
+      "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin %.1f) \
+       — deepen the modulus chain or lower the circuit depth@."
+      forecast.NM.min_headroom_bits margin_bits
   end
 
-let query_ct_count (q : Entities.encrypted_query) =
-  (match q.Entities.q_coords with None -> 0 | Some a -> Array.length a)
-  + (match q.Entities.q_rev with None -> 0 | Some _ -> 1)
-  + (match q.Entities.q_norm with None -> 0 | Some _ -> 1)
+let needs_prepare d = function
+  | CM.Plain -> false
+  | CM.Prepared -> Option.is_none d.Run.prepared
+  | CM.Packed | CM.Batch _ -> Option.is_none d.Run.prepared_packed
 
-(* How a single query runs: the per-query path of the paper, the
-   PR-3 prepared (inner-product) path, or the slot-packed SIMD path. *)
-type path = Path_plain | Path_prepared | Path_packed
+let prepare ?(obs = Obs.disabled) d =
+  if needs_prepare d CM.Prepared then begin
+    guard obs d CM.Prepared;
+    ignore (Run.prepare ~obs d)
+  end
 
-(* Per-query state, tagged by path so the driver below can dispatch the
-   four path-dependent stages without duplicating the pipeline. *)
-type prep_state =
-  | Prep_none
-  | Prep_ip of Entities.Party_a.prepared
-  | Prep_packed of Entities.Party_a.prepared_packed
+let prepare_packed ?(obs = Obs.disabled) d =
+  if needs_prepare d CM.Packed then begin
+    guard obs d CM.Packed;
+    ignore (Run.prepare_packed ~obs d)
+  end
 
-let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
-  let rng = match rng with Some r -> r | None -> Rng.split d.query_seed in
-  if Array.length query <> d.db_d then invalid_arg "Protocol.query: dimension mismatch";
-  if k < 1 || k > d.db_n then invalid_arg "Protocol.query: k out of range";
-  let ca = Entities.Party_a.counters d.a in
-  let cb = Entities.Party_b.counters d.b in
-  let cc = Entities.Client.counters d.cl in
-  Counters.reset ca;
-  Counters.reset cb;
-  Counters.reset cc;
-  let tr = Transcript.create () in
-  let clock = Option.map Clock.cursor net in
-  let send_tracked = send_tracked ?clock in
-  let phases = ref [] in
-  (* Prepared/packed paths: build the query-independent state once per
-     deployment; only the first such query pays (and records) the
-     "prepare-db" phase. *)
-  let prep =
-    match path with
-    | Path_plain -> Prep_none
-    | Path_prepared ->
-      (match d.prepared with
-       | Some p -> Prep_ip p
-       | None ->
-         let p =
-           timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-               Entities.Party_a.prepare ~obs d.a)
-         in
-         d.prepared <- Some p;
-         Prep_ip p)
-    | Path_packed ->
-      (match d.prepared_packed with
-       | Some p -> Prep_packed p
-       | None ->
-         let p =
-           timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-               Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-         in
-         d.prepared_packed <- Some p;
-         Prep_packed p)
-  in
-  (* Client: encrypt the query and send it to Party A (label 4, Fig. 2). *)
-  let q_enc =
-    timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" (fun () ->
-        match prep with
-        | Prep_none -> Entities.Client.encrypt_query d.cl rng query
-        | Prep_ip _ -> Entities.Client.encrypt_query_ip d.cl rng query
-        | Prep_packed _ -> Entities.Client.encrypt_query_packed d.cl rng query)
-  in
-  send_tracked obs tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~bytes:(Entities.query_bytes q_enc);
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
-    (Audit.Int (query_ct_count q_enc));
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
-    (Audit.Int (Entities.query_bytes q_enc));
-  (* Party A: Compute Distances (Algorithm 1). *)
-  let state, masked =
-    timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" (fun () ->
-        match prep with
-        | Prep_none -> Entities.Party_a.compute_distances ~obs d.a rng q_enc
-        | Prep_ip p -> Entities.Party_a.compute_distances_prepared ~obs d.a p rng q_enc
-        | Prep_packed p -> Entities.Party_a.compute_distances_packed ~obs d.a p rng q_enc)
-  in
-  sample_cts obs ~name:"masked-distance" masked;
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 masked);
-  (* Party B: Find Neighbours (Algorithm 2), with the indicator vectors
-     streamed row by row; Party A folds each row into Return kNN
-     (Algorithm 3) as it arrives. *)
-  let view =
-    timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
-        match prep with
-        | Prep_packed _ ->
-          Entities.Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k
-        | Prep_none | Prep_ip _ -> Entities.Party_b.select_neighbours ~obs d.b masked ~k)
-  in
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-    ~label:"masked-distance-multiset"
-    (Audit.Int64s (Leakage.view_multiset view));
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-    ~label:"equidistant-group-sizes"
-    (Audit.Ints (Leakage.equidistant_group_sizes view));
-  let indicator_bytes = ref 0 in
-  let results =
-    timed obs phases
-      ~counters:[ ("party-a", ca); ("party-b", cb) ]
-      "return-knn"
-      (fun () ->
-        let packed =
-          match prep with
-          | Prep_ip p -> Entities.Party_a.permuted_packed_prepared p state
-          | Prep_packed p -> Entities.Party_a.permuted_return_packed p state
-          | Prep_none -> Entities.Party_a.permuted_packed d.a state
-        in
-        Array.init k (fun j ->
-            Obs.with_span obs
-              ~counters:[ ("party-a", ca); ("party-b", cb) ]
-              ~args:[ ("j", string_of_int j) ]
-              "indicator-row"
-              (fun () ->
-                let row = Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j in
-                let bytes = Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 row in
-                indicator_bytes := !indicator_bytes + bytes;
-                send_tracked obs tr ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-                  ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-                  ~bytes;
-                Entities.Party_a.select_row ~obs d.a packed row)))
-  in
-  sample_cts obs ~name:"result" results;
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
-    (Audit.Int (k * d.db_n));
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-bytes"
-    (Audit.Int !indicator_bytes);
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Client
-    ~label:"encrypted k-NN result"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 results);
-  let neighbours =
-    timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
-        Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d results)
-  in
-  Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"
-    (Audit.Int k);
+let is_prepared d = not (needs_prepare d CM.Prepared)
+let is_packed_prepared d = not (needs_prepare d CM.Packed)
+
+(* ------------------------------------------------------------------ *)
+(* Queries                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One round of the driver on the live backend.  The phase list,
+   transcript and counters describe the whole round and are shared by
+   the results of a batch; neighbours and views are per query. *)
+let round ?(obs = Obs.disabled) ?rng ?net d path ~queries ~k =
+  let rng = match rng with Some r -> r | None -> Rng.split d.Run.query_seed in
+  if needs_prepare d path then guard obs d path;
+  let env = Entities.Live.env ~obs ?net () in
+  let out = Run.query ~obs env d path rng ~queries ~k in
+  let tr = Entities.Live.transcript env in
+  let ca = Entities.Party_a.counters (party_a d) in
+  let cb = Entities.Party_b.counters (party_b d) in
+  let cc = Entities.Client.counters (client d) in
   tally_transcript tr (function
     | Transcript.Party_a -> Some ca
     | Transcript.Party_b -> Some cb
@@ -390,194 +193,40 @@ let query_gen ~path ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
      List.iter
        (fun (party, c) -> Metrics.record_ledger m ~party c)
        [ ("party-a", ca); ("party-b", cb); ("client", cc) ]);
-  let net_timeline = observe_net obs tr net in
-  { neighbours;
-    k;
-    phase_seconds = List.rev !phases;
-    transcript = tr;
-    counters_a = ca;
-    counters_b = cb;
-    counters_client = cc;
-    view_b = view;
-    net = net_timeline }
-
-let query ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_plain ?obs ?rng ?net d ~query ~k
-
-let query_prepared ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_prepared ?obs ?rng ?net d ~query ~k
-
-let query_packed ?obs ?rng ?net d ~query ~k =
-  query_gen ~path:Path_packed ?obs ?rng ?net d ~query ~k
-
-let prepare ?(obs = Obs.disabled) d =
-  match d.prepared with
-  | Some _ -> ()
-  | None -> d.prepared <- Some (Entities.Party_a.prepare ~obs d.a)
-
-let is_prepared d = Option.is_some d.prepared
-
-let prepare_packed ?(obs = Obs.disabled) d =
-  match d.prepared_packed with
-  | Some _ -> ()
-  | None -> d.prepared_packed <- Some (Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-
-let is_packed_prepared d = Option.is_some d.prepared_packed
-
-let run_queries ?obs ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> d.query_seed in
-  Array.map
-    (fun q -> query_prepared ?obs ~rng:(Rng.split rng) ?net d ~query:q ~k)
-    queries
-
-let run_queries_packed ?obs ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> d.query_seed in
-  Array.map
-    (fun q -> query_packed ?obs ~rng:(Rng.split rng) ?net d ~query:q ~k)
-    queries
-
-(* M queries in one protocol round through the slot dimension.  The
-   phase list, transcript and counters describe the whole round and are
-   shared by the M results; neighbours and views are per query. *)
-let query_batch ?(obs = Obs.disabled) ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> Rng.split d.query_seed in
-  let m = Array.length queries in
-  if m = 0 then invalid_arg "Protocol.query_batch: empty batch";
-  Array.iter
-    (fun q ->
-      if Array.length q <> d.db_d then
-        invalid_arg "Protocol.query_batch: dimension mismatch")
-    queries;
-  if k < 1 || k > d.db_n then invalid_arg "Protocol.query_batch: k out of range";
-  let ca = Entities.Party_a.counters d.a in
-  let cb = Entities.Party_b.counters d.b in
-  let cc = Entities.Client.counters d.cl in
-  Counters.reset ca;
-  Counters.reset cb;
-  Counters.reset cc;
-  let tr = Transcript.create () in
-  let clock = Option.map Clock.cursor net in
-  let send_tracked = send_tracked ?clock in
-  let phases = ref [] in
-  let pp =
-    match d.prepared_packed with
-    | Some p -> p
-    | None ->
-      let p =
-        timed obs phases ~counters:[ ("party-a", ca) ] "prepare-db" (fun () ->
-            Entities.Party_a.prepare_packed ~obs d.a ~db:d.db)
-      in
-      d.prepared_packed <- Some p;
-      p
-  in
-  let bq =
-    timed obs phases ~counters:[ ("client", cc) ] "encrypt-query" (fun () ->
-        Entities.Client.encrypt_query_batch d.cl rng queries)
-  in
-  send_tracked obs tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~bytes:(Entities.batched_query_bytes bq);
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-ciphertexts"
-    (Audit.Int (Array.length bq.Entities.bq_coords + 1));
-  Obs.audit obs ~party:"party-a" ~phase:"compute-distances" ~label:"query-bytes"
-    (Audit.Int (Entities.batched_query_bytes bq));
-  let bstate, masked =
-    timed obs phases ~counters:[ ("party-a", ca) ] "compute-distances" (fun () ->
-        Entities.Party_a.compute_distances_batch ~obs d.a pp rng bq)
-  in
-  sample_cts obs ~name:"masked-distance" masked;
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances"
-    ~bytes:(Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 masked);
-  let views =
-    timed obs phases ~counters:[ ("party-b", cb) ] "find-neighbours" (fun () ->
-        Entities.Party_b.select_views_batch ~obs d.b masked ~m ~k)
-  in
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"n" (Audit.Int d.db_n);
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"k" (Audit.Int k);
-  (* The one leakage the batch mode adds: B learns how many queries
-     share the round's permutation, and can align positions across
-     their views. *)
-  Obs.audit obs ~party:"party-b" ~phase:"find-neighbours" ~label:"batch-query-count"
-    (Audit.Int m);
-  Array.iter
-    (fun view ->
-      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-        ~label:"masked-distance-multiset"
-        (Audit.Int64s (Leakage.view_multiset view));
-      Obs.audit obs ~party:"party-b" ~phase:"find-neighbours"
-        ~label:"equidistant-group-sizes"
-        (Audit.Ints (Leakage.equidistant_group_sizes view)))
-    views;
-  let indicator_bytes = ref 0 in
-  let result_cts =
-    timed obs phases
-      ~counters:[ ("party-a", ca); ("party-b", cb) ]
-      "return-knn"
-      (fun () ->
-        let packed = Entities.Party_a.permuted_return_packed_batch pp bstate in
-        Array.map
-          (fun view ->
-            Array.init k (fun j ->
-                Obs.with_span obs
-                  ~counters:[ ("party-a", ca); ("party-b", cb) ]
-                  ~args:[ ("j", string_of_int j) ]
-                  "indicator-row"
-                  (fun () ->
-                    let row =
-                      Entities.Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j
-                    in
-                    let bytes =
-                      Array.fold_left (fun s ct -> s + Bgv.byte_size ct) 0 row
-                    in
-                    indicator_bytes := !indicator_bytes + bytes;
-                    send_tracked obs tr ~sender:Transcript.Party_b
-                      ~receiver:Transcript.Party_a
-                      ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-                      ~bytes;
-                    Entities.Party_a.select_row ~obs d.a packed row)))
-          views)
-  in
-  Array.iter (fun cts -> sample_cts obs ~name:"result" cts) result_cts;
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-ciphertexts"
-    (Audit.Int (m * k * d.db_n));
-  Obs.audit obs ~party:"party-a" ~phase:"return-knn" ~label:"indicator-bytes"
-    (Audit.Int !indicator_bytes);
-  send_tracked obs tr ~sender:Transcript.Party_a ~receiver:Transcript.Client
-    ~label:"encrypted k-NN result"
-    ~bytes:
-      (Array.fold_left
-         (fun s cts -> Array.fold_left (fun s ct -> s + Bgv.byte_size ct) s cts)
-         0 result_cts);
-  let neighbours =
-    timed obs phases ~counters:[ ("client", cc) ] "decrypt-result" (fun () ->
-        Array.map (fun cts -> Entities.Client.decrypt_points ~obs d.cl ~d:d.db_d cts)
-          result_cts)
-  in
-  Obs.audit obs ~party:"client" ~phase:"decrypt-result" ~label:"neighbour-count"
-    (Audit.Int k);
-  tally_transcript tr (function
-    | Transcript.Party_a -> Some ca
-    | Transcript.Party_b -> Some cb
-    | Transcript.Client -> Some cc
-    | Transcript.Data_owner -> None);
-  (match Obs.metrics obs with
-   | None -> ()
-   | Some m ->
-     List.iter
-       (fun (party, c) -> Metrics.record_ledger m ~party c)
-       [ ("party-a", ca); ("party-b", cb); ("client", cc) ]);
-  let net_timeline = observe_net obs tr net in
-  let phase_seconds = List.rev !phases in
-  Array.init m (fun q ->
-      { neighbours = neighbours.(q);
+  let net = observe_net obs tr net in
+  let phase_seconds = Entities.Live.phase_seconds env in
+  Array.mapi
+    (fun q view ->
+      { neighbours = out.Run.neighbours.(q);
         k;
         phase_seconds;
         transcript = tr;
         counters_a = ca;
         counters_b = cb;
         counters_client = cc;
-        view_b = views.(q);
-        net = net_timeline })
+        view_b = view;
+        net })
+    out.Run.views
+
+let query ?obs ?rng ?net d ~query ~k = (round ?obs ?rng ?net d CM.Plain ~queries:[| query |] ~k).(0)
+
+let query_prepared ?obs ?rng ?net d ~query ~k =
+  (round ?obs ?rng ?net d CM.Prepared ~queries:[| query |] ~k).(0)
+
+let query_packed ?obs ?rng ?net d ~query ~k =
+  (round ?obs ?rng ?net d CM.Packed ~queries:[| query |] ~k).(0)
+
+let query_batch ?obs ?rng ?net d ~queries ~k =
+  round ?obs ?rng ?net d (CM.Batch (Array.length queries)) ~queries ~k
+
+let run_queries_path path ?obs ?rng ?net d ~queries ~k =
+  let rng = match rng with Some r -> r | None -> d.Run.query_seed in
+  Array.map
+    (fun q -> (round ?obs ~rng:(Rng.split rng) ?net d path ~queries:[| q |] ~k).(0))
+    queries
+
+let run_queries ?obs = run_queries_path CM.Prepared ?obs
+let run_queries_packed ?obs = run_queries_path CM.Packed ?obs
 
 let total_seconds r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.phase_seconds
 

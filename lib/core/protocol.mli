@@ -110,7 +110,23 @@ val query :
 val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
 (** Builds the prepared state now (idempotent).  Otherwise the first
     {!query_prepared} builds it lazily and records it as that query's
-    ["prepare-db"] phase. *)
+    ["prepare-db"] phase.
+
+    Either way the state is guarded first: {!forecast_noise} is always
+    recorded as the audit entry
+    [party-a/prepare-db/noise-min-headroom-bits], and a minimum below 4
+    bits emits a structured warning — an audit entry
+    [party-a/prepare-db/noise-low-headroom-warning], a [Warning] flight
+    event and a stderr line. *)
+
+val forecast_noise :
+  ?margin_bits:float -> ?path:Sknn_obs.Cost_model.path -> deployment ->
+  Sknn_obs.Noise_model.report
+(** Worst-case noise headroom of [path]'s circuit (default [Prepared])
+    at this deployment's shape: {!Planner.forecast}, the symbolic run
+    with the largest coordinates and drawable mask coefficients.  A
+    negative [min_headroom_bits] means a live query would raise
+    [Bgv.Decryption_failure].  [margin_bits] defaults to 4. *)
 
 val is_prepared : deployment -> bool
 
@@ -139,16 +155,19 @@ val run_queries :
     Party B decrypts [⌈n/N⌉] ciphertexts instead of [n], slot-unpacking
     them before the top-k scan.  Party B's §5 leakage surface (masked
     distance multiset, [n], [k], equidistant groups) is identical to the
-    unpacked paths.  The trust model differs on Party A's side: A holds
-    the plaintext database as the data owner's delegate
+    unpacked paths.  The trust model differs on Party A's side: the
+    packed path runs in owner-delegated mode — A holds the plaintext
+    database as the data owner's delegate, audited as
+    [party-a/prepare-db/plaintext-database]
     (see {!Entities.Party_a.prepare_packed}).
 
     Requires affine (degree-1) masking and [d ≤ n].  Results remain
     exact and bit-identical across job counts. *)
 
 val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
-(** Builds the packed prepared state now (idempotent); otherwise the
-    first {!query_packed} builds it lazily as its ["prepare-db"] phase. *)
+(** Builds the packed prepared state now (idempotent, guarded like
+    {!prepare}); otherwise the first {!query_packed} builds it lazily as
+    its ["prepare-db"] phase. *)
 
 val is_packed_prepared : deployment -> bool
 
@@ -172,7 +191,8 @@ val run_queries_packed :
 val query_batch :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   queries:int array array -> k:int -> result array
-(** M ≤ [Params.slot_count] queries in {e one} protocol round: the
+(** M ≤ [Params.slot_count] queries in {e one} protocol round — the
+    same driver as {!query}, on the [Batch M] path: the
     queries ride the slot dimension of d+1 ciphertexts
     ({!Entities.Client.encrypt_query_batch}), Party A masks each query's
     distances with its own fresh affine polynomial in one slot-wise
@@ -184,6 +204,13 @@ val query_batch :
     and views are per query.
     @raise Invalid_argument on an empty or oversized batch, dimension
     mismatch, or k out of range. *)
+
+val round :
+  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
+  Sknn_obs.Cost_model.path -> queries:int array array -> k:int -> result array
+(** The one driver behind every entry point above: one protocol round on
+    [path] — one query, or the [m] of a [Batch m] round — with one result
+    per query. *)
 
 val total_seconds : result -> float
 val exact : deployment -> db:int array array -> query:int array -> result -> bool

@@ -1,26 +1,19 @@
-(* Analytic replica of the protocol's ciphertext-operation cost: a
-   symbolic executor that walks the exact circuit each query path runs
-   (lib/core/entities.ml + protocol.ml) and records the same op-kind ×
-   BGV-level ledger cells (Util.Counters) the instrumented scheme
-   records on live ciphertexts — without touching a single ciphertext.
+(* Analytic replica of the protocol's ciphertext-operation cost and
+   noise: [Symbolic] is a ciphertext backend whose values are
+   Noise_model states instead of ring elements.  The protocol circuit
+   (lib/core/entities.ml, a functor over its ciphertext backend) runs on
+   it unchanged, and every operation records the same op-kind × BGV-level
+   ledger cells (Util.Counters) the instrumented scheme records on live
+   ciphertexts — without touching a single ciphertext.
 
    Exactness is the contract: the test suite asserts
    [Counters.equal_ledger] between a prediction and a measured run on
-   every preset.  That only holds because every branch the live circuit
-   takes on a noise bound (rescale_to_floor loop trips, the prepared
-   level-drop rule, the packed/batched up-front query truncation) is
-   replayed here with bit-identical float arithmetic:
-
-   - the per-op noise formulas are Noise_model's, which mirror
-     lib/bgv/bgv.ml term for term;
-   - where Noise_model deliberately simplifies (its [mul_sum] closes
-     the term-order log2_add fold to [bits + log2 terms]), this module
-     re-implements the scheme's exact sequential fold instead;
-   - scalar magnitudes (mask coefficients, plaintext coordinates) are
-     supplied by the caller as worst-case log2 bounds computed with the
-     scheme's own centering rule; the presets' branch decisions are
-     stable across the whole coefficient range, which the equality
-     tests witness empirically.
+   every preset.  That holds because the circuit, and with it every
+   branch it takes on a noise bound (rescale_to_floor loop trips, the
+   level-drop rule), is the live one, and each operation here mirrors
+   lib/bgv/bgv.ml's recording and noise bookkeeping term for term —
+   including the sequential term-order fold of [mul_sum], where
+   Noise_model's closed form is only a bound.
 
    The level-0 row of the ledger holds the slot pack/unpack NTTs mod t,
    exactly as Plaintext records them. *)
@@ -30,14 +23,15 @@ module NM = Noise_model
 
 type params = {
   nm : NM.params;
+  t_plain : int64;
   q_ibits : int array;
   n_points : int;
   d : int;
   k : int;
   per_coordinate : bool;
   mask_degree : int;
-  mask_leading_bits : float;
-  coord_bits : float;
+  mask_coeff_bits : int;
+  max_coord_bits : int;
   rescale_distances : bool;
   return_level : int;
   use_relin : bool;
@@ -61,546 +55,297 @@ type prediction = {
 
 let log2 x = log x /. log 2.0
 
-let chain p = NM.chain_length p.nm
-let full_level p = chain p
-let return_level p = Stdlib.min p.return_level (chain p)
-
 (* ------------------------------------------------------------------ *)
-(* Symbolic Bgv: Noise_model states + ledger recording                 *)
+(* The symbolic ciphertext backend                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each operation mirrors the recording discipline of the matching
-   Bgv/Plaintext entry point: primary op cell, the whole-polynomial NTT
-   passes it triggers, and the coarse Table 1 event. *)
+module Symbolic = struct
+  (* One symbolic protocol run: the parameters, the per-(phase, party)
+     ledgers and transcript the driver hooks record, and the noise
+     states every operation produced — the lowest headroom per
+     (phase, op), in first-seen order. *)
+  type run = {
+    p : params;
+    log2_q : float array;  (* NM.log2_q by level, as a prefix-sum table *)
+    fresh_bits : float;
+    tr : Transcript.t;
+    mutable rev_phases : phase list;
+    mutable current : string;
+    mutable noise : point list;  (* newest first *)
+  }
 
-let enc p c ~level =
-  C.record c C.Encrypt;
-  C.record_op c C.Op_encrypt ~level;
-  C.record_op_n c C.Op_ntt_fwd ~level 4;
-  NM.fresh_at p.nm ~level
+  (* The lowest-headroom state seen at one (phase, op).  Both names are
+     string literals of the driver and of this module, compared
+     physically, so the per-op bookkeeping neither hashes nor
+     allocates. *)
+  and point = { ph : string; op : string; mutable low : NM.state; mutable room : float }
 
-(* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
-   so presenting coefficients always costs one inverse pass. *)
-let dec c (st : NM.state) =
-  C.record c C.Decrypt;
-  C.record_op c C.Op_decrypt ~level:st.NM.level;
-  C.record_op c C.Op_ntt_inv ~level:st.NM.level
+  type params = run
+  type secret_key = unit
+  type public_key = run
+  type relin_key = unit
+  type keys = { sk : secret_key; pk : public_key; rlk : relin_key }
+  type ct = { run : run; st : NM.state }
+  type pt = unit
+  type env = run
 
-(* decrypt_coeff0 reads the evaluation-domain residues directly. *)
-let dec0 c (st : NM.state) =
-  C.record c C.Decrypt;
-  C.record_op c C.Op_decrypt ~level:st.NM.level
+  let start p =
+    let nm = p.nm in
+    { p;
+      log2_q = Array.init (NM.chain_length nm + 1) (fun level -> NM.log2_q nm ~level);
+      fresh_bits = NM.fresh_noise_bits nm; tr = Transcript.create (); rev_phases = []; current = "setup";
+      noise = [] }
 
-let add c a b =
-  C.record c C.Hom_add;
-  C.record_op c C.Op_ct_add ~level:(Stdlib.min a.NM.level b.NM.level);
-  NM.add a b
+  let t_plain r = r.p.t_plain
+  let ring_degree r = r.p.nm.NM.n
+  let noise_params r = r.p.nm
 
-let sub = add
+  (* Every state an operation produces is a point of the forecast. *)
+  let mk run op (st : NM.state) =
+    let room = run.log2_q.(st.NM.level) -. 1.0 -. st.NM.bits in
+    let same pt = pt.op == op && pt.ph == run.current in
+    (match List.find_opt same run.noise with
+     | Some pt -> if room < pt.room then begin pt.low <- st; pt.room <- room end
+     | None -> run.noise <- { ph = run.current; op; low = st; room } :: run.noise);
+    { run; st }
 
-let add_plain p c st =
-  C.record c C.Hom_add;
-  C.record_op c C.Op_ct_add ~level:st.NM.level;
-  C.record_op c C.Op_ntt_fwd ~level:st.NM.level;
-  NM.add_plain p.nm st
+  let keygen _rng run = { sk = (); pk = run; rlk = () }
+  let secret_key k = k.sk
+  let public_key k = k.pk
+  let relin_key k = k.rlk
 
-let add_const = add_plain
+  (* Each operation mirrors the recording discipline of the matching
+     Bgv/Plaintext entry point: primary op cell, the whole-polynomial NTT
+     passes it triggers, and the coarse Table 1 event. *)
 
-let mul_plain p c st =
-  C.record c C.Hom_mul_plain;
-  C.record_op c C.Op_mul_plain ~level:st.NM.level;
-  C.record_op c C.Op_ntt_fwd ~level:st.NM.level;
-  NM.mul_plain p.nm st
+  let encrypt ~counters:c ?level _rng run () =
+    let level = match level with Some l -> l | None -> NM.chain_length run.p.nm in
+    C.record c C.Encrypt;
+    C.record_op c C.Op_encrypt ~level;
+    C.record_op_n c C.Op_ntt_fwd ~level 4;
+    mk run "encrypt" { NM.level; degree = 1; bits = run.fresh_bits }
 
-let mul_scalar c st ~bits =
-  C.record c C.Hom_mul_plain;
-  C.record_op c C.Op_mul_plain ~level:st.NM.level;
-  NM.mul_scalar st ~bits
+  (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
+     so presenting coefficients always costs one inverse pass. *)
+  let decrypt ~counters:c () x =
+    C.record c C.Decrypt;
+    C.record_op c C.Op_decrypt ~level:x.st.NM.level;
+    C.record_op c C.Op_ntt_inv ~level:x.st.NM.level
 
-let modswitch p c (st : NM.state) =
-  C.record c C.Hom_modswitch;
-  let k = st.NM.level in
-  C.record_op c C.Op_modswitch ~level:k;
-  (* Every component is Eval (the scheme's invariant), so each pays the
-     inverse pass at the source level and a forward pass below. *)
-  C.record_op_n c C.Op_ntt_inv ~level:k (st.NM.degree + 1);
-  C.record_op_n c C.Op_ntt_fwd ~level:(k - 1) (st.NM.degree + 1);
-  NM.modswitch p.nm st
+  (* decrypt_coeff0 reads the evaluation-domain residues directly. *)
+  let decrypt_coeff0 ~counters:c () x =
+    C.record c C.Decrypt;
+    C.record_op c C.Op_decrypt ~level:x.st.NM.level;
+    0L
 
-let rescale_to_floor p c st =
-  let rec go (st : NM.state) =
-    if st.NM.level <= 1 then st
-    else
-      let predicted =
-        NM.log2_add
-          (st.NM.bits -. p.nm.NM.moduli_bits.(st.NM.level - 1))
-          (NM.switch_floor_bits p.nm ~degree:st.NM.degree)
-      in
-      if predicted < st.NM.bits -. 0.5 then go (modswitch p c st) else st
-  in
-  go st
+  let pt_coeffs _ _ = ()
+  let pt_const _ _ = ()
+  let pack ~counters:c _ _ = C.record_op c C.Op_slot_pack ~level:0
 
-(* Recorded truncation (Bgv.truncate_to_level ~counters): a cell only
-   when components are actually dropped. *)
-let truncate c (st : NM.state) ~level =
-  if level >= st.NM.level then st
-  else begin
-    C.record_op c C.Op_level_drop ~level;
-    NM.truncate st ~level
-  end
+  let unpack ~counters:c () ~len =
+    C.record_op c C.Op_slot_unpack ~level:0;
+    Array.make len 0L
 
-(* The silent alignments inside add/mul/mul_sum/eval_poly. *)
-let truncate_silent (st : NM.state) ~level =
-  if level >= st.NM.level then st else NM.truncate st ~level
+  let coeffs () ~len = Array.make len 0L
 
-let relinearize p c (st : NM.state) =
-  C.record c C.Hom_relin;
-  let k = st.NM.level in
-  C.record_op c C.Op_key_switch ~level:k;
-  (* key_switch_digits: the tensor component is Eval, one inverse pass;
-     then ndigits digit polynomials embed Coeff→Eval. *)
-  let w = p.relin_digit_bits in
-  let ndigits = Stdlib.min p.relin_rows ((p.q_ibits.(k - 1) + w - 1) / w) in
-  C.record_op c C.Op_ntt_inv ~level:k;
-  C.record_op_n c C.Op_ntt_fwd ~level:k ndigits;
-  let added =
-    p.nm.NM.t_bits
-    +. log2 (float_of_int ndigits)
-    +. log2 (float_of_int p.nm.NM.n)
-    +. float_of_int w
-    +. log2 p.nm.NM.eta
-  in
-  { st with NM.degree = 1; NM.bits = NM.log2_add st.NM.bits added }
+  let add ~counters:c a b =
+    C.record c C.Hom_add;
+    C.record_op c C.Op_ct_add ~level:(Stdlib.min a.st.NM.level b.st.NM.level);
+    mk a.run "add" (NM.add a.st b.st)
 
-(* [relin] mirrors whether the live call site passes [?rlk] — some
-   sites (the plain-path inner product, Return-kNN's row selection)
-   never do, whatever the configuration says. *)
-let mul p c ?(rescale = true) ~relin a b =
-  C.record c C.Hom_mul;
-  C.record_op c C.Op_ct_mul ~level:(Stdlib.min a.NM.level b.NM.level);
-  let st = NM.mul p.nm a b in
-  let st = if relin && st.NM.degree = 2 then relinearize p c st else st in
-  if rescale then rescale_to_floor p c st else st
+  let sub = add
 
-(* Σ terms · (a·b) with every term the same symbolic pair — all the
-   protocol's inner products are uniform.  Mirrors Bgv.mul_sum: the
-   fused fast path when no relinearisation is in play, the exact
-   mul-then-add fold otherwise, and in both cases the noise bound is
-   the scheme's sequential term-order fold (Noise_model's closed form
-   is a bound, not the same float). *)
-let mul_sum p c ~terms ~relin a b =
-  if terms < 1 then invalid_arg "Cost_model.mul_sum: terms must be positive";
-  let lvl = Stdlib.min a.NM.level b.NM.level in
-  let a = truncate_silent a ~level:lvl and b = truncate_silent b ~level:lvl in
-  if relin then begin
-    let acc = ref (mul p c ~rescale:false ~relin a b) in
-    for _ = 2 to terms do
-      acc := add c !acc (mul p c ~rescale:false ~relin a b)
-    done;
-    !acc
-  end
-  else begin
-    C.record_n c C.Hom_mul terms;
-    C.record_n c C.Hom_add (terms - 1);
-    C.record_op_n c C.Op_ct_mul ~level:lvl terms;
-    C.record_op_n c C.Op_ct_add ~level:lvl (terms - 1);
-    let term = log2 (float_of_int p.nm.NM.n) +. a.NM.bits +. b.NM.bits in
-    let bits = ref term in
-    for _ = 1 to terms - 1 do
-      bits := NM.log2_add !bits term
-    done;
-    { NM.level = lvl; NM.degree = a.NM.degree + b.NM.degree; NM.bits = !bits }
-  end
+  let add_plain ~counters:c x () =
+    C.record c C.Hom_add;
+    C.record_op c C.Op_ct_add ~level:x.st.NM.level;
+    C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
+    mk x.run "add_plain" (NM.add_plain x.run.p.nm x.st)
 
-(* Horner evaluation with the protocol's masking polynomial: only the
-   leading coefficient is applied as a scalar, the rest arrive through
-   add_const.  [leading_bits] is the caller's bound on its centered
-   magnitude. *)
-let eval_poly p c ~leading_bits st =
-  let d = p.mask_degree in
-  if d = 0 then add_const p c (mul_scalar c st ~bits:0.0)
-  else begin
-    let acc = ref (mul_scalar c st ~bits:leading_bits) in
-    for i = d - 1 downto 0 do
-      if i < d - 1 then begin
-        let x = truncate_silent st ~level:(!acc).NM.level in
-        acc := mul p c ~relin:p.use_relin !acc x
-      end;
-      acc := add_const p c !acc
-    done;
-    !acc
-  end
+  let add_const ~counters x _ = add_plain ~counters x ()
 
-let slot_pack c = C.record_op c C.Op_slot_pack ~level:0
-let slot_unpack c = C.record_op c C.Op_slot_unpack ~level:0
+  let mul_plain ~counters:c x () =
+    C.record c C.Hom_mul_plain;
+    C.record_op c C.Op_mul_plain ~level:x.st.NM.level;
+    C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
+    mk x.run "mul_plain" (NM.mul_plain x.run.p.nm x.st)
 
-(* ------------------------------------------------------------------ *)
-(* Level-drop rules (entities.ml, verbatim)                            *)
-(* ------------------------------------------------------------------ *)
+  (* Bgv.centered_magnitude: the scalar's noise factor is its centered
+     residue mod t. *)
+  let centered_bits t v =
+    let r = Int64.rem v t in
+    let r = if Int64.compare r 0L < 0 then Int64.add r t else r in
+    let r = if Int64.compare r (Int64.shift_right_logical t 1) > 0 then Int64.sub r t else r in
+    log2 (Float.max 1.0 (Int64.to_float (Int64.abs r)))
 
-(* The prepared per-point rule: lowest level whose modulus clears the
-   masked bound with 17 bits of slack, floored at the return level. *)
-let prepared_drop p (ed : NM.state) =
-  let t_bits = p.nm.NM.t_bits in
-  let need = ed.NM.bits +. t_bits +. 17.0 in
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < ed.NM.level do
-    bits := !bits +. p.nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl (return_level p) in
-  if !bits > need && lvl < ed.NM.level then `Truncate lvl
-  else if p.rescale_distances then `Rescale
-  else `Keep
+  let mul_scalar ~counters:c x v =
+    C.record c C.Hom_mul_plain;
+    C.record_op c C.Op_mul_plain ~level:x.st.NM.level;
+    mk x.run "mul_scalar" (NM.mul_scalar x.st ~bits:(centered_bits x.run.p.t_plain v))
 
-(* Party_a.level_for_need: the same walk over the full chain. *)
-let level_for_need p ~need =
-  let lvl = ref 0 and bits = ref 0.0 in
-  while !bits <= need && !lvl < chain p do
-    bits := !bits +. p.nm.NM.moduli_bits.(!lvl);
-    incr lvl
-  done;
-  let lvl = Stdlib.max !lvl (return_level p) in
-  if !bits > need then Some lvl else None
+  let modswitch c x =
+    C.record c C.Hom_modswitch;
+    let k = x.st.NM.level in
+    C.record_op c C.Op_modswitch ~level:k;
+    (* Every component is Eval (the scheme's invariant), so each pays the
+       inverse pass at the source level and a forward pass below. *)
+    C.record_op_n c C.Op_ntt_inv ~level:k (x.st.NM.degree + 1);
+    C.record_op_n c C.Op_ntt_fwd ~level:(k - 1) (x.st.NM.degree + 1);
+    mk x.run "modswitch" (NM.modswitch x.run.p.nm x.st)
 
-(* Party_a.packed_query_level. *)
-let packed_query_level p ~q_noise_bits =
-  let t_bits = p.nm.NM.t_bits in
-  let ip =
-    q_noise_bits
-    +. log2 (float_of_int p.nm.NM.n)
-    +. t_bits -. 1.0
-    +. log2 (float_of_int (Stdlib.max 1 p.d))
-  in
-  let ed = NM.log2_add (NM.log2_add q_noise_bits (t_bits -. 1.0)) (ip +. 1.0) in
-  level_for_need p ~need:(ed +. t_bits +. 17.0)
-
-(* Party_a.batch_query_level. *)
-let batch_query_level p ~q_noise_bits =
-  let t_bits = p.nm.NM.t_bits in
-  let ip = q_noise_bits +. p.coord_bits +. log2 (float_of_int (Stdlib.max 1 p.d)) +. 1.0 in
-  let ed = NM.log2_add (NM.log2_add q_noise_bits (t_bits -. 1.0)) ip in
-  let masked = ed +. log2 (float_of_int p.nm.NM.n) +. t_bits -. 1.0 in
-  let masked = NM.log2_add masked (t_bits -. 1.0) in
-  level_for_need p ~need:(masked +. 17.0)
-
-(* ------------------------------------------------------------------ *)
-(* Per-path circuits                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The batch path scales each query ciphertext by plaintext coordinates
-   whose magnitude is data-dependent; the bound only feeds the noise
-   state (the op counts are scalar-blind unless the no-drop rescale
-   branch fires, which the presets never reach). *)
-
-type sim = { p : params; mutable rev_phases : phase list; tr : Transcript.t }
-
-(* Serialized size of a ciphertext in the symbolic state: the exact
-   Bgv.byte_size formula, (degree+1) residue polynomials per remaining
-   prime at 4 bytes a coefficient plus the fixed header. *)
-let st_bytes p (st : NM.state) =
-  ((st.NM.degree + 1) * st.NM.level * p.nm.NM.n * 4) + 40
-
-(* A symbolic transcript message of [count] ciphertexts in state [st],
-   with the same granularity and labels as the live [Protocol] sends —
-   what makes the predicted transcript structurally comparable (and the
-   Clock replay byte-exact) against a measured run. *)
-let send sim ~sender ~receiver ~label ~count st =
-  Transcript.send sim.tr ~sender ~receiver ~label
-    ~bytes:(count * st_bytes sim.p st)
-
-let phase_counter sim ~phase ~party =
-  let c = C.create () in
-  sim.rev_phases <- { phase; party; counters = c } :: sim.rev_phases;
-  c
-
-(* Shared return-kNN + decrypt-result tail: [views] indicator-row sets
-   of [k] rows each, against return-level packed points. *)
-let return_and_decrypt sim ~views ~plain_truncations =
-  let p = sim.p in
-  let rl = return_level p in
-  let ca = phase_counter sim ~phase:"return-knn" ~party:"party-a" in
-  let cb = phase_counter sim ~phase:"return-knn" ~party:"party-b" in
-  if plain_truncations then
-    for _ = 1 to p.n_points do
-      ignore (truncate ca (NM.fresh p.nm) ~level:rl)
-    done;
-  let packed_ret = truncate_silent (NM.fresh p.nm) ~level:rl in
-  let result = ref None in
-  for _ = 1 to views do
-    for j = 0 to p.k - 1 do
-      let row =
-        let st = ref None in
-        for _ = 1 to p.n_points do
-          st := Some (enc p cb ~level:rl)
-        done;
-        Option.get !st
-      in
-      (* Each indicator row crosses B->A as n fresh return-level cts, one
-         message per row, labelled as the live protocol labels them. *)
-      send sim ~sender:Transcript.Party_b ~receiver:Transcript.Party_a
-        ~label:(Printf.sprintf "indicator vector B^%d" (j + 1))
-        ~count:p.n_points row;
-      result := Some (mul_sum p ca ~terms:p.n_points ~relin:false packed_ret row)
-    done
-  done;
-  let cc = phase_counter sim ~phase:"decrypt-result" ~party:"client" in
-  match !result with
-  | None -> ()
-  | Some r ->
-    send sim ~sender:Transcript.Party_a ~receiver:Transcript.Client
-      ~label:"encrypted k-NN result" ~count:(views * p.k) r;
-    for _ = 1 to views * p.k do
-      dec cc r
-    done
-
-let predict_plain sim =
-  let p = sim.p in
-  let full = full_level p in
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  let n_query_cts = if p.per_coordinate then p.d else 2 in
-  for _ = 1 to n_query_cts do
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:n_query_cts fresh;
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let masked = ref fresh in
-  for _ = 1 to p.n_points do
-    let m =
-      if p.per_coordinate then begin
-        (* d per-coordinate differences, fused square-and-sum, one
-           deferred rescale, then the masking polynomial. *)
-        let diff = ref fresh in
-        for _ = 1 to p.d do
-          diff := sub ca fresh fresh
-        done;
-        let ed = mul_sum p ca ~terms:p.d ~relin:p.use_relin !diff !diff in
-        let ed = if p.rescale_distances then rescale_to_floor p ca ed else ed in
-        eval_poly p ca ~leading_bits:p.mask_leading_bits ed
-      end
-      else begin
-        (* ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖² via the inner-product trick, plus
-           the zero-constant randomizer. *)
-        let ip = mul p ca ~rescale:false ~relin:false fresh fresh in
-        let ed = sub ca (add ca fresh fresh) (mul_scalar ca ip ~bits:1.0) in
-        let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-        add_plain p ca m
-      end
+  let rescale_to_floor ~counters x =
+    let nm = x.run.p.nm in
+    let rec go x =
+      let st = x.st in
+      if st.NM.level <= 1 then x
+      else
+        let predicted =
+          NM.log2_add
+            (st.NM.bits -. nm.NM.moduli_bits.(st.NM.level - 1))
+            (NM.switch_floor_bits nm ~degree:st.NM.degree)
+        in
+        if predicted < st.NM.bits -. 0.5 then go (modswitch counters x) else x
     in
-    masked := m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec0 cb !masked
-  done;
-  return_and_decrypt sim ~views:1 ~plain_truncations:true
+    go x
 
-let predict_prepared sim ~include_prepare =
-  let p = sim.p in
-  let full = full_level p in
-  let rl = return_level p in
-  let fresh = NM.fresh p.nm in
-  (* The prepared norms exist whether or not this query pays for them;
-     only the first query of a deployment records the prepare phase. *)
-  let norm_of c =
-    if p.per_coordinate then mul_sum p c ~terms:p.d ~relin:p.use_relin fresh fresh
-    else fresh
-  in
-  let scratch = C.create () in
-  let norm =
-    if include_prepare then begin
-      let ca = phase_counter sim ~phase:"prepare-db" ~party:"party-a" in
-      let norm = ref fresh in
-      for _ = 1 to p.n_points do
-        norm := norm_of ca
-      done;
-      for _ = 1 to p.n_points do
-        ignore (truncate ca fresh ~level:rl)
-      done;
-      !norm
+  (* Recorded truncation (Bgv.truncate_to_level ~counters): a cell only
+     when components are actually dropped. *)
+  let truncate ~counters:c x level =
+    if level >= x.st.NM.level then x
+    else begin
+      C.record_op c C.Op_level_drop ~level;
+      mk x.run "truncate" (NM.truncate x.st ~level)
     end
-    else norm_of scratch
-  in
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let qct = enc p cc ~level:full in
-  ignore (enc p cc ~level:full);
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:2 qct;
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  let masked = ref fresh in
-  for _ = 1 to p.n_points do
-    let ip = mul p ca ~rescale:false ~relin:p.use_relin fresh fresh in
-    let ed = sub ca (add ca norm fresh) (mul_scalar ca ip ~bits:1.0) in
-    let ed =
-      match prepared_drop p ed with
-      | `Truncate lvl -> truncate ca ed ~level:lvl
-      | `Rescale -> rescale_to_floor p ca ed
-      | `Keep -> ed
+
+  (* The silent alignments inside add/mul/mul_sum/eval_poly. *)
+  let align x level =
+    if level >= x.st.NM.level then x else { x with st = NM.truncate x.st ~level }
+
+  let relinearize c x =
+    let p = x.run.p in
+    C.record c C.Hom_relin;
+    let k = x.st.NM.level in
+    C.record_op c C.Op_key_switch ~level:k;
+    (* key_switch_digits: the tensor component is Eval, one inverse pass;
+       then ndigits digit polynomials embed Coeff→Eval. *)
+    let w = p.relin_digit_bits in
+    let ndigits = Stdlib.min p.relin_rows ((p.q_ibits.(k - 1) + w - 1) / w) in
+    C.record_op c C.Op_ntt_inv ~level:k;
+    C.record_op_n c C.Op_ntt_fwd ~level:k ndigits;
+    let added =
+      p.nm.NM.t_bits
+      +. log2 (float_of_int ndigits)
+      +. log2 (float_of_int p.nm.NM.n)
+      +. float_of_int w
+      +. log2 p.nm.NM.eta
     in
-    let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-    masked := add_plain p ca m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec0 cb !masked
-  done;
-  return_and_decrypt sim ~views:1 ~plain_truncations:false
+    mk x.run "relinearize"
+      { x.st with NM.degree = 1; NM.bits = NM.log2_add x.st.NM.bits added }
 
-let packed_prepare sim =
-  let p = sim.p in
-  let ca = phase_counter sim ~phase:"prepare-db" ~party:"party-a" in
-  let rl = return_level p in
-  for _ = 1 to p.n_points do
-    ignore (truncate ca (NM.fresh p.nm) ~level:rl)
-  done
+  let mul ~counters:c ?rlk ?(rescale = true) a b =
+    C.record c C.Hom_mul;
+    C.record_op c C.Op_ct_mul ~level:(Stdlib.min a.st.NM.level b.st.NM.level);
+    let x = mk a.run "mul" (NM.mul a.run.p.nm a.st b.st) in
+    let x = if rlk <> None && x.st.NM.degree = 2 then relinearize c x else x in
+    if rescale then rescale_to_floor ~counters:c x else x
 
-let predict_packed sim ~include_prepare =
-  let p = sim.p in
-  let full = full_level p in
-  if include_prepare then packed_prepare sim;
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  for _ = 1 to p.d + 1 do
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:(p.d + 1) fresh;
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  (* Up-front query truncation: the level-drop rule applied predictively
-     to the fresh query ciphertexts. *)
-  let drop = packed_query_level p ~q_noise_bits:fresh.NM.bits in
-  let q =
-    match drop with
-    | Some lvl when lvl < fresh.NM.level ->
-      let q = ref fresh in
-      for _ = 1 to p.d + 1 do
-        q := truncate ca fresh ~level:lvl
+  (* Bgv.mul_sum: operands aligned to the common minimum level; the fused
+     fast path without relinearisation, the exact mul-then-add fold with
+     it; the noise bound folded in term order either way. *)
+  let mul_sum ~counters:c ?jobs:_ ?rlk a b =
+    let m = Array.length a in
+    if m = 0 || Array.length b <> m then
+      invalid_arg "Cost_model.Symbolic.mul_sum: empty or mismatched inputs";
+    let lvl =
+      let mn acc x = Stdlib.min acc x.st.NM.level in
+      Array.fold_left mn (Array.fold_left mn a.(0).st.NM.level a) b
+    in
+    let a = Array.map (fun x -> align x lvl) a and b = Array.map (fun x -> align x lvl) b in
+    if rlk <> None then begin
+      let acc = ref (mul ~counters:c ?rlk ~rescale:false a.(0) b.(0)) in
+      for i = 1 to m - 1 do
+        acc := add ~counters:c !acc (mul ~counters:c ?rlk ~rescale:false a.(i) b.(i))
       done;
-      !q
-    | _ -> fresh
-  in
-  let nbatches = (p.n_points + p.slots - 1) / p.slots in
-  let ragged = p.n_points mod p.slots <> 0 in
-  let masked = ref q in
-  for b = 0 to nbatches - 1 do
-    let ip = ref q in
-    for j = 0 to p.d - 1 do
-      slot_pack ca;
-      let prod = mul_plain p ca q in
-      ip := if j = 0 then prod else add ca !ip prod
-    done;
-    slot_pack ca;
-    let ed = sub ca (add_plain p ca q) (mul_scalar ca !ip ~bits:1.0) in
-    let ed =
-      if drop = None && p.rescale_distances then rescale_to_floor p ca ed else ed
-    in
-    let m = eval_poly p ca ~leading_bits:p.mask_leading_bits ed in
-    let m =
-      if ragged && b = nbatches - 1 then begin
-        slot_pack ca;
-        add_plain p ca m
-      end
-      else m
-    in
-    masked := m
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:nbatches !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to nbatches do
-    dec cb !masked;
-    slot_unpack cb
-  done;
-  return_and_decrypt sim ~views:1 ~plain_truncations:false
-
-let predict_batch sim ~include_prepare ~queries =
-  let p = sim.p in
-  let full = full_level p in
-  if queries < 1 || queries > p.slots then
-    invalid_arg "Cost_model.predict: batch size out of range";
-  if include_prepare then packed_prepare sim;
-  let cc = phase_counter sim ~phase:"encrypt-query" ~party:"client" in
-  let fresh = ref (NM.fresh p.nm) in
-  for _ = 1 to p.d + 1 do
-    slot_pack cc;
-    fresh := enc p cc ~level:full
-  done;
-  let fresh = !fresh in
-  send sim ~sender:Transcript.Client ~receiver:Transcript.Party_a
-    ~label:"encrypted query" ~count:(p.d + 1) fresh;
-  let ca = phase_counter sim ~phase:"compute-distances" ~party:"party-a" in
-  (* Per-query affine masks, slot-aligned: one packed slope plaintext,
-     and a shared intercept only when every slot carries a query. *)
-  slot_pack ca;
-  let shared_intercept = queries = p.slots in
-  if shared_intercept then slot_pack ca;
-  let drop = batch_query_level p ~q_noise_bits:fresh.NM.bits in
-  let q =
-    match drop with
-    | Some lvl when lvl < fresh.NM.level ->
-      let q = ref fresh in
-      for _ = 1 to p.d + 1 do
-        q := truncate ca fresh ~level:lvl
+      !acc
+    end
+    else begin
+      C.record_n c C.Hom_mul m;
+      C.record_n c C.Hom_add (m - 1);
+      C.record_op_n c C.Op_ct_mul ~level:lvl m;
+      C.record_op_n c C.Op_ct_add ~level:lvl (m - 1);
+      let log2_n = log2 (float_of_int a.(0).run.p.nm.NM.n) in
+      let term i = log2_n +. a.(i).st.NM.bits +. b.(i).st.NM.bits in
+      let bits = ref (term 0) and degree = ref 0 in
+      for i = 0 to m - 1 do
+        if i > 0 then bits := NM.log2_add !bits (term i);
+        degree := Stdlib.max !degree (a.(i).st.NM.degree + b.(i).st.NM.degree)
       done;
-      !q
-    | _ -> fresh
-  in
-  let masked = ref q in
-  for _ = 1 to p.n_points do
-    let ip = ref q in
-    for j = 0 to p.d - 1 do
-      let prod = mul_scalar ca q ~bits:p.coord_bits in
-      ip := if j = 0 then prod else add ca !ip prod
-    done;
-    let ed = add_const p ca (sub ca q (mul_scalar ca !ip ~bits:1.0)) in
-    let ed =
-      if drop = None && p.rescale_distances then rescale_to_floor p ca ed else ed
-    in
-    let md = mul_plain p ca ed in
-    if not shared_intercept then slot_pack ca;
-    masked := add_plain p ca md
-  done;
-  send sim ~sender:Transcript.Party_a ~receiver:Transcript.Party_b
-    ~label:"masked permuted distances" ~count:p.n_points !masked;
-  let cb = phase_counter sim ~phase:"find-neighbours" ~party:"party-b" in
-  for _ = 1 to p.n_points do
-    dec cb !masked;
-    slot_unpack cb
-  done;
-  return_and_decrypt sim ~views:queries ~plain_truncations:false
+      mk a.(0).run "mul_sum" { NM.level = lvl; degree = !degree; bits = !bits }
+    end
 
-let predict ?(include_prepare = true) p path =
-  if p.n_points < 1 then invalid_arg "Cost_model.predict: empty database";
-  if p.d < 1 then invalid_arg "Cost_model.predict: dimension < 1";
-  if p.k < 1 || p.k > p.n_points then invalid_arg "Cost_model.predict: k out of range";
-  let sim = { p; rev_phases = []; tr = Transcript.create () } in
-  (match path with
-   | Plain -> predict_plain sim
-   | Prepared -> predict_prepared sim ~include_prepare
-   | Packed -> predict_packed sim ~include_prepare
-   | Batch queries -> predict_batch sim ~include_prepare ~queries);
-  let phases = List.rev sim.rev_phases in
-  let total party =
-    let acc = C.create () in
-    List.iter
-      (fun ph -> if String.equal ph.party party then C.absorb ~into:acc ph.counters)
-      phases;
-    acc
-  in
-  { phases;
-    party_a = total "party-a";
-    party_b = total "party-b";
-    client = total "client";
-    ab_bytes = Transcript.bytes_between sim.tr Transcript.Party_a Transcript.Party_b;
-    transcript = sim.tr }
+  (* Bgv.eval_poly: Horner with the leading coefficient as a scalar. *)
+  let eval_poly ~counters ?rlk ~coeffs x =
+    let d = Array.length coeffs - 1 in
+    if d = 0 then add_const ~counters (mul_scalar ~counters x 0L) coeffs.(0)
+    else begin
+      let acc = ref (mul_scalar ~counters x coeffs.(d)) in
+      for i = d - 1 downto 0 do
+        if i < d - 1 then acc := mul ~counters ?rlk !acc (align x !acc.st.NM.level);
+        acc := add_const ~counters !acc coeffs.(i)
+      done;
+      !acc
+    end
+
+  let level x = x.st.NM.level
+  let noise_bits x = x.st.NM.bits
+  let noise_budget_bits x = NM.headroom x.run.p.nm x.st
+
+  (* The exact Bgv.byte_size formula: (degree+1) residue polynomials per
+     remaining prime at 4 bytes a coefficient plus the fixed header. *)
+  let byte_size x = ((x.st.NM.degree + 1) * x.st.NM.level * x.run.p.nm.NM.n * 4) + 40
+
+  (* Driver hooks: a phase's ledger is each watched party's counter
+     delta across it; sends append to the symbolic transcript. *)
+  let phase run parties name f =
+    let before = List.map (fun (_, c) -> C.copy c) parties in
+    let outer = run.current in
+    run.current <- name;
+    let x = f () in
+    run.current <- outer;
+    List.iter2
+      (fun (party, c) b ->
+        run.rev_phases <- { phase = name; party; counters = C.diff c b } :: run.rev_phases)
+      parties before;
+    x
+
+  let send run ~sender ~receiver ~label ~bytes =
+    Transcript.send run.tr ~sender ~receiver ~label ~bytes
+
+  let prediction run =
+    let phases = List.rev run.rev_phases in
+    let total party =
+      let acc = C.create () in
+      List.iter
+        (fun ph -> if String.equal ph.party party then C.absorb ~into:acc ph.counters)
+        phases;
+      acc
+    in
+    { phases;
+      party_a = total "party-a";
+      party_b = total "party-b";
+      client = total "client";
+      ab_bytes = Transcript.bytes_between run.tr Transcript.Party_a Transcript.Party_b;
+      transcript = run.tr }
+
+  let report ?margin_bits run =
+    let steps =
+      List.rev_map
+        (fun pt ->
+          { NM.op = pt.ph ^ "/" ^ pt.op; s_level = pt.low.NM.level;
+            s_bits = pt.low.NM.bits; s_headroom = pt.room })
+        run.noise
+    in
+    NM.report_of_steps ?margin_bits steps
+end
 
 (* ------------------------------------------------------------------ *)
 (* Calibrated time prediction                                          *)

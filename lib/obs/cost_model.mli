@@ -1,20 +1,16 @@
-(** Analytic replica of the protocol's op-kind × BGV-level cost ledger.
+(** Analytic replica of the protocol's op-kind × BGV-level cost ledger
+    and noise growth.
 
-    Where {!Noise_model} forecasts how much {e noise} a circuit accrues,
-    this module forecasts how many {e ciphertext operations} it runs —
-    by symbolically executing the exact per-path circuits of
-    [lib/core/entities.ml]/[protocol.ml] and recording into fresh
-    {!Util.Counters.t} values the same ledger cells the instrumented
-    scheme records on live ciphertexts.  The test suite asserts
-    {!Util.Counters.equal_ledger} between a prediction and a measured
-    query on every preset: the model is cross-checked against the
-    ledger exactly the way the noise forecaster is cross-checked
-    against [Bgv]'s tracked bound.
-
-    Every count that depends on a noise bound (rescale loop trips, the
-    prepared level-drop rule, the packed/batched up-front query
-    truncation) is replayed with bit-identical float arithmetic, so the
-    predicted branch decisions match the live ones.
+    {!Symbolic} is a ciphertext backend whose values are
+    {!Noise_model} states.  The protocol circuit ([Entities.Make], a
+    functor over its ciphertext backend) runs on it unchanged —
+    [Attribution.predict] and [Planner.forecast] are that run — and
+    every operation records into {!Util.Counters.t} the same ledger
+    cells the instrumented scheme records on live ciphertexts.  The test
+    suite asserts {!Util.Counters.equal_ledger} between a prediction and
+    a measured query on every preset.  Branches on a noise bound (rescale
+    loop trips, the level-drop rule) are the live circuit's own, taken
+    on bit-identical floats.
 
     Combined with per-op unit costs measured by the calibration bench
     ([bench/kernels]), {!predict_seconds} turns a ledger — predicted or
@@ -23,6 +19,7 @@
 
 type params = {
   nm : Noise_model.params;  (** ring/modulus/noise numbers, shared with the forecaster *)
+  t_plain : int64;  (** plaintext modulus: scalars' noise is their centered residue *)
   q_ibits : int array;
       (** exact bit length of the RNS modulus product with [i+1] active
           primes (index [level − 1]) — [Zint.numbits], not a float
@@ -32,12 +29,8 @@ type params = {
   k : int;  (** neighbours returned *)
   per_coordinate : bool;  (** layout: per-coordinate vs dot-product *)
   mask_degree : int;
-  mask_leading_bits : float;
-      (** log2 bound on the centered magnitude of the mask's leading
-          coefficient (the one Horner applies as a scalar) *)
-  coord_bits : float;
-      (** log2 bound on a centered plaintext coordinate — the batch
-          path's scalar products *)
+  mask_coeff_bits : int;  (** requested mask-coefficient width (clamped when drawn) *)
+  max_coord_bits : int;  (** coordinates fit in this many bits *)
   rescale_distances : bool;
   return_level : int;
   use_relin : bool;
@@ -46,8 +39,8 @@ type params = {
   slots : int;  (** SIMD slot count (= ring degree here) *)
 }
 
-(** Which query pipeline to predict; [Batch m] is [Protocol.query_batch]
-    with [m] queries sharing the round. *)
+(** A query pipeline; [Batch m] is [Protocol.query_batch] with [m]
+    queries sharing the round. *)
 type path = Plain | Prepared | Packed | Batch of int
 
 type phase = {
@@ -74,12 +67,81 @@ type prediction = {
           it) agree exactly with a measured query *)
 }
 
-val predict : ?include_prepare:bool -> params -> path -> prediction
-(** Symbolically run one query (or one batch round) and return its
-    predicted ledger.  [include_prepare] (default [true]) adds the
-    prepare-db phase the first prepared/packed query of a deployment
-    pays; steady-state queries drop it.  Ignored for [Plain].
-    @raise Invalid_argument on nonsensical sizes. *)
+(** {1 The symbolic backend} *)
+
+module Symbolic : sig
+  type run
+  (** One symbolic protocol run: records per-(phase, party) ledgers, the
+      transcript, and the noise state of every operation. *)
+
+  val start : params -> run
+
+  type nonrec params = run
+  type secret_key
+  type public_key = run
+  type relin_key
+  type keys
+  type ct
+  type pt
+  type env = run
+
+  val t_plain : params -> int64
+  val ring_degree : params -> int
+  val noise_params : params -> Noise_model.params
+  val keygen : Util.Rng.t -> params -> keys
+  val secret_key : keys -> secret_key
+  val public_key : keys -> public_key
+  val relin_key : keys -> relin_key
+
+  val encrypt :
+    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> pt -> ct
+
+  val decrypt : counters:Util.Counters.t -> secret_key -> ct -> pt
+  val decrypt_coeff0 : counters:Util.Counters.t -> secret_key -> ct -> int64
+  val pt_coeffs : params -> (int -> int64) -> pt
+  val pt_const : params -> int64 -> pt
+  val pack : counters:Util.Counters.t -> params -> (int -> int64) -> pt
+  val unpack : counters:Util.Counters.t -> pt -> len:int -> int64 array
+  val coeffs : pt -> len:int -> int64 array
+  val add : counters:Util.Counters.t -> ct -> ct -> ct
+  val sub : counters:Util.Counters.t -> ct -> ct -> ct
+  val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val add_const : counters:Util.Counters.t -> ct -> int64 -> ct
+  val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
+
+  val mul :
+    counters:Util.Counters.t -> ?rlk:relin_key -> ?rescale:bool -> ct -> ct -> ct
+
+  val mul_sum :
+    counters:Util.Counters.t -> ?jobs:int -> ?rlk:relin_key -> ct array -> ct array -> ct
+
+  val truncate : counters:Util.Counters.t -> ct -> int -> ct
+  val rescale_to_floor : counters:Util.Counters.t -> ct -> ct
+
+  val eval_poly :
+    counters:Util.Counters.t -> ?rlk:relin_key -> coeffs:int64 array -> ct -> ct
+
+  val level : ct -> int
+  val noise_bits : ct -> float
+  val noise_budget_bits : ct -> float
+  val byte_size : ct -> int
+
+  val phase :
+    env -> (string * Util.Counters.t) list -> string -> (unit -> 'a) -> 'a
+  (** One {!phase} entry per watched party: its counter delta across [f]. *)
+
+  val send :
+    env -> sender:Transcript.party -> receiver:Transcript.party -> label:string ->
+    bytes:int -> unit
+
+  val prediction : run -> prediction
+  (** The phases and transcript recorded so far. *)
+
+  val report : ?margin_bits:float -> run -> Noise_model.report
+  (** The lowest-headroom state of every (phase, operation) the run
+      produced, in first-seen order. *)
+end
 
 (** {1 Calibrated time} *)
 

@@ -24,6 +24,12 @@ let log2_add a b =
 
 let log2_n p = log2 (float_of_int p.n)
 
+let make ~n ~t_plain ~moduli ~eta =
+  { n;
+    t_bits = log2 (Int64.to_float t_plain);
+    moduli_bits = Array.map (fun m -> log2 (float_of_int m)) moduli;
+    eta = float_of_int eta }
+
 let fresh_noise_bits p =
   let n = float_of_int p.n in
   p.t_bits +. log2 (0.5 +. (p.eta *. ((2.0 *. n) +. 1.0)))
@@ -61,6 +67,8 @@ let mul p a b =
   { level = Stdlib.min a.level b.level;
     degree = a.degree + b.degree;
     bits = log2_n p +. a.bits +. b.bits }
+
+let sum st ~terms = { st with bits = st.bits +. log2 (float_of_int terms) }
 
 (* Σᵢ aᵢ·bᵢ over m uniform terms: one product's bits plus log2 m (the
    exact term-order log2_add fold is bounded by this and equals it for
@@ -106,7 +114,7 @@ let truncate st ~level =
   { st with level }
 
 (* ------------------------------------------------------------------ *)
-(* Forecast traces                                                     *)
+(* Forecast reports                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type step = { op : string; s_level : int; s_bits : float; s_headroom : float }
@@ -118,18 +126,7 @@ type report = {
   below_margin : bool;
 }
 
-type trace = { t_params : params; mutable rev_steps : step list }
-
-let start p = { t_params = p; rev_steps = [] }
-
-let step tr op st =
-  tr.rev_steps <-
-    { op; s_level = st.level; s_bits = st.bits; s_headroom = headroom tr.t_params st }
-    :: tr.rev_steps;
-  st
-
-let report ?(margin_bits = 4.0) tr =
-  let steps = List.rev tr.rev_steps in
+let report_of_steps ?(margin_bits = 4.0) steps =
   let min_headroom_bits =
     List.fold_left (fun m s -> Float.min m s.s_headroom) infinity steps
   in

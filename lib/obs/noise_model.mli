@@ -1,10 +1,11 @@
 (** Log2-domain noise-growth forecaster for the BGV chain.
 
     A pure replica of the scheme's tracked noise bound over plain
-    numeric parameters, so worst-case end-of-circuit headroom can be
-    predicted {e before} any ciphertext exists — at [Party_a.prepare]
-    time — and a deployment whose parameter chain is too shallow for its
-    circuit warns instead of failing mid-query.  Every formula mirrors
+    numeric parameters: the arithmetic of {!Cost_model.Symbolic}, on
+    which the protocol circuit runs to predict worst-case headroom
+    {e before} any ciphertext exists, so a deployment whose parameter
+    chain is too shallow for its circuit warns instead of failing
+    mid-query.  Every formula mirrors
     [lib/bgv/bgv.ml]'s bookkeeping (the test suite cross-checks the two
     against live ciphertexts). *)
 
@@ -20,6 +21,10 @@ type state = {
   degree : int;  (** ciphertext degree (components − 1) *)
   bits : float;  (** log2 bound on the decryption noise term *)
 }
+
+val make : n:int -> t_plain:int64 -> moduli:int array -> eta:int -> params
+(** The log2 view of a parameter set: ring degree, plaintext modulus,
+    RNS chain and noise width. *)
 
 val log2_add : float -> float -> float
 val fresh_noise_bits : params -> float
@@ -42,6 +47,9 @@ val mul_scalar : state -> bits:float -> state
 
 val mul : params -> state -> state -> state
 
+val sum : state -> terms:int -> state
+(** Sum of [terms] ciphertexts with this bound: [bits + log2 terms]. *)
+
 val mul_sum : params -> state -> state -> terms:int -> state
 (** Inner product of [terms] uniform worst-case pairs.
     @raise Invalid_argument if [terms < 1]. *)
@@ -51,7 +59,7 @@ val modswitch : params -> state -> state
 val rescale_to_floor : params -> state -> state
 val truncate : state -> level:int -> state
 
-(** {1 Forecast traces} *)
+(** {1 Forecast reports} *)
 
 type step = { op : string; s_level : int; s_bits : float; s_headroom : float }
 
@@ -62,15 +70,9 @@ type report = {
   below_margin : bool;
 }
 
-type trace
-
-val start : params -> trace
-
-val step : trace -> string -> state -> state
-(** Record the state after [op] and return it unchanged, so circuit
-    composition reads as a pipeline. *)
-
-val report : ?margin_bits:float -> trace -> report
-(** [margin_bits] defaults to 4. *)
+val report_of_steps : ?margin_bits:float -> step list -> report
+(** The minimum headroom over [steps] against [margin_bits] (default 4).
+    [Cost_model.Symbolic] collects the steps by running the protocol
+    circuit on noise states. *)
 
 val pp_report : Format.formatter -> report -> unit

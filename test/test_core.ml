@@ -555,7 +555,12 @@ let test_packed_audit_surface () =
    | Some (Audit.Ints a) ->
      Alcotest.(check (array int)) "groups match view"
        (Leakage.equidistant_group_sizes r.Protocol.view_b) a
-   | _ -> Alcotest.fail "groups not recorded as Ints")
+   | _ -> Alcotest.fail "groups not recorded as Ints");
+  (* Owner-delegated mode: Party A's plaintext access is declared, n·d
+     coordinates (lockstep with sknn-lint.conf). *)
+  match Audit.value_of audit ~party:"party-a" ~label:"plaintext-database" with
+  | Some (Audit.Int nd) -> Alcotest.(check int) "plaintext database = n x d" (20 * 3) nd
+  | _ -> Alcotest.fail "plaintext-database not audited for party-a"
 
 let test_query_batch () =
   (* M queries ride the slot dimension of one protocol round.  Each
@@ -702,6 +707,8 @@ let test_leakage_audit_channel () =
    | _ -> Alcotest.fail "groups not recorded as Ints");
   let a_entries = Audit.for_party audit ~party:"party-a" in
   Alcotest.(check bool) "party-a observed" true (a_entries <> []);
+  Alcotest.(check bool) "party-a never holds the plaintext database" false
+    (List.mem "plaintext-database" (Audit.labels_for audit ~party:"party-a"));
   List.iter
     (fun (e : Audit.entry) ->
       match e.Audit.value with
@@ -877,6 +884,39 @@ let test_predict_end_to_end_consistency () =
     (Marshal.to_string (Clock.replay Profile.wan r.Protocol.transcript) [])
     (Marshal.to_string live [])
 
+(* The paper uses the (S)HE scheme as a black box: the distance + mask
+   pipeline (Algorithm 1) is one functor over its ciphertext backend.  On
+   the live backend it yields an order-preserving masked image of the
+   true distances; on the symbolic backend the same code records the
+   identical op ledger, cell for cell. *)
+let test_black_box_pipeline () =
+  let db = small_db (Rng.of_int 701) in
+  let n = Array.length db and d = Array.length db.(0) in
+  List.iter
+    (fun (name, config) ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 702) config ~db in
+      let q = Synthetic.query_like (Rng.of_int 703) db in
+      let a = Protocol.party_a dep in
+      let rng = Rng.of_int 704 in
+      let q_enc = Entities.Client.encrypt_query (Protocol.client dep) rng q in
+      Util.Counters.reset (Entities.Party_a.counters a);
+      let _, masked = Entities.Party_a.compute_distances a rng q_enc in
+      let view = Entities.Party_b.select_neighbours (Protocol.party_b dep) masked ~k:3 in
+      let true_dists = Array.map (fun p -> Distance.squared_euclidean q p) db in
+      Alcotest.(check bool) (name ^ ": live masking order-preserving") true
+        (Leakage.recovers_true_order view true_dists);
+      let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k:3 CM.Plain in
+      match
+        List.find_opt
+          (fun ph -> ph.CM.phase = "compute-distances" && ph.CM.party = "party-a")
+          pred.CM.phases
+      with
+      | None -> Alcotest.failf "%s: no symbolic compute-distances phase" name
+      | Some ph ->
+        check_ledger (name ^ ": symbolic pipeline ledger") ph.CM.counters
+          (Entities.Party_a.counters a))
+    [ ("standard", Config.standard ()); ("fast", Config.fast ()) ]
+
 let test_net_timeline_jobs_determinism () =
   (* The replayed timeline is a pure function of (transcript, profile),
      and the transcript is jobs-invariant — so the whole virtual
@@ -972,6 +1012,8 @@ let () =
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick
            test_net_timeline_jobs_determinism ]);
+      ("black box",
+       [ Alcotest.test_case "distance + mask pipeline" `Quick test_black_box_pipeline ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_masking_order_preserving; prop_masking_fresh_each_draw; prop_end_to_end_exact ]) ]

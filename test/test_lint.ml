@@ -29,6 +29,7 @@ let expected =
     (Lint_config.Secret_flow, "bad_flow_field.ml", 1);
     (Lint_config.Constant_time, "bad_ct_branch.ml", 2);
     (Lint_config.Constant_time, "bad_ct_index.ml", 2);
+    (Lint_config.Constant_time, "bad_ct_functor.ml", 1);
     (Lint_config.Unused_allow, "bad_stale_allow.ml", 1) ]
 
 let test_every_rule_fires () =

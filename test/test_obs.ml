@@ -294,6 +294,50 @@ let test_span_tree_jobs_determinism () =
   Alcotest.(check string) "counters identical (client)"
     (cs r1.Protocol.counters_client) (cs r4.Protocol.counters_client)
 
+(* Every second is attributed to exactly one party: no non-Chunk span of
+   any query path carries two parties' counter deltas, and Return-kNN's
+   work lands in one-party child spans (B's indicator rows, A's row
+   selections). *)
+let test_one_party_per_span () =
+  let module CM = Sknn_obs.Cost_model in
+  let db = Synthetic.uniform (Rng.of_int 78) ~n:12 ~d:3 ~max_value:100 in
+  List.iter
+    (fun path ->
+      let label = Planner.path_name path in
+      let trace = Trace.create () in
+      let obs = Ctx.create ~trace () in
+      let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 5) ~jobs:2 (Config.fast ()) ~db in
+      let m = match path with CM.Batch m -> m | _ -> 1 in
+      ignore (Protocol.round ~obs dep path ~queries:(Array.make m [| 10; 20; 30 |]) ~k:2);
+      let rec walk (s : Trace.span) =
+        if s.Trace.kind <> Trace.Chunk then begin
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s carries at most one party" label s.Trace.name)
+            true
+            (List.length s.Trace.deltas <= 1);
+          List.iter walk s.Trace.children
+        end
+      in
+      List.iter walk (Trace.roots trace);
+      let rec find name (s : Trace.span) =
+        if s.Trace.name = name then Some s else List.find_map (find name) s.Trace.children
+      in
+      match List.find_map (find "return-knn") (Trace.roots trace) with
+      | None -> Alcotest.failf "%s: no return-knn phase" label
+      | Some rk ->
+        let owners name =
+          List.sort_uniq String.compare
+            (List.concat_map
+               (fun (c : Trace.span) ->
+                 if c.Trace.name = name then List.map fst c.Trace.deltas else [])
+               rk.Trace.children)
+        in
+        Alcotest.(check (list string)) (label ^ ": indicator rows are B's") [ "party-b" ]
+          (owners "indicator-row");
+        Alcotest.(check (list string)) (label ^ ": row selections are A's") [ "party-a" ]
+          (owners "select-row"))
+    Sknn_obs.Cost_model.[ Plain; Prepared; Packed; Batch 2 ]
+
 let test_chunk_spans_partition () =
   (* At jobs=2 the "distance-batches" stage must carry exactly 2 chunk
      spans partitioning [0, n). *)
@@ -749,7 +793,7 @@ let test_forecast_default_is_quiet () =
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
   let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 (Config.fast ()) ~db in
-  let report = Entities.Party_a.forecast_noise (Protocol.party_a dep) in
+  let report = Protocol.forecast_noise dep in
   Alcotest.(check bool) "steps recorded" true (List.length report.NM.steps > 5);
   Alcotest.(check bool) "default preset clears the margin" false
     report.NM.below_margin;
@@ -790,7 +834,7 @@ let test_forecast_shallow_chain_warns () =
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
   let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 shallow ~db in
-  let report = Entities.Party_a.forecast_noise (Protocol.party_a dep) in
+  let report = Protocol.forecast_noise dep in
   Alcotest.(check bool) "below margin" true report.NM.below_margin;
   Alcotest.(check bool) "headroom below margin" true
     (report.NM.min_headroom_bits < report.NM.margin_bits);
@@ -1078,7 +1122,8 @@ let () =
        [ Alcotest.test_case "disabled passthrough" `Quick test_trace_disabled_passthrough;
          Alcotest.test_case "nesting" `Quick test_trace_nesting;
          Alcotest.test_case "counter deltas" `Quick test_trace_counter_deltas;
-         Alcotest.test_case "span survives raise" `Quick test_trace_span_survives_raise ]);
+         Alcotest.test_case "span survives raise" `Quick test_trace_span_survives_raise;
+         Alcotest.test_case "one party per span" `Quick test_one_party_per_span ]);
       ("sinks",
        [ Alcotest.test_case "chrome JSON" `Quick test_sink_chrome;
          Alcotest.test_case "jsonl lines" `Quick test_sink_jsonl;
