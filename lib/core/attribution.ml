@@ -56,8 +56,7 @@ let model_params_probe (pr : Params.probe) ~layout ~mask_degree ~mask_coeff_bits
     return_level;
     use_relin;
     relin_digit_bits = w;
-    relin_rows = (q_ibits.(Array.length moduli - 1) + w - 1) / w;
-    slots = pr.Params.pr_n }
+    relin_rows = (q_ibits.(Array.length moduli - 1) + w - 1) / w }
 
 let model_params (config : Config.t) ~n ~d ~k : CM.params =
   model_params_probe

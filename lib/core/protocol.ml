@@ -111,14 +111,10 @@ let observe_net obs tr = function
 (* Prepared state and its noise guard                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The forecast path that prices a prepared state: the batch round runs
-   the packed state's circuit with per-slot masks. *)
-let forecast_path = function CM.Batch _ -> CM.Packed | p -> p
-
 let forecast_noise ?(margin_bits = 4.0) ?(path = CM.Prepared) d =
   Planner.forecast ~margin_bits
     (Attribution.model_params (config d) ~n:(db_size d) ~d:(dimension d) ~k:1)
-    (forecast_path path)
+    path
 
 (* Before a prepared state is built, the worst-case symbolic run of its
    circuit is audited; a forecast below the margin warns (audit entry,

@@ -37,7 +37,6 @@ type params = {
   use_relin : bool;
   relin_digit_bits : int;
   relin_rows : int;
-  slots : int;
 }
 
 type path = Plain | Prepared | Packed | Batch of int

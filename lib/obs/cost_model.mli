@@ -36,7 +36,6 @@ type params = {
   use_relin : bool;
   relin_digit_bits : int;
   relin_rows : int;  (** gadget rows in the relinearisation key *)
-  slots : int;  (** SIMD slot count (= ring degree here) *)
 }
 
 (** A query pipeline; [Batch m] is [Protocol.query_batch] with [m]
