@@ -24,6 +24,16 @@ let split_streams rng n = Array.init n (fun _ -> Rng.split rng)
 
 let squared_norm point = Array.fold_left (fun s v -> s + (v * v)) 0 point
 
+(* The slot return's block width d': the smallest power of two >= d, so
+   a block never straddles two slot plaintexts (the slot count is a
+   power of two, and d <= slots). *)
+let block_width d =
+  let rec go w = if w >= d then w else go (2 * w) in
+  go 1
+
+(* ⌈n·d'/N⌉: how many slot plaintexts hold n blocks of width d'. *)
+let block_count ~n ~width ~slots = ((n * width) + slots - 1) / slots
+
 type mask_source = Entities_intf.mask_source
 
 let draw_mask rng ~t_plain ~input_bits ~degree ~coeff_bits =
@@ -60,6 +70,15 @@ module Make (Live : CT) = struct
   (* Slot-batched multi-query form: ciphertext j carries query m's j-th
      coordinate in slot m, so M queries ride one set of d+1 ciphertexts. *)
   type batched_query = { bq_coords : ct array; bq_norm : ct; bq_count : int; bq_dim : int }
+
+  (* What Party A answers each rank from: Π(P') as per-point return
+     ciphertexts (Algorithm 3), or the Π-permuted plaintext points packed
+     point-major into slot blocks (the slot return). *)
+  type returned = Points of ct array | Blocks of Live.pt array
+
+  type result = Coeff_point of ct | Slot_block of ct
+
+  let result_ct = function Coeff_point c | Slot_block c -> c
 
   let cts_bytes = Array.fold_left (fun s c -> s + Live.byte_size c) 0
   let opt_cts = function None -> [||] | Some c -> [| c |]
@@ -389,15 +408,37 @@ module Make (Live : CT) = struct
       let perm = permute obs rng t.db.db_n in
       ({ masks; perm }, Perm.apply perm masked)
 
-    let select_row ?(obs = Obs.disabled) t permuted_packed row =
-      (* T^j = Π(P')·B^j summed: one re-randomised encrypted point.  The
-         inner product is fused and split across domains; return_knn
-         keeps the k rows sequential so parallelism is never nested. *)
+    (* One rank's answer, split across domains; return_knn keeps the k
+       rows sequential so parallelism is never nested. *)
+    let select_row ?(obs = Obs.disabled) t returned row =
       Obs.with_pool_chunks obs ~label:"select-row" (fun () ->
-          Live.mul_sum ~counters:t.counters ~jobs:t.jobs permuted_packed row)
+          match returned with
+          | Points packed ->
+            (* T^j = Π(P')·B^j summed: one re-randomised encrypted point,
+               as one fused inner product. *)
+            Coeff_point (Live.mul_sum ~counters:t.counters ~jobs:t.jobs packed row)
+          | Blocks blocks ->
+            (* Σ_b ind_b·blk_b: only the selected block's indicator is
+               non-zero, so the sum is one degree-1 ciphertext carrying
+               that point's block.  Products in parallel, then added in
+               block order so the noise bound folds identically for
+               every job count. *)
+            if Array.length row <> Array.length blocks then
+              invalid_arg "Party_a.select_row: indicator count mismatch";
+            let terms =
+              Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+                ~f:(fun counters b ind -> Live.mul_plain ~counters ind blocks.(b))
+                row
+            in
+            let acc = ref terms.(0) in
+            for b = 1 to Array.length terms - 1 do
+              acc := Live.add ~counters:t.counters !acc terms.(b)
+            done;
+            Slot_block !acc)
 
-    let permuted_packed t state = Perm.apply state.perm (return_packed t)
-    let permuted_packed_prepared prep state = Perm.apply state.perm prep.prep_return_packed
+    let permuted_packed t state = Points (Perm.apply state.perm (return_packed t))
+    let permuted_packed_prepared prep state =
+      Points (Perm.apply state.perm prep.prep_return_packed)
 
     (* ---- Slot-packed (SIMD) path --------------------------------- *)
 
@@ -408,12 +449,14 @@ module Make (Live : CT) = struct
        batch of N = slot_count points then costs d plain products plus
        adds instead of N ciphertext products, and Party B decrypts
        ceil(n/N) ciphertexts instead of n.  B's §5 view (masked permuted
-       distance multiset, n, k) is unchanged; A's plaintext access is
-       declared through the audit channel in [prepare_packed]. *)
+       distance multiset, n, k) gains only the slot return's block width
+       d'; A's plaintext access is declared through the audit channel in
+       [prepare_packed]. *)
     type prepared_packed = {
+      pp_params : params;
+      pp_counters : Counters.t;     (* Party A's: the per-query block packing is its work *)
       pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
       pp_norms : int64 array;       (* ‖p_i‖² mod t *)
-      pp_return_packed : ct array;  (* return-level packed points, as in [prepared] *)
     }
 
     let prepare_packed ?(obs = Obs.disabled) t ~db =
@@ -426,12 +469,13 @@ module Make (Live : CT) = struct
       Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"plaintext-database"
         (Audit.Int (n * d));
       let tp = Live.t_plain config.Config.bgv in
-      { pp_cols =
+      { pp_params = config.Config.bgv;
+        pp_counters = t.counters;
+        pp_cols =
           Array.init d (fun j ->
               Array.init n (fun i -> Mod64.reduce tp (Int64.of_int db.(i).(j))));
         pp_norms =
-          Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i))));
-        pp_return_packed = return_packed t }
+          Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i)))) }
 
     (* The packed and batched circuits truncate the query ciphertexts up
        front, at the level the level-drop rule picks for the predicted
@@ -528,7 +572,22 @@ module Make (Live : CT) = struct
       in
       ({ masks; perm }, masked)
 
-    let permuted_return_packed pp state = Perm.apply state.perm pp.pp_return_packed
+    (* The slot return's plaintext side, point-major: permuted point i
+       takes slots [i·d', i·d'+d) of block ⌊i·d'/N⌋, zeros elsewhere.
+       Re-packed per query under that query's Π, like the distance
+       columns. *)
+    let permuted_return_packed pp state =
+      let params = pp.pp_params in
+      let slots = Live.ring_degree params in
+      let d = Array.length pp.pp_cols and n = Array.length pp.pp_norms in
+      let width = block_width d in
+      let src = Perm.apply state.perm (Array.init n Fun.id) in
+      Blocks
+        (Array.init (block_count ~n ~width ~slots) (fun b ->
+             Live.pack ~counters:pp.pp_counters params (fun s ->
+                 let g = (b * slots) + s in
+                 let i = g / width and c = g mod width in
+                 if i < n && c < d then pp.pp_cols.(c).(src.(i)) else 0L)))
 
     (* ---- Slot-batched multi-query evaluation --------------------- *)
 
@@ -614,17 +673,22 @@ module Make (Live : CT) = struct
       config : config;
       sk : Live.secret_key;
       pk : Live.public_key;
+      block_width : int;  (* d', handed over at deploy like n *)
       counters : Counters.t;
       jobs : int;
     }
 
-    let create ?jobs config sk pk =
+    let create ?jobs ~block_width config sk pk =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      { config; sk; pk; counters = Counters.create (); jobs }
+      { config; sk; pk; block_width; counters = Counters.create (); jobs }
 
     let counters t = t.counters
 
-    type view = Leakage.view = { masked_distances : int64 array; selected : int array }
+    type view = Leakage.view = {
+      masked_distances : int64 array;
+      selected : int array;
+      block_width : int option;
+    }
 
     let check_k ~n ~k = if k < 1 || k > n then invalid_arg "Party_b: k out of range"
 
@@ -634,7 +698,8 @@ module Make (Live : CT) = struct
     let select_top_k obs ~k f =
       Obs.with_span obs ~args:[ ("k", string_of_int k) ] "select-top-k" f
 
-    let view_of ~k masked = { masked_distances = masked; selected = Util.Topk.smallest ~k masked }
+    let view_of ?block_width ~k masked =
+      { masked_distances = masked; selected = Util.Topk.smallest ~k masked; block_width }
 
     let select_neighbours ?(obs = Obs.disabled) t cts ~k =
       let n = Array.length cts in
@@ -675,7 +740,7 @@ module Make (Live : CT) = struct
               cts;
             out)
       in
-      select_top_k obs ~k (fun () -> view_of ~k masked)
+      select_top_k obs ~k (fun () -> view_of ~block_width:t.block_width ~k masked)
 
     let select_views_batch ?(obs = Obs.disabled) t cts ~m:nqueries ~k =
       let n = Array.length cts in
@@ -694,20 +759,37 @@ module Make (Live : CT) = struct
               cts)
       in
       select_top_k obs ~k (fun () ->
-          Array.init nqueries (fun q -> view_of ~k (Array.init n (fun i -> slot_rows.(i).(q)))))
+          Array.init nqueries (fun q ->
+              view_of ~block_width:t.block_width ~k
+                (Array.init n (fun i -> slot_rows.(i).(q)))))
 
+    (* The j-th indicator at the return level.  Per-point views get
+       Algorithm 3's n encrypted bits; slot views get ⌈n·d'/N⌉ slot
+       indicators, all zero but the one holding the selected point's
+       d'-slot block, which is all ones. *)
     let indicator_row ?(obs = Obs.disabled) t rng view ~n ~j =
       let params = t.config.Config.bgv in
       let level =
         Stdlib.min t.config.Config.return_level (chain_length params)
       in
       let sel = view.selected.(j) in
-      let rngs = split_streams rng n in
+      let count, plaintext =
+        match view.block_width with
+        | None -> (n, fun ~counters:_ i -> constant params (if i = sel then 1 else 0))
+        | Some width ->
+          let slots = Live.ring_degree params in
+          let first = sel * width in
+          ( block_count ~n ~width ~slots,
+            fun ~counters b ->
+              Live.pack ~counters params (fun s ->
+                  let g = (b * slots) + s in
+                  if g >= first && g < first + width then 1L else 0L) )
+      in
+      let rngs = split_streams rng count in
       Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
           Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
             ~f:(fun counters i rng ->
-              let bit = if i = sel then 1 else 0 in
-              Live.encrypt ~counters ~level rng t.pk (constant params bit))
+              Live.encrypt ~counters ~level rng t.pk (plaintext ~counters i))
             rngs)
 
     let find_neighbours ?obs t rng cts ~k =
@@ -794,12 +876,29 @@ module Make (Live : CT) = struct
         bq_count = m;
         bq_dim = d }
 
-    let decrypt_points ?(obs = Obs.disabled) t ~d cts =
+    (* A slot result is zeros plus one d'-slot block, so coordinate c is
+       the sum of the slots ≡ c mod d' — wherever Π put the block, and
+       even when the point is all zeros. *)
+    let decrypt_points ?(obs = Obs.disabled) t ~d results =
+      let params = t.config.Config.bgv in
+      let tp = Live.t_plain params and slots = Live.ring_degree params in
+      let width = block_width d in
       Obs.with_pool_chunks obs ~label:"decrypt-result" (fun () ->
           Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-            ~f:(fun counters _ ct ->
-              Array.map Int64.to_int (Live.coeffs (Live.decrypt ~counters t.sk ct) ~len:d))
-            cts)
+            ~f:(fun counters _ result ->
+              match result with
+              | Coeff_point ct ->
+                Array.map Int64.to_int (Live.coeffs (Live.decrypt ~counters t.sk ct) ~len:d)
+              | Slot_block ct ->
+                let s = Live.unpack ~counters (Live.decrypt ~counters t.sk ct) ~len:slots in
+                let point = Array.make width 0L in
+                Array.iteri
+                  (fun i v ->
+                    let c = i mod width in
+                    point.(c) <- Mod64.add tp point.(c) v)
+                  s;
+                Array.init d (fun c -> Int64.to_int point.(c)))
+            results)
   end
 
   (* ---------------------------------------------------------------- *)
@@ -851,7 +950,10 @@ module Make (Live : CT) = struct
         db_d = Array.length db.(0);
         db;
         a = Party_a.create ?jobs ?mask_source config pk (Live.relin_key keys) enc_db;
-        b = Party_b.create ?jobs config sk pk;
+        (* Party B learns d' here, as it learns n: no message carries it. *)
+        b =
+          Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk
+            pk;
         cl = Client.create ?jobs config sk pk;
         query_seed = Rng.split rng;
         setup;
@@ -920,9 +1022,10 @@ module Make (Live : CT) = struct
 
     (* One protocol round on any path: the client encrypts, A computes
        the masked distances (Algorithm 1), B decrypts and selects
-       (Algorithm 2), B's indicator rows stream to A row by row so the
-       O(nk) ciphertexts never live in memory at once, A returns the
-       selected points (Algorithm 3), the client decrypts.  A [Batch m]
+       (Algorithm 2), B's indicator rows stream to A one rank at a time
+       (n encrypted bits each on the per-point paths, ⌈n·d'/N⌉ slot
+       indicators on the packed ones), A returns the selected points
+       (Algorithm 3 or the slot return), the client decrypts.  A [Batch m]
        round answers the m [queries] at once; every other path takes one.
        Party counters are reset at the start, so they report this round;
        the backend's [phase]/[send] hooks time it and record its
@@ -994,6 +1097,10 @@ module Make (Live : CT) = struct
       (match path with
        | CM.Batch _ -> audit "party-b" "find-neighbours" "batch-query-count" (Audit.Int m)
        | _ -> ());
+      (* The slot return shows B the block width d' its indicators cover. *)
+      Option.iter
+        (fun w -> audit "party-b" "find-neighbours" "return-block-width" (Audit.Int w))
+        views.(0).Party_b.block_width;
       Array.iter
         (fun view ->
           audit "party-b" "find-neighbours" "masked-distance-multiset"
@@ -1002,7 +1109,7 @@ module Make (Live : CT) = struct
             (Audit.Ints (Leakage.equidistant_group_sizes view)))
         views;
       (* Return kNN: each party's work in its own child span. *)
-      let indicator_bytes = ref 0 in
+      let indicators = ref 0 and indicator_bytes = ref 0 in
       let results =
         phase [ pa; pb ] "return-knn" (fun () ->
             let packed =
@@ -1017,6 +1124,7 @@ module Make (Live : CT) = struct
                           Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j)
                     in
                     let bytes = cts_bytes row in
+                    indicators := !indicators + Array.length row;
                     indicator_bytes := !indicator_bytes + bytes;
                     send Transcript.Party_b Transcript.Party_a
                       (Printf.sprintf "indicator vector B^%d" (j + 1))
@@ -1025,12 +1133,12 @@ module Make (Live : CT) = struct
                         Party_a.select_row ~obs d.a packed row)))
               views)
       in
-      Array.iter (fun cts -> sample_cts obs ~name:"result" cts) results;
-      audit "party-a" "return-knn" "indicator-ciphertexts"
-        (Audit.Int (Array.length views * k * d.db_n));
+      let result_cts = Array.map (Array.map result_ct) results in
+      Array.iter (fun cts -> sample_cts obs ~name:"result" cts) result_cts;
+      audit "party-a" "return-knn" "indicator-ciphertexts" (Audit.Int !indicators);
       audit "party-a" "return-knn" "indicator-bytes" (Audit.Int !indicator_bytes);
       send Transcript.Party_a Transcript.Client "encrypted k-NN result"
-        (Array.fold_left (fun s cts -> s + cts_bytes cts) 0 results);
+        (Array.fold_left (fun s cts -> s + cts_bytes cts) 0 result_cts);
       let neighbours =
         phase [ pc ] "decrypt-result" (fun () ->
             Array.map (fun cts -> Client.decrypt_points ~obs d.cl ~d:d.db_d cts) results)

@@ -22,6 +22,10 @@ module type CT = Entities_intf.CT
 
 type mask_source = Entities_intf.mask_source
 
+val block_width : int -> int
+(** d', the slot return's block width for dimension d: the smallest
+    power of two [>= d]. *)
+
 module type S = Entities_intf.S
 (** The protocol over one backend. *)
 

@@ -128,6 +128,21 @@ module type S = sig
   (** Slot-batched multi-query form: M queries ride one set of [d + 1]
       ciphertexts through the packed pipeline. *)
 
+  type returned
+  (** What Party A answers each rank of Return-kNN from: [Π(P')] as
+      per-point return ciphertexts on the plain and prepared paths, or
+      its plaintext points re-packed point-major into slot blocks under
+      the query's Π on the packed and batch paths. *)
+
+  (** One encrypted neighbour, as Party A returns it to the client. *)
+  type result =
+    | Coeff_point of ct
+        (** Algorithm 3: the point's coordinates in coefficients [0, d). *)
+    | Slot_block of ct
+        (** Slot return: zeros except one block of d' slots (d' the
+            smallest power of two [>= d]) at the point's Π position,
+            whose first d slots are its coordinates. *)
+
   val query_bytes : encrypted_query -> int
 
   (** {1 Data owner} *)
@@ -178,18 +193,24 @@ module type S = sig
         ["distance-batches"] (with per-point pool chunks) and ["permute"]
         sub-stages. *)
 
-    val return_knn : ?obs:Sknn_obs.Ctx.t -> t -> query_state -> ct array array -> ct array
+    val return_knn : ?obs:Sknn_obs.Ctx.t -> t -> query_state -> ct array array -> result array
     (** Algorithm 3: given the k indicator vectors [B^j] (in permuted
         index space), returns k re-randomised encryptions of the
         neighbour points (coefficient-packed). *)
 
-    val permuted_packed : t -> query_state -> ct array
+    val permuted_packed : t -> query_state -> returned
     (** [Π(P')] at the return level — the first step of Algorithm 3,
         exposed so the protocol driver can stream indicator rows. *)
 
-    val select_row : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> ct array -> ct
-    (** [select_row t Π(P') B^j] computes the inner product and sum of
-        one indicator row: one encrypted neighbour point. *)
+    val select_row : ?obs:Sknn_obs.Ctx.t -> t -> returned -> ct array -> result
+    (** [select_row t returned row] answers one rank from its indicator
+        row.  Per-point: [Π(P')·B^j] as one n-term inner product, a
+        {!Coeff_point}.  Slot blocks: [Σ_b row.(b)·blk_b] — [⌈n·d'/N⌉]
+        plain products and their sum, one degree-1 {!Slot_block}.
+        Either way the products run over [jobs] domains and the result
+        is bit-identical for every job count.
+        @raise Invalid_argument when a slot row's length is not the
+        block count. *)
 
     val state_mask : query_state -> Masking.t
     val state_perm : query_state -> Util.Perm.t
@@ -223,7 +244,7 @@ module type S = sig
         distance is truncated by the level-drop rule before masking.
         Results are bit-identical for every job count. *)
 
-    val permuted_packed_prepared : prepared -> query_state -> ct array
+    val permuted_packed_prepared : prepared -> query_state -> returned
     (** {!permuted_packed} from the prepared cache (the return-level
         truncation was done once in {!prepare}). *)
 
@@ -237,15 +258,15 @@ module type S = sig
         encrypted.  A batch of [N = slot_count] points then costs [d]
         plain products plus adds instead of [N] ciphertext products, and
         Party B decrypts [⌈n/N⌉] ciphertexts instead of [n].  Party B's
-        §5 view (the masked permuted distance multiset, [n] and [k]) is
-        unchanged; Party A's plaintext access is audited. *)
+        §5 view (the masked permuted distance multiset, [n] and [k]) gains
+        only the slot return's block width d'; Party A's plaintext access
+        is audited. *)
 
     type prepared_packed
 
     val prepare_packed : ?obs:Sknn_obs.Ctx.t -> t -> db:int array array -> prepared_packed
     (** Lays [db] (the plaintext database, dimension-major) out for the
-        packed path, caches the return-level packed ciphertexts, and
-        audits [party-a/prepare-db/plaintext-database] (= n·d plaintext
+        packed path and audits [party-a/prepare-db/plaintext-database] (= n·d plaintext
         coordinates handed to Party A).  Requires affine masking and
         [d <= n].
         @raise Invalid_argument when the config is unsupported or [db]
@@ -265,8 +286,12 @@ module type S = sig
         applied predictively.  Results, counters and transcripts are
         bit-identical for every job count. *)
 
-    val permuted_return_packed : prepared_packed -> query_state -> ct array
-    (** {!permuted_packed_prepared} for the packed state. *)
+    val permuted_return_packed : prepared_packed -> query_state -> returned
+    (** The slot return's blocks for one query: permuted point [i] takes
+        slots [[i·d', i·d'+d)] of block [⌊i·d'/N⌋] (zeros elsewhere), so
+        [⌈n·d'/N⌉] slot plaintexts, packed under the query's Π.  Replaces
+        the per-point return ciphertexts on the packed and batch paths;
+        nothing is kept at prepare time. *)
 
     (** {2 Slot-batched multi-query evaluation} *)
 
@@ -284,7 +309,7 @@ module type S = sig
         one permutation — the batch mode's extra declared leakage
         (audited as ["batch-query-count"]). *)
 
-    val permuted_return_packed_batch : prepared_packed -> batch_state -> ct array
+    val permuted_return_packed_batch : prepared_packed -> batch_state -> returned
     val batch_state_masks : batch_state -> Masking.t array
     val batch_state_perm : batch_state -> Util.Perm.t
     (** Exposed for the leakage-audit tests only, like {!state_mask}. *)
@@ -295,16 +320,21 @@ module type S = sig
   module Party_b : sig
     type t
 
-    val create : ?jobs:int -> config -> secret_key -> public_key -> t
-    (** [jobs] parallelises {!indicator_row}'s batch encryption only; the
-        decrypt-and-select half of Algorithm 2 always runs in B's own
-        domain (it touches secret-key material). *)
+    val create : ?jobs:int -> block_width:int -> config -> secret_key -> public_key -> t
+    (** [block_width] is d', the slot return's block width, given to B at
+        deploy as n is (no message carries it); only the packed and batch
+        paths use it.  [jobs] parallelises {!indicator_row}'s batch
+        encryption only; the decrypt-and-select half of Algorithm 2
+        always runs in B's own domain (it touches secret-key material). *)
 
     val counters : t -> Util.Counters.t
 
     type view = Leakage.view = {
       masked_distances : int64 array;  (** What B actually decrypts, in A's permuted order. *)
       selected : int array;  (** Permuted indices of the k chosen minima. *)
+      block_width : int option;
+          (** [Some d'] when the view came from slot-packed distances:
+              {!indicator_row} then builds slot indicators. *)
     }
 
     val find_neighbours :
@@ -324,7 +354,7 @@ module type S = sig
     (** {!select_neighbours} over slot-packed distances: decrypts the
         [⌈n/N⌉] ciphertexts, unpacks the slots and discards the dead tail
         slots, so the view carries exactly the [n] per-point masked
-        distances. *)
+        distances (and B's block width, for the slot return). *)
 
     val select_views_batch : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> m:int -> k:int -> view array
     (** Batched-query selection: one {!view} per packed query, unpacked
@@ -332,9 +362,11 @@ module type S = sig
 
     val indicator_row :
       ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> ct array
-    (** The j-th indicator vector [B^j] (n encryptions of 0 with a single
-        1), streamed row by row so the O(nk) ciphertexts never live in
-        memory at once. *)
+    (** The j-th indicator row, encrypted at the return level and
+        streamed rank by rank.  For a per-point view it is Algorithm 3's
+        [B^j]: n encryptions of 0 with a single 1.  For a slot view it is
+        [⌈n·d'/N⌉] slot ciphertexts: all zero except the d' slots of the
+        selected point's block, which are 1. *)
   end
 
   (** {1 Client} *)
@@ -366,7 +398,12 @@ module type S = sig
     (** M queries packed in the slot dimension, M ≤ the slot count.
         @raise Invalid_argument on an empty, ragged or oversized batch. *)
 
-    val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> ct array -> int array array
+    val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> result array -> int array array
+    (** Decrypts each result over [jobs] domains.  A {!Coeff_point}
+        yields coefficients [0, d); a {!Slot_block} is slot-unpacked and
+        coordinate [c] is the sum of the slots [≡ c mod d'] — only the
+        selected block is non-zero, so this reads the point wherever Π
+        put it, including an all-zero point. *)
   end
 
   (** {1 The query driver} *)
@@ -409,8 +446,9 @@ module type S = sig
     (** One protocol round on [path]: one query, or the [m] of a [Batch m]
         round.  Phases — ["prepare-db"] (first prepared/packed query
         only), ["encrypt-query"], ["compute-distances"],
-        ["find-neighbours"], ["return-knn"] (B's ["indicator-row"] and
-        A's ["select-row"] as one-party child spans), ["decrypt-result"]
+        ["find-neighbours"], ["return-knn"] (A's ["return-points"] and, per
+        rank, B's ["indicator-row"] and A's ["select-row"], as one-party
+        child spans), ["decrypt-result"]
         — and messages go through the backend's hooks; the leakage
         surface through [obs]'s audit channel.  Party counters are reset
         first.

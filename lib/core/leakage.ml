@@ -1,4 +1,4 @@
-type view = { masked_distances : int64 array; selected : int array }
+type view = { masked_distances : int64 array; selected : int array; block_width : int option }
 
 let view_multiset (v : view) =
   let a = Array.copy v.masked_distances in

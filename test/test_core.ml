@@ -532,8 +532,9 @@ let test_packed_leakage_groups () =
     (Leakage.equidistant_group_sizes r_packed.Protocol.view_b)
 
 let test_packed_audit_surface () =
-  (* §5 leakage surface through the audit channel: the packed path must
-     record exactly the same Party B labels as the unpacked paths. *)
+  (* §5 leakage surface through the audit channel: the packed path
+     records the unpacked paths' Party B labels plus the slot return's
+     block width d' (lockstep with sknn-lint.conf). *)
   let module Audit = Sknn_obs.Audit in
   let rng = Rng.of_int 427 in
   let db = Synthetic.uniform rng ~n:20 ~d:3 ~max_value:100 in
@@ -542,9 +543,12 @@ let test_packed_audit_surface () =
   let dep = Protocol.deploy ~rng (affine_config ()) ~db in
   let q = Synthetic.query_like rng db in
   let r = Protocol.query_packed ~obs dep ~query:q ~k:4 in
-  Alcotest.(check (list string)) "party-b leakage surface unchanged"
-    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ]
+  Alcotest.(check (list string)) "party-b leakage surface adds the block width"
+    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "return-block-width" ]
     (Audit.labels_for audit ~party:"party-b");
+  (match Audit.value_of audit ~party:"party-b" ~label:"return-block-width" with
+   | Some (Audit.Int w) -> Alcotest.(check int) "d' = 4 for d = 3" 4 w
+   | _ -> Alcotest.fail "return-block-width not recorded as Int");
   (match Audit.value_of audit ~party:"party-b" ~label:"masked-distance-multiset" with
    | Some (Audit.Int64s a) ->
      Alcotest.(check (array int64)) "multiset matches view"
@@ -566,7 +570,8 @@ let test_query_batch () =
   (* M queries ride the slot dimension of one protocol round.  Each
      result must be exact, and the batch's one extra declared leakage —
      the shared permutation, audited as batch-query-count — must be the
-     only new Party B label (lockstep with sknn-lint.conf). *)
+     only Party B label beyond the packed path's (lockstep with
+     sknn-lint.conf). *)
   let module Audit = Sknn_obs.Audit in
   let rng = Rng.of_int 431 in
   let db = small_db rng in
@@ -585,9 +590,9 @@ let test_query_batch () =
         (Array.length db)
         (Array.length (Leakage.view_multiset r.Protocol.view_b)))
     results;
-  Alcotest.(check (list string)) "batch adds exactly batch-query-count"
+  Alcotest.(check (list string)) "batch adds batch-query-count to the packed surface"
     [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset";
-      "n" ]
+      "n"; "return-block-width" ]
     (Audit.labels_for audit ~party:"party-b");
   (match Audit.value_of audit ~party:"party-b" ~label:"batch-query-count" with
    | Some (Audit.Int m) -> Alcotest.(check int) "batch count" 3 m
@@ -755,6 +760,7 @@ let test_cost_ours_beats_yousef () =
 (* ------------------------------------------------------------------ *)
 
 module CM = Sknn_obs.Cost_model
+module NM = Sknn_obs.Noise_model
 
 let check_ledger name predicted measured =
   if not (Util.Counters.equal_ledger predicted measured) then
@@ -937,6 +943,205 @@ let test_net_timeline_jobs_determinism () =
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Slot return (packed and batch Return-kNN)                           *)
+(* ------------------------------------------------------------------ *)
+
+let slots_fast = Params.slot_count (Config.fast ()).Config.bgv
+
+(* One packed or batch round, from a fresh deployment, at 1, 2 and 4
+   domains: every answer exact against Plain_knn, the runs bit-identical
+   (neighbours, views, transcript, counters), and the symbolic run of the
+   circuit predicting the jobs-1 ledger and transcript exactly. *)
+let check_slot_case name ~db ~queries ~k =
+  let config = Config.fast () in
+  let n = Array.length db and d = Array.length db.(0) in
+  let m = Array.length queries in
+  let path = if m = 1 then CM.Packed else CM.Batch m in
+  let run jobs =
+    let dep = Protocol.deploy ~rng:(Rng.of_int 951) ~jobs config ~db in
+    let rs =
+      if m = 1 then [| Protocol.query_packed ~rng:(Rng.of_int 952) dep ~query:queries.(0) ~k |]
+      else Protocol.query_batch ~rng:(Rng.of_int 952) dep ~queries ~k
+    in
+    (dep, rs)
+  in
+  let dep, r1 = run 1 in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool) (Printf.sprintf "%s: query %d exact" name i) true
+        (Protocol.exact dep ~db ~query:queries.(i) r))
+    r1;
+  let fingerprint rs =
+    let r = rs.(0) in
+    Marshal.to_string
+      ( Array.map (fun r -> (r.Protocol.neighbours, r.Protocol.view_b)) rs,
+        Transcript.entries r.Protocol.transcript,
+        Format.asprintf "%a|%a|%a" Util.Counters.pp r.Protocol.counters_a Util.Counters.pp
+          r.Protocol.counters_b Util.Counters.pp r.Protocol.counters_client )
+      []
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string) (Printf.sprintf "%s: jobs 1 = jobs %d" name jobs)
+        (fingerprint r1) (fingerprint (snd (run jobs))))
+    [ 2; 4 ];
+  check_prediction name config ~n ~d ~k ~include_prepare:true path r1.(0)
+
+let test_slot_return_shapes () =
+  (* n ≡ 0, 1, −1 mod N/d' blocks per slot plaintext, with d < d' (d = 3,
+     d' = 4) and d = d' = 8. *)
+  List.iter
+    (fun (n, d) ->
+      let per = slots_fast / Entities.block_width d in
+      let rng = Rng.of_int (960 + n + d) in
+      let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
+      let qs = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
+      let name = Printf.sprintf "n=%d (%d mod %d) d=%d" n (n mod per) per d in
+      check_slot_case ("packed " ^ name) ~db ~queries:[| qs.(0) |] ~k:3;
+      check_slot_case ("batch " ^ name) ~db ~queries:qs ~k:3)
+    [ (32, 3); (33, 3); (31, 3); (16, 8); (17, 8); (15, 8) ]
+
+let test_slot_return_zero_point () =
+  (* Only the selected block is non-zero in a slot result, so an all-zero
+     neighbour decodes to zeros rather than being lost. *)
+  let origin = [| 0; 0; 0 |] in
+  let far = Synthetic.uniform (Rng.of_int 971) ~n:20 ~d:3 ~max_value:150 in
+  let db = Array.append (Array.map (Array.map (( + ) 100)) far) [| origin |] in
+  check_slot_case "packed zero point" ~db ~queries:[| origin |] ~k:1;
+  check_slot_case "batch zero point" ~db ~queries:[| origin; [| 1; 0; 2 |] |] ~k:1;
+  let dep = Protocol.deploy ~rng:(Rng.of_int 972) (Config.fast ()) ~db in
+  let r = Protocol.query_packed dep ~query:origin ~k:1 in
+  Alcotest.(check (array (array int))) "the zero point itself" [| origin |]
+    r.Protocol.neighbours
+
+let test_slot_return_k_equals_n () =
+  (* k = n over a database of heavy ties: every point comes back, each
+     from its own block. *)
+  let base = [| [| 1; 1; 1 |]; [| 2; 2; 2 |]; [| 0; 0; 0 |]; [| 1; 1; 1 |] |] in
+  let db = Array.init 18 (fun i -> base.(i mod 4)) in
+  let n = Array.length db in
+  check_slot_case "packed k=n ties" ~db ~queries:[| [| 1; 1; 1 |] |] ~k:n;
+  check_slot_case "batch k=n ties" ~db ~queries:[| [| 1; 1; 1 |]; [| 0; 0; 0 |] |] ~k:n;
+  let dep = Protocol.deploy ~rng:(Rng.of_int 973) (Config.fast ()) ~db in
+  let r = Protocol.query_packed dep ~query:[| 2; 2; 2 |] ~k:n in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  Alcotest.(check (array (array int))) "all n points returned" (sorted db)
+    (sorted r.Protocol.neighbours)
+
+let test_indicator_count_per_path () =
+  (* party-a/return-knn/indicator-ciphertexts counts what B actually
+     sent: k·n bits on the per-point paths, m·k·⌈n·d'/N⌉ slot indicators
+     on the packed ones. *)
+  let module Audit = Sknn_obs.Audit in
+  let db = small_db (Rng.of_int 981) in
+  let n = Array.length db and d = Array.length db.(0) in
+  let k = 3 in
+  let blocks = ((n * Entities.block_width d) + slots_fast - 1) / slots_fast in
+  let rng = Rng.of_int 982 in
+  let queries = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
+  List.iter
+    (fun (name, expected, run) ->
+      let audit = Audit.create () in
+      let obs = Sknn_obs.Ctx.create ~audit () in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 983) (Config.fast ()) ~db in
+      run obs dep;
+      match Audit.value_of audit ~party:"party-a" ~label:"indicator-ciphertexts" with
+      | Some (Audit.Int c) -> Alcotest.(check int) (name ^ ": indicators received") expected c
+      | _ -> Alcotest.failf "%s: indicator-ciphertexts not recorded" name)
+    [ ("plain", k * n, fun obs dep -> ignore (Protocol.query ~obs dep ~query:queries.(0) ~k));
+      ("prepared", k * n,
+       fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query:queries.(0) ~k));
+      ("packed", k * blocks,
+       fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query:queries.(0) ~k));
+      ("batch", 2 * k * blocks, fun obs dep -> ignore (Protocol.query_batch ~obs dep ~queries ~k))
+    ]
+
+let test_slot_return_plain_surface () =
+  (* The slot return widens only the packed paths' surface: the
+     per-point paths still show B exactly the paper's four labels. *)
+  let module Audit = Sknn_obs.Audit in
+  let db = small_db (Rng.of_int 985) in
+  let q = Synthetic.query_like (Rng.of_int 986) db in
+  List.iter
+    (fun (name, run) ->
+      let audit = Audit.create () in
+      let obs = Sknn_obs.Ctx.create ~audit () in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 987) (Config.fast ()) ~db in
+      run obs dep;
+      Alcotest.(check (list string)) (name ^ ": party-b surface")
+        [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ]
+        (Audit.labels_for audit ~party:"party-b"))
+    [ ("plain", fun obs dep -> ignore (Protocol.query ~obs dep ~query:q ~k:3));
+      ("prepared", fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query:q ~k:3)) ]
+
+let test_slot_return_forecast_conservative () =
+  (* The packed and batch forecasts run the slot return's plain products,
+     and their minimum headroom is no higher than any live budget the
+     round samples. *)
+  let module Metrics = Sknn_obs.Metrics in
+  let db = small_db (Rng.of_int 991) in
+  let rng = Rng.of_int 992 in
+  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
+  List.iter
+    (fun (name, path, run) ->
+      let metrics = Metrics.create () in
+      let obs = Sknn_obs.Ctx.create ~metrics () in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 993) (Config.fast ()) ~db in
+      let report = Protocol.forecast_noise ~path dep in
+      Alcotest.(check bool) (name ^ ": forecast prices the slot products") true
+        (List.exists (fun st -> st.NM.op = "return-knn/mul_plain") report.NM.steps);
+      Alcotest.(check bool) (name ^ ": no n-term inner product") false
+        (List.exists (fun st -> st.NM.op = "return-knn/mul_sum") report.NM.steps);
+      run obs dep;
+      List.iter
+        (fun gauge ->
+          match Metrics.gauge_value (Metrics.gauge metrics gauge) with
+          | None -> Alcotest.failf "%s: %s not sampled" name gauge
+          | Some live ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s live %.1f >= forecast %.1f" name gauge live
+                 report.NM.min_headroom_bits)
+              true
+              (live >= report.NM.min_headroom_bits))
+        [ "bgv.masked-distance.min_noise_budget_bits"; "bgv.result.min_noise_budget_bits" ])
+    [ ("packed", CM.Packed,
+       fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query:queries.(0) ~k:3));
+      ("batch", CM.Batch 3, fun obs dep -> ignore (Protocol.query_batch ~obs dep ~queries ~k:3))
+    ]
+
+let test_slot_return_short_level_flagged () =
+  (* At the secure preset the slot product needs ~108 bits at the return
+     level; three 30-bit primes cannot hold it.  The prepare-time guard
+     must warn (audit entry and flight event), and the query must fail
+     loudly instead of returning a wrong neighbour set. *)
+  let module Audit = Sknn_obs.Audit in
+  let module Flight = Sknn_obs.Flight in
+  let config = Config.with_return_level 3 (Config.secure ()) in
+  let db = Synthetic.uniform (Rng.of_int 995) ~n:4 ~d:2 ~max_value:60 in
+  let audit = Audit.create () in
+  let flight = Flight.create () in
+  let obs = Sknn_obs.Ctx.create ~audit ~flight () in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 996) ~jobs:1 config ~db in
+  let report = Protocol.forecast_noise ~path:CM.Packed dep in
+  Alcotest.(check bool) "forecast below margin" true report.NM.below_margin;
+  Protocol.prepare_packed ~obs dep;
+  Alcotest.(check bool) "warning audited at prepare time" true
+    (Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning" <> None);
+  Alcotest.(check bool) "warning flight event" true
+    (List.exists
+       (fun e -> e.Flight.kind = Flight.Warning && e.Flight.name = "noise-low-headroom")
+       (Flight.events flight));
+  match Protocol.query_packed ~obs dep ~query:[| 5; 5 |] ~k:2 with
+  | exception Bgv.Decryption_failure _ -> ()
+  | r ->
+    Alcotest.failf "query returned %s instead of failing"
+      (if Protocol.exact dep ~db ~query:[| 5; 5 |] r then "an exact answer" else "a wrong answer")
+
+(* ------------------------------------------------------------------ *)
 (* Property: random end-to-end instances                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -992,7 +1197,7 @@ let () =
          Alcotest.test_case "run_queries batch" `Quick test_run_queries_packed;
          Alcotest.test_case "equidistant groups slot-unpacked" `Quick
            test_packed_leakage_groups;
-         Alcotest.test_case "audit surface unchanged" `Quick test_packed_audit_surface;
+         Alcotest.test_case "audit surface" `Quick test_packed_audit_surface;
          Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
@@ -1012,6 +1217,17 @@ let () =
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick
            test_net_timeline_jobs_determinism ]);
+      ("slot return",
+       [ Alcotest.test_case "block shapes" `Quick test_slot_return_shapes;
+         Alcotest.test_case "all-zero neighbour" `Quick test_slot_return_zero_point;
+         Alcotest.test_case "k = n with ties" `Quick test_slot_return_k_equals_n;
+         Alcotest.test_case "indicator count per path" `Quick test_indicator_count_per_path;
+         Alcotest.test_case "per-point surfaces unchanged" `Quick
+           test_slot_return_plain_surface;
+         Alcotest.test_case "forecast conservative" `Quick
+           test_slot_return_forecast_conservative;
+         Alcotest.test_case "short return level flagged" `Slow
+           test_slot_return_short_level_flagged ]);
       ("black box",
        [ Alcotest.test_case "distance + mask pipeline" `Quick test_black_box_pipeline ]);
       ("properties",

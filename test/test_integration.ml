@@ -141,8 +141,13 @@ let test_protocol_over_the_wire () =
   in
   let results = Entities.Party_a.return_knn a state rows_wire in
   (* A -> client over the wire. *)
+  let wire ct = Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct) in
   let results_wire =
-    Array.map (fun ct -> Bgv.ct_of_bytes params (Bgv.ct_to_bytes ct)) results
+    Array.map
+      (function
+        | Entities.Coeff_point ct -> Entities.Coeff_point (wire ct)
+        | Entities.Slot_block ct -> Entities.Slot_block (wire ct))
+      results
   in
   let neighbours = Entities.Client.decrypt_points cl ~d:3 results_wire in
   let expected = Plain_knn.kth_smallest_distances ~k ~query:q db in
