@@ -1217,7 +1217,7 @@ let () =
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick
            test_net_timeline_jobs_determinism ]);
-      ("slot return",
+      ("return",
        [ Alcotest.test_case "block shapes" `Quick test_slot_return_shapes;
          Alcotest.test_case "all-zero neighbour" `Quick test_slot_return_zero_point;
          Alcotest.test_case "k = n with ties" `Quick test_slot_return_k_equals_n;
