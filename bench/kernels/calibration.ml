@@ -52,13 +52,16 @@ let measure ?(quick = false) ?rng (params : Params.t) : t =
   let set op level s = costs.(C.op_index op).(level) <- s in
   let keys = Bgv.keygen rng params in
   let pt = Plaintext.constant params 123L in
-  let fresh = Bgv.encrypt rng keys.Bgv.pk pt in
-  (* Fresh encryption lands at the full chain level, but the protocol
-     also encrypts directly at lower levels (Party B's Return-kNN
-     indicators at return_level), so every level gets its own cell. *)
+  let encrypt ?level () = Bgv.encrypt_sk ?level ~seed:(Util.Rng.bits64 rng) rng keys.Bgv.sk pt in
+  let fresh = Bgv.expand (encrypt ()) in
+  (* The protocol encrypts with the seeded secret-key form, at the full
+     chain and directly at lower levels (Party B's Return-kNN indicators
+     at return_level), and its receiver expands each ciphertext at that
+     level, so every level gets its own cell of both. *)
   for lvl = 1 to chain do
-    set C.Op_encrypt lvl
-      (sec (fun () -> ignore (Bgv.encrypt ~level:lvl rng keys.Bgv.pk pt)))
+    set C.Op_encrypt lvl (sec (fun () -> ignore (encrypt ~level:lvl ())));
+    let wire = encrypt ~level:lvl () in
+    set C.Op_expand lvl (sec (fun () -> ignore (Bgv.expand wire)))
   done;
   (* Slot packing/unpacking is plaintext-side and level-free (row 0).
      to_slots caches its answer per plaintext, so the unpack measurement

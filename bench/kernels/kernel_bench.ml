@@ -1,5 +1,6 @@
 (* Microbenchmarks for the ring kernels: NTT forward/inverse, the
-   pointwise product kernels, Rq.mul and the fused Bgv.mul_sum.  Used
+   pointwise product kernels, Rq.mul, the fused Bgv.mul_sum and fresh
+   encryption.  Used
    by the standalone [kernels] executable and embedded as the
    ["kernels"] block of the protocol bench JSON, so kernel-level
    regressions are visible without a full protocol run. *)
@@ -108,6 +109,24 @@ let slot_suite ~target rng =
     bench "apply-galois" (fun () -> ignore (Bgv.apply_galois gk ct));
     bench "sum-slots" (fun () -> ignore (Bgv.sum_slots gks ct)) ]
 
+(* Fresh encryption, both forms, and the receiver's seed expansion: the
+   protocol's Op_encrypt cells time encrypt-sk and its Op_expand cells
+   time expand; public-key encryption remains for the non-protocol
+   users (Apriori, kmeans' indicators, the baselines). *)
+let encrypt_suite ~target rng =
+  let params = Params.toy () in
+  let keys = Bgv.keygen rng params in
+  let pt = Plaintext.constant params 123L in
+  let wire = Bgv.encrypt_sk ~seed:1L rng keys.Bgv.sk pt in
+  let bench name f =
+    let ns, reps = measure ~target f in
+    { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }
+  in
+  [ bench "bgv-encrypt-pk" (fun () -> ignore (Bgv.encrypt rng keys.Bgv.pk pt));
+    bench "bgv-encrypt-sk" (fun () ->
+        ignore (Bgv.encrypt_sk ~seed:(Util.Rng.bits64 rng) rng keys.Bgv.sk pt));
+    bench "bgv-expand" (fun () -> ignore (Bgv.expand wire)) ]
+
 let run ?(quick = false) () =
   let target = if quick then 0.05 else 0.4 in
   let rng = Util.Rng.create 42L in
@@ -116,6 +135,7 @@ let run ?(quick = false) () =
   @ rq_suite ~target rng ~n:64 ~bits:30 ~chain:10
   @ rq_suite ~target rng ~n:1024 ~bits:30 ~chain:4
   @ mul_sum_suite ~target rng ~d:32
+  @ encrypt_suite ~target rng
   @ slot_suite ~target rng
 
 let pp_results ppf results =

@@ -28,9 +28,14 @@ type keys = { sk : secret_key; pk : public_key; rlk : relin_key }
 
 type ct = {
   params : Params.t;
-  comps : Rq.t array; (* Eval domain invariant; degree = length - 1 *)
+  comps : Rq.t array; (* Eval domain invariant; degree = length - 1, except
+                         that the wire form of a seeded ct holds c0 alone *)
   factor : int64;     (* decrypt yields factor * m; undone in decrypt *)
   log_noise : float;  (* bits: conservative bound on |c0 + c1 s + …| *)
+  seed : int64 option;
+      (* Some s: c1 is (or, in the wire form, will be) the expansion of s,
+         so the ciphertext travels as c0 plus s.  Cleared by every op
+         that changes c1. *)
 }
 
 let record c e = match c with None -> () | Some c -> Counters.record c e
@@ -58,8 +63,11 @@ let log2_add a b =
 let log2_t p = log2 (Int64.to_float p.Params.t_plain)
 let log2_n p = log2 (float_of_int p.Params.n)
 
-(* Bound on a fresh ciphertext's |m + t(e·u + e1 + e2·s)|. *)
-let fresh_noise_bits p =
+(* Bound on a fresh secret-key ciphertext's |m + t·e|, m centered. *)
+let fresh_noise_bits p = log2_t p +. log2 (float_of_int p.Params.eta +. 0.5)
+
+(* Bound on a fresh public-key ciphertext's |m + t(e·u + e1 + e2·s)|. *)
+let fresh_pk_noise_bits p =
   let eta = float_of_int p.Params.eta and n = float_of_int p.Params.n in
   log2_t p +. log2 (0.5 +. (eta *. ((2.0 *. n) +. 1.0)))
 
@@ -70,8 +78,13 @@ let switch_floor_bits p d =
   let rec sum acc i = if i > d then acc else sum (acc +. (n ** float_of_int i)) (i + 1) in
   log2_t p -. 1.0 +. log2 (sum 0.0 0)
 
-let degree ct = Array.length ct.comps - 1
+let is_expanded ct = Array.length ct.comps > 1 || Option.is_none ct.seed
+let degree ct = if is_expanded ct then Array.length ct.comps - 1 else 1
 let level ct = Rq.nprimes ct.comps.(0)
+
+let require_expanded op ct =
+  if not (is_expanded ct) then
+    invalid_arg (op ^ ": seeded ciphertext not expanded (call Bgv.expand on receipt)")
 
 let log2_q_at_level p k =
   let acc = ref 0.0 in
@@ -83,8 +96,15 @@ let log2_q_at_level p k =
 let noise_bits ct = ct.log_noise
 let noise_budget_bits ct = log2_q_at_level ct.params (level ct) -. 1.0 -. ct.log_noise
 
+(* A seeded ciphertext travels as c0 plus its 8-byte seed. *)
 let header_bytes = 40
-let byte_size ct = ((degree ct + 1) * level ct * ct.params.Params.n * 4) + header_bytes
+let seed_bytes = 8
+
+let byte_size ct =
+  let poly = level ct * ct.params.Params.n * 4 in
+  match ct.seed with
+  | Some _ -> header_bytes + poly + seed_bytes
+  | None -> header_bytes + ((degree ct + 1) * poly)
 
 let pp_ct ppf ct =
   Format.fprintf ppf "<ct deg=%d level=%d noise=%.0f budget=%.0f factor=%Ld>"
@@ -148,6 +168,7 @@ let s_power sk i =
    owned accumulator.  Residue addition mod p is exact and commutative,
    so the result is bit-identical to the mul-then-add fold. *)
 let sk_dot sk ct =
+  require_expanded "Bgv.decrypt" ct;
   let k = level ct in
   if degree ct = 0 then ct.comps.(0)
   else begin
@@ -163,19 +184,20 @@ let sk_dot sk ct =
 (* Encrypt / decrypt                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let encryption_level ~op p pt level =
+  if Plaintext.params pt != p then invalid_arg (op ^ ": parameter mismatch");
+  let full = Array.length p.Params.moduli in
+  match level with
+  | None -> full
+  | Some l ->
+    if l < 1 || l > full then invalid_arg (op ^ ": level out of range");
+    l
+
 let encrypt ?counters ?level rng pk pt =
   record counters Counters.Encrypt;
   let p = pk.pk_params in
-  if Plaintext.params pt != p then invalid_arg "Bgv.encrypt: parameter mismatch";
+  let nprimes = encryption_level ~op:"Bgv.encrypt" p pt level in
   let ring = p.Params.ring in
-  let full = Array.length p.Params.moduli in
-  let nprimes =
-    match level with
-    | None -> full
-    | Some l ->
-      if l < 1 || l > full then invalid_arg "Bgv.encrypt: level out of range";
-      l
-  in
   record_op counters Counters.Op_encrypt ~level:nprimes;
   (* u, two noise polynomials and m are each embedded Coeff→Eval. *)
   record_op_n counters Counters.Op_ntt_fwd ~level:nprimes 4;
@@ -195,7 +217,48 @@ let encrypt ?counters ?level rng pk pt =
   Rq.add_into c0 m;
   let c1 = Rq.mul a u in
   Rq.add_into c1 (noise ());
-  { params = p; comps = [| c0; c1 |]; factor = 1L; log_noise = fresh_noise_bits p }
+  { params = p; comps = [| c0; c1 |]; factor = 1L; log_noise = fresh_pk_noise_bits p;
+    seed = None }
+
+(* The uniform c1 = a of a seeded ciphertext.  Sampler.uniform draws
+   limb-major, so the first k limbs do not depend on how many follow:
+   expanding a truncated ciphertext gives the truncation of the full
+   expansion. *)
+let expansion p seed ~nprimes = Sampler.uniform (Rng.create seed) p.Params.ring ~nprimes
+
+let encrypt_sk ?counters ?level ~seed rng sk pt =
+  record counters Counters.Encrypt;
+  let p = sk.sk_params in
+  let nprimes = encryption_level ~op:"Bgv.encrypt_sk" p pt level in
+  record_op counters Counters.Op_encrypt ~level:nprimes;
+  (* t·e + m is embedded Coeff→Eval in one pass; a is sampled in Eval. *)
+  record_op counters Counters.Op_ntt_fwd ~level:nprimes;
+  let t = p.Params.t_plain in
+  let half_t = Int64.shift_right t 1 in
+  let e = Sampler.cbd_coeffs rng ~n:p.Params.n ~eta:p.Params.eta in
+  let m = Plaintext.to_coeffs pt in
+  (* m centered into (-t/2, t/2] keeps |t·e + m| below t·(eta + 1/2).
+     Branchless: half_t - m is negative exactly when m must drop by t,
+     and its arithmetic shift is then the all-ones mask selecting t. *)
+  let noisy =
+    Array.mapi
+      (fun i mi ->
+        let mi = Int64.sub mi (Int64.logand t (Int64.shift_right (Int64.sub half_t mi) 63)) in
+        Int64.add (Int64.mul t (Int64.of_int e.(i))) mi)
+      m
+  in
+  let c0 = Rq.of_int64_coeffs p.Params.ring ~nprimes Rq.Eval noisy in
+  Rq.sub_into c0 (Rq.mul (expansion p seed ~nprimes) (Rq.truncate (s_power sk 1) ~nprimes));
+  { params = p; comps = [| c0 |]; factor = 1L; log_noise = fresh_noise_bits p;
+    seed = Some seed }
+
+let expand ?counters ct =
+  match ct.seed with
+  | Some seed when not (is_expanded ct) ->
+    let nprimes = level ct in
+    record_op counters Counters.Op_expand ~level:nprimes;
+    { ct with comps = [| ct.comps.(0); expansion ct.params seed ~nprimes |] }
+  | _ -> ct
 
 exception Decryption_failure of string
 
@@ -287,6 +350,8 @@ let truncate_to_level ?counters ct k =
   if k = level ct then ct
   else begin
     record_op counters Counters.Op_level_drop ~level:k;
+    (* The expansion is limb-major, so a seed survives truncation, in
+       either form. *)
     { ct with comps = Array.map (fun c -> Rq.truncate c ~nprimes:k) ct.comps }
   end
 
@@ -303,7 +368,8 @@ let scale_raw ct v =
   let t = ct.params.Params.t_plain in
   { ct with
     comps = Array.map (fun c -> Rq.mul_scalar c v) ct.comps;
-    log_noise = ct.log_noise +. log2 (centered_magnitude t v) }
+    log_noise = ct.log_noise +. log2 (centered_magnitude t v);
+    seed = None }
 
 let match_factor target ct =
   if Int64.equal ct.factor target then ct
@@ -325,6 +391,8 @@ let pad comps k ring nprimes =
       else Rq.zero ring ~nprimes Rq.Eval)
 
 let add2 op f a b =
+  require_expanded op a;
+  require_expanded op b;
   if a.params != b.params then invalid_arg (op ^ ": parameter mismatch");
   let a, b = align a b in
   let b = match_factor a.factor b in
@@ -334,7 +402,8 @@ let add2 op f a b =
   { params = a.params;
     comps = Array.init k (fun i -> f ca.(i) cb.(i));
     factor = a.factor;
-    log_noise = log2_add a.log_noise b.log_noise }
+    log_noise = log2_add a.log_noise b.log_noise;
+    seed = None }
 
 let add ?counters a b =
   record counters Counters.Hom_add;
@@ -346,13 +415,16 @@ let sub ?counters a b =
   record_op counters Counters.Op_ct_add ~level:(Stdlib.min (level a) (level b));
   add2 "Bgv.sub" Rq.sub a b
 
-let neg ct = { ct with comps = Array.map Rq.neg ct.comps }
+let neg ct =
+  require_expanded "Bgv.neg" ct;
+  { ct with comps = Array.map Rq.neg ct.comps; seed = None }
 
 let plain_to_rq ct pt =
   Rq.of_int64_coeffs ct.params.Params.ring ~nprimes:(level ct) Rq.Eval
     (Plaintext.to_coeffs pt)
 
 let add_plain ?counters ct pt =
+  require_expanded "Bgv.add_plain" ct;
   record counters Counters.Hom_add;
   record_op counters Counters.Op_ct_add ~level:(level ct);
   (* plain_to_rq embeds the addend Coeff→Eval at the ciphertext level. *)
@@ -362,12 +434,14 @@ let add_plain ?counters ct pt =
   let pt = Plaintext.scale pt ct.factor in
   let comps = Array.copy ct.comps in
   comps.(0) <- Rq.add comps.(0) (plain_to_rq ct pt);
+  (* c1 is untouched, so a seed stays valid. *)
   { ct with comps; log_noise = log2_add ct.log_noise (log2_t ct.params -. 1.0) }
 
 let add_const ?counters ct v =
   add_plain ?counters ct (Plaintext.constant ct.params v)
 
 let mul_plain ?counters ct pt =
+  require_expanded "Bgv.mul_plain" ct;
   record counters Counters.Hom_mul_plain;
   record_op counters Counters.Op_mul_plain ~level:(level ct);
   record_op counters Counters.Op_ntt_fwd ~level:(level ct);
@@ -375,9 +449,11 @@ let mul_plain ?counters ct pt =
   let m = plain_to_rq ct pt in
   { ct with
     comps = Array.map (fun c -> Rq.mul c m) ct.comps;
-    log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0 }
+    log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0;
+    seed = None }
 
 let mul_scalar ?counters ct v =
+  require_expanded "Bgv.mul_scalar" ct;
   record counters Counters.Hom_mul_plain;
   (* Pointwise scalar pass over the residues: no plaintext embed. *)
   record_op counters Counters.Op_mul_plain ~level:(level ct);
@@ -388,6 +464,7 @@ let mul_scalar ?counters ct v =
 (* ------------------------------------------------------------------ *)
 
 let modswitch ?counters ct =
+  require_expanded "Bgv.modswitch" ct;
   record counters Counters.Hom_modswitch;
   let k = level ct in
   if k <= 1 then invalid_arg "Bgv.modswitch: already at the last level";
@@ -440,9 +517,10 @@ let modswitch ?counters ct =
       (ct.log_noise -. log2 (float_of_int drop))
       (switch_floor_bits p (degree ct))
   in
-  { ct with comps; factor; log_noise }
+  { ct with comps; factor; log_noise; seed = None }
 
 let rescale_to_floor ?counters ct =
+  require_expanded "Bgv.rescale_to_floor" ct;
   let rec go ct =
     if level ct <= 1 then ct
     else begin
@@ -500,6 +578,7 @@ let key_switch_digits ?counters p ~w ~rows ~level:k target =
   (d0, d1, added)
 
 let relinearize ?counters rlk ct =
+  require_expanded "Bgv.relinearize" ct;
   record counters Counters.Hom_relin;
   if degree ct <> 2 then invalid_arg "Bgv.relinearize: degree <> 2";
   if rlk.rk_params != ct.params then invalid_arg "Bgv.relinearize: parameter mismatch";
@@ -511,9 +590,12 @@ let relinearize ?counters rlk ct =
   in
   { ct with
     comps = [| Rq.add ct.comps.(0) d0; Rq.add ct.comps.(1) d1 |];
-    log_noise = log2_add ct.log_noise added }
+    log_noise = log2_add ct.log_noise added;
+    seed = None }
 
 let mul ?counters ?rlk ?(rescale = true) a b =
+  require_expanded "Bgv.mul" a;
+  require_expanded "Bgv.mul" b;
   record counters Counters.Hom_mul;
   record_op counters Counters.Op_ct_mul ~level:(Stdlib.min (level a) (level b));
   if a.params != b.params then invalid_arg "Bgv.mul: parameter mismatch";
@@ -534,7 +616,8 @@ let mul ?counters ?rlk ?(rescale = true) a b =
     { params = a.params;
       comps;
       factor = Mod64.mul t a.factor b.factor;
-      log_noise = log2_n a.params +. a.log_noise +. b.log_noise }
+      log_noise = log2_n a.params +. a.log_noise +. b.log_noise;
+      seed = None }
   in
   let ct =
     match rlk with
@@ -562,7 +645,10 @@ let mul_sum ?counters ?jobs ?rlk a b =
   let m = Array.length a in
   if m = 0 || Array.length b <> m then invalid_arg "Bgv.mul_sum: empty or mismatched inputs";
   let p = a.(0).params in
-  let check c = if c.params != p then invalid_arg "Bgv.mul_sum: parameter mismatch" in
+  let check c =
+    require_expanded "Bgv.mul_sum" c;
+    if c.params != p then invalid_arg "Bgv.mul_sum: parameter mismatch"
+  in
   Array.iter check a;
   Array.iter check b;
   let t = p.Params.t_plain in
@@ -629,7 +715,7 @@ let mul_sum ?counters ?jobs ?rlk a b =
       done;
       !acc
     in
-    { params = p; comps; factor = f0; log_noise }
+    { params = p; comps; factor = f0; log_noise; seed = None }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -637,6 +723,7 @@ let mul_sum ?counters ?jobs ?rlk a b =
 (* ------------------------------------------------------------------ *)
 
 let eval_poly ?counters ?rlk ~coeffs ct =
+  require_expanded "Bgv.eval_poly" ct;
   let d = Array.length coeffs - 1 in
   if d < 0 then invalid_arg "Bgv.eval_poly: empty coefficient list";
   if d = 0 then add_const ?counters (mul_scalar ?counters ct 0L) coeffs.(0)
@@ -659,9 +746,12 @@ let eval_poly ?counters ?rlk ~coeffs ct =
 (* Layout (little-endian):                                             *)
 (*   magic(4) n(4) t(8) degree(2) level(2) factor(8) noise(8)          *)
 (*   moduli-fingerprint(4) then 4 bytes per residue, component-major.  *)
+(* A seeded ciphertext ("BGVZ", degree 1) carries c0 only, then its    *)
+(* 8-byte seed.                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let ct_magic = 0x42475631l (* "BGV1" *)
+let ct_seeded_magic = 0x4247565Al (* "BGVZ" *)
 let pk_magic = 0x42475650l (* "BGVP" *)
 let sk_magic = 0x42475653l (* "BGVS" *)
 
@@ -717,7 +807,7 @@ let get_rq r p ~nprimes what =
 
 let ct_to_bytes ct =
   let buf = Buffer.create (byte_size ct) in
-  Buffer.add_int32_le buf ct_magic;
+  Buffer.add_int32_le buf (if Option.is_some ct.seed then ct_seeded_magic else ct_magic);
   Buffer.add_int32_le buf (Int32.of_int ct.params.Params.n);
   Buffer.add_int64_le buf ct.params.Params.t_plain;
   Buffer.add_uint16_le buf (degree ct);
@@ -725,7 +815,11 @@ let ct_to_bytes ct =
   Buffer.add_int64_le buf ct.factor;
   Buffer.add_int64_le buf (Int64.bits_of_float ct.log_noise);
   Buffer.add_int32_le buf (moduli_fingerprint ct.params (level ct));
-  Array.iter (fun c -> put_rq buf c) ct.comps;
+  (match ct.seed with
+   | Some seed ->
+     put_rq buf ct.comps.(0);
+     Buffer.add_int64_le buf seed
+   | None -> Array.iter (fun c -> put_rq buf c) ct.comps);
   Buffer.to_bytes buf
 
 let check_params_header r p ~magic what =
@@ -737,18 +831,27 @@ let check_params_header r p ~magic what =
 
 let ct_of_bytes p data =
   let r = { data; pos = 0 } in
-  check_params_header r p ~magic:ct_magic "ciphertext";
+  let seeded =
+    Bytes.length data >= 4 && Int32.equal (Bytes.get_int32_le data 0) ct_seeded_magic
+  in
+  check_params_header r p ~magic:(if seeded then ct_seeded_magic else ct_magic) "ciphertext";
   let deg = get_u16 r "degree" in
   let lvl = get_u16 r "level" in
   if lvl < 1 || lvl > Array.length p.Params.moduli then decode_error "ciphertext (level)";
-  if deg < 1 || deg > 64 then decode_error "ciphertext (degree)";
+  if deg < 1 || deg > 64 || (seeded && deg <> 1) then decode_error "ciphertext (degree)";
   let factor = get_i64 r "factor" in
   let log_noise = Int64.float_of_bits (get_i64 r "noise") in
   if not (Int32.equal (get_i32 r "fingerprint") (moduli_fingerprint p lvl)) then
     decode_error "ciphertext (modulus chain mismatch)";
-  let comps = Array.init (deg + 1) (fun _ -> get_rq r p ~nprimes:lvl "ciphertext body") in
+  let body () = get_rq r p ~nprimes:lvl "ciphertext body" in
+  let comps, seed =
+    if seeded then
+      let c0 = body () in
+      ([| c0 |], Some (get_i64 r "seed"))
+    else (Array.init (deg + 1) (fun _ -> body ()), None)
+  in
   if r.pos <> Bytes.length data then decode_error "ciphertext (trailing bytes)";
-  { params = p; comps; factor; log_noise }
+  { params = p; comps; factor; log_noise; seed }
 
 let pk_to_bytes pk =
   let p = pk.pk_params in
@@ -842,6 +945,7 @@ let galois_keygen ?counters rng sk ~elt =
   { gk_params = p; gk_elt = elt; gk_digit_bits = w; gk_rows = rows }
 
 let apply_galois ?counters gk ct =
+  require_expanded "Bgv.apply_galois" ct;
   record counters Counters.Hom_relin;
   if gk.gk_params != ct.params then invalid_arg "Bgv.apply_galois: parameter mismatch";
   if degree ct <> 1 then invalid_arg "Bgv.apply_galois: degree <> 1 (relinearise first)";
@@ -859,7 +963,8 @@ let apply_galois ?counters gk ct =
   in
   { ct with
     comps = [| Rq.add c0s d0; d1 |];
-    log_noise = log2_add ct.log_noise added }
+    log_noise = log2_add ct.log_noise added;
+    seed = None }
 
 (* Rotate-and-sum slot reduction: the Galois group of the power-of-two
    cyclotomic is <3> x <-1> and acts simply transitively on the slots,
@@ -881,6 +986,7 @@ let slot_sum_keys ?counters rng sk =
   List.map (fun elt -> galois_keygen ?counters rng sk ~elt) elts
 
 let sum_slots ?counters gks ct =
+  require_expanded "Bgv.sum_slots" ct;
   List.fold_left
     (fun acc gk -> add ?counters acc (apply_galois ?counters gk acc))
     ct gks
@@ -888,17 +994,15 @@ let sum_slots ?counters gks ct =
 (* Debug oracle: the true noise magnitude, for validating the tracked
    bound (requires the secret key; never used by the protocols). *)
 let actual_noise_bits sk ct =
-  let acc = ref (sk_dot sk ct) in
-  let coeffs = Rq.to_zint_coeffs !acc in
-  let worst =
-    Array.fold_left (fun m v -> Stdlib.max m (Z.numbits (Z.abs v))) 0 coeffs
-  in
-  float_of_int worst
+  let coeffs = Rq.to_zint_coeffs (sk_dot sk ct) in
+  let worst = Array.fold_left (fun m v -> Z.max m (Z.abs v)) Z.one coeffs in
+  log2 (Z.to_float worst)
 
 (* Fresh re-randomisation: add an encryption of zero so the ciphertext
    is statistically unlinkable to its history (used when a result must
    be returned to a party that has seen related ciphertexts). *)
 let rerandomize ?counters rng pk ct =
+  require_expanded "Bgv.rerandomize" ct;
   let zero = Plaintext.constant pk.pk_params 0L in
   let z = encrypt ?counters ~level:(level ct) rng pk zero in
   add ?counters ct z

@@ -8,6 +8,11 @@
       [b + a·s = t·e];
     - encryption of plaintext polynomial [m]: [(b·u + t·e1 + m, a·u + t·e2)],
       so that [c0 + c1·s = m + t·E] for small [E];
+    - seeded secret-key encryption (what the protocol's encrypting
+      parties, who all hold [s], use): [(c0 = −a·s + t·e + m, a)] with
+      [a] expanded from a 64-bit seed, so the ciphertext travels as [c0]
+      plus the seed — half the bytes — and its receiver re-derives [a]
+      with {!expand};
     - homomorphic addition/subtraction componentwise; multiplication by
       tensoring (ciphertext degree grows), with optional relinearisation
       back to degree 1 via base-2^w key switching;
@@ -53,6 +58,27 @@ val params_of_pk : public_key -> Params.t
     computation, as with Party B's indicator vectors. *)
 val encrypt :
   ?counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> Plaintext.t -> ct
+
+val encrypt_sk :
+  ?counters:Util.Counters.t -> ?level:int -> seed:int64 -> Util.Rng.t -> secret_key ->
+  Plaintext.t -> ct
+(** [encrypt_sk ~seed rng sk pt] is the seeded secret-key encryption
+    [(c0 = −a·s + t·e + m, a = expansion of seed)] in its wire form:
+    [c0] and the seed only ([rng] draws [e]).  Its noise bound is
+    [log2 (t·(eta + 1/2))] ({!fresh_noise_bits}); [m] is centered mod
+    [t].  Every homomorphic op rejects it until {!expand}ed.  The seed
+    expansion is splitmix64 ({!Util.Rng}), not a cryptographic XOF. *)
+
+val expand : ?counters:Util.Counters.t -> ct -> ct
+(** Re-derives [c1] from the seed, limb by limb at the ciphertext's
+    level, so expanding a truncated seeded ciphertext gives the
+    truncation of its full expansion.  Records
+    {!Util.Counters.Op_expand}; the identity (recording nothing) on a
+    ciphertext that is already expanded. *)
+
+val is_expanded : ct -> bool
+(** [false] exactly for the wire form of a seeded ciphertext. *)
+
 val decrypt : ?counters:Util.Counters.t -> secret_key -> ct -> Plaintext.t
 (** @raise Decryption_failure if the tracked noise bound shows the
     ciphertext is undecryptable (budget exhausted). *)
@@ -65,7 +91,13 @@ val decrypt_coeff0 : ?counters:Util.Counters.t -> secret_key -> ct -> int64
     NTTs and the full CRT lift — an order of magnitude cheaper than
     {!decrypt} at protocol scale. *)
 
-(** {1 Homomorphic evaluation} *)
+(** {1 Homomorphic evaluation}
+
+    Every operation below raises [Invalid_argument] on a ciphertext
+    that is not {!is_expanded}.  A result keeps its seed (and so its
+    compact wire form) only when its [c1] is still the seed's expansion:
+    {!truncate_to_level} and {!add_plain} keep it, everything else
+    drops it. *)
 
 val add : ?counters:Util.Counters.t -> ct -> ct -> ct
 val sub : ?counters:Util.Counters.t -> ct -> ct -> ct
@@ -165,8 +197,8 @@ val noise_bits : ct -> float
 (** Conservative bound (bits) on the decryption noise term. *)
 
 val actual_noise_bits : secret_key -> ct -> float
-(** Debug oracle: the bit size of the true decryption noise
-    [Σ cᵢ·sⁱ mod Q] (centered).  The protocols never call this; the test
+(** Debug oracle: log2 of the largest magnitude of the true decryption
+    noise [Σ cᵢ·sⁱ mod Q] (centered).  The protocols never call this; the test
     suite uses it to check that {!noise_bits} is a sound upper bound on
     every circuit it runs. *)
 
@@ -175,7 +207,8 @@ val noise_budget_bits : ct -> float
     positive. *)
 
 val fresh_noise_bits : Params.t -> float
-(** The noise bound a fresh encryption starts with — exported so the
+(** The noise bound a fresh {!encrypt_sk} ciphertext starts with,
+    [log2 (t·(eta + 1/2))] — exported so the
     observability layer's forecaster ({!Sknn_obs.Noise_model}) can be
     cross-checked against the scheme's own bookkeeping. *)
 
@@ -189,7 +222,8 @@ val log2_q_at_level : Params.t -> int -> float
 val byte_size : ct -> int
 (** Exact serialised size: [Bytes.length (ct_to_bytes ct)] without
     paying for the encoding (4 bytes per residue coefficient plus a
-    40-byte header). *)
+    40-byte header).  A seeded ciphertext, expanded or not, serialises
+    as [c0] plus its 8-byte seed. *)
 
 val pp_ct : Format.formatter -> ct -> unit
 
@@ -198,7 +232,8 @@ val pp_ct : Format.formatter -> ct -> unit
     Binary wire format (little-endian, versioned magic), so the
     simulated parties exchange exactly what real deployments would.
     Decoding validates the magic, the parameter fingerprint and every
-    residue range; malformed input raises [Failure]. *)
+    residue range; malformed input raises [Failure].  A seeded
+    ciphertext decodes to its wire form, to be {!expand}ed. *)
 
 val ct_to_bytes : ct -> Stdlib.Bytes.t
 val ct_of_bytes : Params.t -> Stdlib.Bytes.t -> ct

@@ -9,9 +9,6 @@ type deployment = {
   blocks : int;               (* ceil(n / slots) *)
   item_cts : Bgv.ct array array; (* m x blocks, slot i = bit of transaction *)
   sk : Bgv.secret_key;
-  (* Held because both parties carry the public key in the protocol,
-     even though this demo path only ever encrypts at setup. *)
-  pk : Bgv.public_key; [@warning "-69"]
   rlk : Bgv.relin_key;
   mutable sum_keys : Bgv.galois_key list option; (* lazily generated *)
   counters_a : Counters.t;
@@ -60,7 +57,6 @@ let deploy ?rng config ~transactions =
     blocks;
     item_cts;
     sk = keys.Bgv.sk;
-    pk = keys.Bgv.pk;
     rlk = keys.Bgv.rlk;
     sum_keys = None;
     counters_a = Counters.create ();

@@ -51,7 +51,6 @@ module Make (Live : CT) = struct
   type ct = Live.ct
   type params = Live.params
   type secret_key = Live.secret_key
-  type public_key = Live.public_key
   type relin_key = Live.relin_key
   type keys = Live.keys
   type env = Live.env
@@ -153,7 +152,7 @@ module Make (Live : CT) = struct
       if d > Live.ring_degree params then
         invalid_arg "Data_owner.encrypt_db: dimension exceeds ring degree";
       Array.iter (validate_point config ~d) db;
-      let pk = Live.public_key t.keys in
+      let sk = Live.secret_key t.keys in
       let rngs = split_streams rng n_points in
       let span_counters =
         match counters with Some c -> [ ("data-owner", c) ] | None -> []
@@ -168,7 +167,7 @@ module Make (Live : CT) = struct
                   ~merge:(fun w -> Option.iter (fun c -> merge_into c w) counters)
                   ~f:(fun counters i point ->
                     let rng = rngs.(i) in
-                    let enc pt = Live.encrypt ~counters rng pk pt in
+                    let enc pt = Live.encrypt ~counters rng sk pt in
                     let packed = enc (packed_plaintext params point) in
                     match config.Config.layout with
                     | Config.Per_coordinate ->
@@ -188,9 +187,6 @@ module Make (Live : CT) = struct
     type t = {
       config : config;
       nm : NM.params;
-      (* Party A holds the public key in the paper's setup even though
-         the current pipeline never re-encrypts on its side. *)
-      pk : Live.public_key; [@warning "-69"]
       rlk : Live.relin_key;
       db : encrypted_db;
       counters : Counters.t;
@@ -198,10 +194,44 @@ module Make (Live : CT) = struct
       mask_source : mask_source;
     }
 
-    let create ?jobs ?(mask_source = draw_mask) config pk rlk db =
+    (* Fresh ciphertexts arrive seeded (c0 plus a seed): A re-derives each
+       c1 on receipt, over its domains and into its own ledger — the work
+       a real wire makes it do. *)
+    let expand_each t cts =
+      Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
+        ~f:(fun counters _ c -> Live.expand ~counters c) cts
+
+    let create ?jobs ?(mask_source = draw_mask) config rlk db =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      { config; nm = Live.noise_params config.Config.bgv; pk; rlk; db;
-        counters = Counters.create (); jobs; mask_source }
+      let t =
+        { config; nm = Live.noise_params config.Config.bgv; rlk; db;
+          counters = Counters.create (); jobs; mask_source }
+      in
+      let points =
+        Pool.map_local ~jobs ~make:Counters.create ~merge:(merge_into t.counters)
+          ~f:(fun counters _ p ->
+            let expand = Live.expand ~counters in
+            { coords = Option.map (Array.map expand) p.coords;
+              packed = expand p.packed;
+              norm = Option.map expand p.norm })
+          db.points
+      in
+      { t with db = { db with points } }
+
+    let expand_received obs t cts =
+      Obs.with_span obs "expand-query" (fun () ->
+          Obs.with_pool_chunks obs ~label:"expand-query" (fun () -> expand_each t cts))
+
+    (* The query's ciphertexts expanded in one pool call, then put back
+       in [query_cts] order: coordinates, reversed query, norm. *)
+    let expand_query obs t q =
+      let cts = expand_received obs t (query_cts q) in
+      let d = Option.fold ~none:0 ~some:Array.length q.q_coords in
+      let r = d + Option.fold ~none:0 ~some:(fun _ -> 1) q.q_rev in
+      { q with
+        q_coords = Option.map (fun _ -> Array.sub cts 0 d) q.q_coords;
+        q_rev = Option.map (fun _ -> cts.(d)) q.q_rev;
+        q_norm = Option.map (fun _ -> cts.(r)) q.q_norm }
 
     let counters t = t.counters
     let db_size t = t.db.db_n
@@ -292,6 +322,7 @@ module Make (Live : CT) = struct
       let config = t.config in
       if query.q_dim <> t.db.db_d then
         invalid_arg "Party_a.compute_distances: dimension mismatch";
+      let query = expand_query obs t query in
       let masks = draw_masks obs t rng in
       let coeffs = Masking.coeffs masks.(0) in
       let rngs = split_streams rng t.db.db_n in
@@ -367,6 +398,7 @@ module Make (Live : CT) = struct
       let config = t.config in
       if query.q_dim <> t.db.db_d then
         invalid_arg "Party_a.compute_distances_prepared: dimension mismatch";
+      let query = expand_query obs t query in
       let q_rev, q_norm =
         match query.q_rev, query.q_norm with
         | Some r, Some n -> (r, n)
@@ -416,7 +448,8 @@ module Make (Live : CT) = struct
           | Points packed ->
             (* T^j = Π(P')·B^j summed: one re-randomised encrypted point,
                as one fused inner product. *)
-            Coeff_point (Live.mul_sum ~counters:t.counters ~jobs:t.jobs packed row)
+            Coeff_point
+              (Live.mul_sum ~counters:t.counters ~jobs:t.jobs packed (expand_each t row))
           | Blocks blocks ->
             (* Σ_b ind_b·blk_b: only the selected block's indicator is
                non-zero, so the sum is one degree-1 ciphertext carrying
@@ -427,7 +460,8 @@ module Make (Live : CT) = struct
               invalid_arg "Party_a.select_row: indicator count mismatch";
             let terms =
               Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-                ~f:(fun counters b ind -> Live.mul_plain ~counters ind blocks.(b))
+                ~f:(fun counters b ind ->
+                  Live.mul_plain ~counters (Live.expand ~counters ind) blocks.(b))
                 row
             in
             let acc = ref terms.(0) in
@@ -505,6 +539,7 @@ module Make (Live : CT) = struct
       let d = t.db.db_d and n = t.db.db_n in
       if query.q_dim <> d then
         invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
+      let query = expand_query obs t query in
       let q_coords, q_norm =
         match query.q_coords, query.q_norm with
         | Some c, Some nr when Array.length c = d -> (c, nr)
@@ -604,6 +639,10 @@ module Make (Live : CT) = struct
       let d = t.db.db_d and n = t.db.db_n in
       if bq.bq_dim <> d then invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
       check_packed_state t pp ~caller:"Party_a.compute_distances_batch";
+      let bq =
+        let cts = expand_received obs t (batched_query_cts bq) in
+        { bq with bq_coords = Array.sub cts 0 d; bq_norm = cts.(d) }
+      in
       let slots = Live.ring_degree params in
       let nqueries = bq.bq_count in
       if nqueries < 1 || nqueries > slots then
@@ -672,15 +711,14 @@ module Make (Live : CT) = struct
     type t = {
       config : config;
       sk : Live.secret_key;
-      pk : Live.public_key;
       block_width : int;  (* d', handed over at deploy like n *)
       counters : Counters.t;
       jobs : int;
     }
 
-    let create ?jobs ~block_width config sk pk =
+    let create ?jobs ~block_width config sk =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      { config; sk; pk; block_width; counters = Counters.create (); jobs }
+      { config; sk; block_width; counters = Counters.create (); jobs }
 
     let counters t = t.counters
 
@@ -789,7 +827,7 @@ module Make (Live : CT) = struct
       Obs.with_pool_chunks obs ~label:"indicator-row" (fun () ->
           Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
             ~f:(fun counters i rng ->
-              Live.encrypt ~counters ~level rng t.pk (plaintext ~counters i))
+              Live.encrypt ~counters ~level rng t.sk (plaintext ~counters i))
             rngs)
 
     let find_neighbours ?obs t rng cts ~k =
@@ -805,17 +843,16 @@ module Make (Live : CT) = struct
     type t = {
       config : config;
       sk : Live.secret_key;
-      pk : Live.public_key;
       counters : Counters.t;
       jobs : int;
     }
 
-    let create ?jobs config sk pk =
+    let create ?jobs config sk =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      { config; sk; pk; counters = Counters.create (); jobs }
+      { config; sk; counters = Counters.create (); jobs }
 
     let counters t = t.counters
-    let enc t rng pt = Live.encrypt ~counters:t.counters rng t.pk pt
+    let enc t rng pt = Live.encrypt ~counters:t.counters rng t.sk pt
 
     let checked t ~caller query =
       let d = Array.length query in
@@ -932,29 +969,23 @@ module Make (Live : CT) = struct
       in
       let enc_db = Data_owner.encrypt_db ~obs ?counters ?jobs (Rng.split rng) owner db in
       let keys = Data_owner.keys owner in
-      let sk = Live.secret_key keys and pk = Live.public_key keys in
-      let bgv = config.Config.bgv in
-      (* Two ring elements at the full chain, 4 bytes per residue; the
-         secret key one byte per coefficient. *)
-      let pk_bytes = 2 * chain_length bgv * Live.ring_degree bgv * 4 in
-      let sk_bytes = Live.ring_degree bgv + pk_bytes in
+      let sk = Live.secret_key keys in
+      (* The secret key is one byte per (ternary) coefficient. *)
+      let sk_bytes = Live.ring_degree config.Config.bgv in
       List.iter
         (fun (receiver, label, bytes) ->
           Live.send setup ~sender:Transcript.Data_owner ~receiver ~label ~bytes)
-        [ (Transcript.Party_a, "public key", pk_bytes);
-          (Transcript.Party_a, "encrypted database", db_bytes enc_db);
-          (Transcript.Party_b, "secret + public key", sk_bytes);
-          (Transcript.Client, "secret + public key", sk_bytes) ];
+        [ (Transcript.Party_a, "encrypted database", db_bytes enc_db);
+          (Transcript.Party_b, "secret key", sk_bytes);
+          (Transcript.Client, "secret key", sk_bytes) ];
       { config;
         db_n = Array.length db;
         db_d = Array.length db.(0);
         db;
-        a = Party_a.create ?jobs ?mask_source config pk (Live.relin_key keys) enc_db;
+        a = Party_a.create ?jobs ?mask_source config (Live.relin_key keys) enc_db;
         (* Party B learns d' here, as it learns n: no message carries it. *)
-        b =
-          Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk
-            pk;
-        cl = Client.create ?jobs config sk pk;
+        b = Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk;
+        cl = Client.create ?jobs config sk;
         query_seed = Rng.split rng;
         setup;
         prepared = None;
@@ -1155,7 +1186,6 @@ end
 module Live = struct
   type params = Params.t
   type secret_key = Bgv.secret_key
-  type public_key = Bgv.public_key
   type relin_key = Bgv.relin_key
   type keys = Bgv.keys
   type ct = Bgv.ct
@@ -1175,9 +1205,13 @@ module Live = struct
 
   let keygen rng p = Bgv.keygen rng p
   let secret_key k = k.Bgv.sk
-  let public_key k = k.Bgv.pk
   let relin_key k = k.Bgv.rlk
-  let encrypt ~counters ?level rng pk pt = Bgv.encrypt ~counters ?level rng pk pt
+
+  let encrypt ~counters ?level rng sk pt =
+    let seed = Rng.bits64 rng in
+    Bgv.encrypt_sk ~counters ?level ~seed rng sk pt
+
+  let expand ~counters ct = Bgv.expand ~counters ct
   let decrypt ~counters sk ct = Bgv.decrypt ~counters sk ct
   let decrypt_coeff0 ~counters sk ct = Bgv.decrypt_coeff0 ~counters sk ct
   let pt_coeffs p f = Plaintext.of_coeffs p (Array.init p.Params.n f)

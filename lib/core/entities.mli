@@ -9,9 +9,12 @@
     cost ledger, transcript and noise forecast ({!Attribution}), so a
     level-drop rule or a message exists exactly once.
 
-    Each party owns exactly the key material the paper gives it: Party A
-    the public key and the encrypted database, Party B the secret and
-    public keys, the client both keys, the data owner everything.  All
+    Each party owns only the key material it uses: Party A the
+    relinearisation key and the encrypted database, Party B and the
+    client the secret key, the data owner everything.  Every party that
+    encrypts holds the secret key, so fresh ciphertexts are seeded
+    secret-key encryptions that Party A expands on receipt; no public
+    key is distributed.  All
     cryptographic work a party performs is recorded in its own
     {!Util.Counters.t}, which is how Table 1 is measured rather than
     quoted. *)
@@ -34,7 +37,6 @@ module Make (B : CT) :
     with type ct = B.ct
      and type params = B.params
      and type secret_key = B.secret_key
-     and type public_key = B.public_key
      and type relin_key = B.relin_key
      and type keys = B.keys
      and type env = B.env
@@ -47,7 +49,6 @@ module Live : sig
     CT
       with type params = Params.t
        and type secret_key = Bgv.secret_key
-       and type public_key = Bgv.public_key
        and type relin_key = Bgv.relin_key
        and type keys = Bgv.keys
        and type ct = Bgv.ct
@@ -63,7 +64,6 @@ include
     with type ct = Bgv.ct
      and type params = Params.t
      and type secret_key = Bgv.secret_key
-     and type public_key = Bgv.public_key
      and type relin_key = Bgv.relin_key
      and type keys = Bgv.keys
      and type env = Live.env

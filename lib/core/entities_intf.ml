@@ -8,7 +8,6 @@
 module type CT = sig
   type params
   type secret_key
-  type public_key
   type relin_key
   type keys
   type ct
@@ -24,11 +23,16 @@ module type CT = sig
   val noise_params : params -> Sknn_obs.Noise_model.params
   val keygen : Util.Rng.t -> params -> keys
   val secret_key : keys -> secret_key
-  val public_key : keys -> public_key
   val relin_key : keys -> relin_key
 
   val encrypt :
-    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> pt -> ct
+    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> secret_key -> pt -> ct
+  (** Seeded secret-key encryption, in its wire form ([c0] plus a seed):
+      every encrypting party holds the secret key. *)
+
+  val expand : counters:Util.Counters.t -> ct -> ct
+  (** Re-derives a received ciphertext's [c1] from its seed; every
+      homomorphic op rejects a ciphertext that has not been expanded. *)
 
   val decrypt : counters:Util.Counters.t -> secret_key -> ct -> pt
   val decrypt_coeff0 : counters:Util.Counters.t -> secret_key -> ct -> int64
@@ -91,7 +95,6 @@ module type S = sig
   type ct
   type params
   type secret_key
-  type public_key
   type relin_key
   type keys
   type env
@@ -172,11 +175,11 @@ module type S = sig
     type t
 
     val create :
-      ?jobs:int -> ?mask_source:mask_source -> config -> public_key -> relin_key ->
-      encrypted_db -> t
+      ?jobs:int -> ?mask_source:mask_source -> config -> relin_key -> encrypted_db -> t
     (** [jobs] is the domain count used by {!compute_distances} and
         {!select_row} (default {!Util.Pool.default_jobs}).  Results and
-        counter totals are identical for every value. *)
+        counter totals are identical for every value.  The database
+        arrives seeded; A expands it here, over [jobs] domains. *)
 
     val counters : t -> Util.Counters.t
     val db_size : t -> int
@@ -189,7 +192,9 @@ module type S = sig
     val compute_distances :
       ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> encrypted_query -> query_state * ct array
     (** Algorithm 1: returns the masked encrypted distances in permuted
-        order, [D'_i = Π(m(ED_i))].  [obs] records the ["draw-mask"],
+        order, [D'_i = Π(m(ED_i))].  The query arrives seeded; A expands
+        it first, over [jobs] domains (every compute-distances variant
+        does).  [obs] records the ["expand-query"], ["draw-mask"],
         ["distance-batches"] (with per-point pool chunks) and ["permute"]
         sub-stages. *)
 
@@ -204,7 +209,7 @@ module type S = sig
 
     val select_row : ?obs:Sknn_obs.Ctx.t -> t -> returned -> ct array -> result
     (** [select_row t returned row] answers one rank from its indicator
-        row.  Per-point: [Π(P')·B^j] as one n-term inner product, a
+        row, expanding the seeded indicators first.  Per-point: [Π(P')·B^j] as one n-term inner product, a
         {!Coeff_point}.  Slot blocks: [Σ_b row.(b)·blk_b] — [⌈n·d'/N⌉]
         plain products and their sum, one degree-1 {!Slot_block}.
         Either way the products run over [jobs] domains and the result
@@ -320,7 +325,7 @@ module type S = sig
   module Party_b : sig
     type t
 
-    val create : ?jobs:int -> block_width:int -> config -> secret_key -> public_key -> t
+    val create : ?jobs:int -> block_width:int -> config -> secret_key -> t
     (** [block_width] is d', the slot return's block width, given to B at
         deploy as n is (no message carries it); only the packed and batch
         paths use it.  [jobs] parallelises {!indicator_row}'s batch
@@ -362,8 +367,8 @@ module type S = sig
 
     val indicator_row :
       ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> ct array
-    (** The j-th indicator row, encrypted at the return level and
-        streamed rank by rank.  For a per-point view it is Algorithm 3's
+    (** The j-th indicator row, encrypted (seeded, under B's secret key)
+        at the return level and streamed rank by rank.  For a per-point view it is Algorithm 3's
         [B^j]: n encryptions of 0 with a single 1.  For a slot view it is
         [⌈n·d'/N⌉] slot ciphertexts: all zero except the d' slots of the
         selected point's block, which are 1. *)
@@ -374,7 +379,7 @@ module type S = sig
   module Client : sig
     type t
 
-    val create : ?jobs:int -> config -> secret_key -> public_key -> t
+    val create : ?jobs:int -> config -> secret_key -> t
     (** [jobs] parallelises {!decrypt_points}. *)
 
     val counters : t -> Util.Counters.t

@@ -22,14 +22,23 @@ let deploy ?rng config ~db =
   let owner = Entities.Data_owner.create (Rng.split rng) config in
   let enc_db = Entities.Data_owner.encrypt_db (Rng.split rng) owner db in
   let keys = Entities.Data_owner.keys owner in
+  let counters_a = Counters.create () in
+  (* Fresh ciphertexts arrive seeded; Party A expands them on receipt. *)
+  let expand = Bgv.expand ~counters:counters_a in
+  let points =
+    Array.map
+      (fun (p : Entities.encrypted_point) ->
+        { p with Entities.packed = expand p.Entities.packed; norm = Option.map expand p.norm })
+      enc_db.Entities.points
+  in
   { config;
     n = Array.length db;
     d = Array.length db.(0);
-    enc_db;
+    enc_db = { enc_db with Entities.points };
     sk = keys.Bgv.sk;
     pk = keys.Bgv.pk;
-    client = Entities.Client.create config keys.Bgv.sk keys.Bgv.pk;
-    counters_a = Counters.create ();
+    client = Entities.Client.create config keys.Bgv.sk;
+    counters_a;
     counters_b = Counters.create ();
     seed = Rng.split rng }
 
@@ -89,7 +98,15 @@ let run ?rng ?(max_iters = 25) t ~init =
     Transcript.send tr ~sender:Transcript.Client ~receiver:Transcript.Party_a
       ~label:(Printf.sprintf "iteration %d: encrypted centroids" !iterations)
       ~bytes:(Array.fold_left (fun s q -> s + Entities.query_bytes q) 0 enc_centroids);
-    (* Party A: per-point masked, per-point permuted distance rows. *)
+    (* Party A: expands the seeded centroids on receipt, then computes
+       per-point masked, per-point permuted distance rows. *)
+    let expand = Bgv.expand ~counters:t.counters_a in
+    let received =
+      Array.map
+        (fun (q : Entities.encrypted_query) ->
+          { q with Entities.q_rev = Option.map expand q.q_rev; q_norm = Option.map expand q.q_norm })
+        enc_centroids
+    in
     let perms = Array.init t.n (fun _ -> Perm.random rng k) in
     let masked_rows =
       Array.mapi
@@ -105,7 +122,7 @@ let run ?rng ?(max_iters = 25) t ~init =
                 let ed = encrypted_distance t point q in
                 let m = Bgv.eval_poly ~counters:t.counters_a ~coeffs ed in
                 Bgv.add_plain ~counters:t.counters_a m (zero_constant_randomizer rng params))
-              enc_centroids
+              received
           in
           Perm.apply perms.(i) row)
         t.enc_db.Entities.points

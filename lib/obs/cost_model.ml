@@ -80,11 +80,13 @@ module Symbolic = struct
   and point = { ph : string; op : string; mutable low : NM.state; mutable room : float }
 
   type params = run
-  type secret_key = unit
-  type public_key = run
+  type secret_key = run
   type relin_key = unit
-  type keys = { sk : secret_key; pk : public_key; rlk : relin_key }
-  type ct = { run : run; st : NM.state }
+  type keys = { sk : secret_key; rlk : relin_key }
+
+  (* [seeded]: c1 is the expansion of a seed, so the ciphertext sizes as
+     c0 plus the seed (Bgv's [seed <> None]); [expanded]: c1 exists. *)
+  type ct = { run : run; st : NM.state; seeded : bool; expanded : bool }
   type pt = unit
   type env = run
 
@@ -106,12 +108,16 @@ module Symbolic = struct
     (match List.find_opt same run.noise with
      | Some pt -> if room < pt.room then begin pt.low <- st; pt.room <- room end
      | None -> run.noise <- { ph = run.current; op; low = st; room } :: run.noise);
-    { run; st }
+    { run; st; seeded = false; expanded = true }
 
-  let keygen _rng run = { sk = (); pk = run; rlk = () }
+  let keygen _rng run = { sk = run; rlk = () }
   let secret_key k = k.sk
-  let public_key k = k.pk
   let relin_key k = k.rlk
+
+  (* Bgv's guard: every homomorphic op rejects the wire form. *)
+  let require_expanded op x =
+    if not x.expanded then
+      invalid_arg ("Cost_model.Symbolic." ^ op ^ ": seeded ciphertext not expanded")
 
   (* Each operation mirrors the recording discipline of the matching
      Bgv/Plaintext entry point: primary op cell, the whole-polynomial NTT
@@ -121,18 +127,28 @@ module Symbolic = struct
     let level = match level with Some l -> l | None -> NM.chain_length run.p.nm in
     C.record c C.Encrypt;
     C.record_op c C.Op_encrypt ~level;
-    C.record_op_n c C.Op_ntt_fwd ~level 4;
-    mk run "encrypt" { NM.level; degree = 1; bits = run.fresh_bits }
+    C.record_op c C.Op_ntt_fwd ~level;
+    let x = mk run "encrypt" { NM.level; degree = 1; bits = run.fresh_bits } in
+    { x with seeded = true; expanded = false }
+
+  let expand ~counters:c x =
+    if x.expanded then x
+    else begin
+      C.record_op c C.Op_expand ~level:x.st.NM.level;
+      { x with expanded = true }
+    end
 
   (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
      so presenting coefficients always costs one inverse pass. *)
-  let decrypt ~counters:c () x =
+  let decrypt ~counters:c _ x =
+    require_expanded "decrypt" x;
     C.record c C.Decrypt;
     C.record_op c C.Op_decrypt ~level:x.st.NM.level;
     C.record_op c C.Op_ntt_inv ~level:x.st.NM.level
 
   (* decrypt_coeff0 reads the evaluation-domain residues directly. *)
-  let decrypt_coeff0 ~counters:c () x =
+  let decrypt_coeff0 ~counters:c _ x =
+    require_expanded "decrypt_coeff0" x;
     C.record c C.Decrypt;
     C.record_op c C.Op_decrypt ~level:x.st.NM.level;
     0L
@@ -148,21 +164,26 @@ module Symbolic = struct
   let coeffs () ~len = Array.make len 0L
 
   let add ~counters:c a b =
+    require_expanded "add" a;
+    require_expanded "add" b;
     C.record c C.Hom_add;
     C.record_op c C.Op_ct_add ~level:(Stdlib.min a.st.NM.level b.st.NM.level);
     mk a.run "add" (NM.add a.st b.st)
 
   let sub = add
 
+  (* c1 is untouched, so a seed stays valid. *)
   let add_plain ~counters:c x () =
+    require_expanded "add_plain" x;
     C.record c C.Hom_add;
     C.record_op c C.Op_ct_add ~level:x.st.NM.level;
     C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
-    mk x.run "add_plain" (NM.add_plain x.run.p.nm x.st)
+    { (mk x.run "add_plain" (NM.add_plain x.run.p.nm x.st)) with seeded = x.seeded }
 
   let add_const ~counters x _ = add_plain ~counters x ()
 
   let mul_plain ~counters:c x () =
+    require_expanded "mul_plain" x;
     C.record c C.Hom_mul_plain;
     C.record_op c C.Op_mul_plain ~level:x.st.NM.level;
     C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
@@ -177,6 +198,7 @@ module Symbolic = struct
     log2 (Float.max 1.0 (Int64.to_float (Int64.abs r)))
 
   let mul_scalar ~counters:c x v =
+    require_expanded "mul_scalar" x;
     C.record c C.Hom_mul_plain;
     C.record_op c C.Op_mul_plain ~level:x.st.NM.level;
     mk x.run "mul_scalar" (NM.mul_scalar x.st ~bits:(centered_bits x.run.p.t_plain v))
@@ -192,6 +214,7 @@ module Symbolic = struct
     mk x.run "modswitch" (NM.modswitch x.run.p.nm x.st)
 
   let rescale_to_floor ~counters x =
+    require_expanded "rescale_to_floor" x;
     let nm = x.run.p.nm in
     let rec go x =
       let st = x.st in
@@ -212,7 +235,9 @@ module Symbolic = struct
     if level >= x.st.NM.level then x
     else begin
       C.record_op c C.Op_level_drop ~level;
-      mk x.run "truncate" (NM.truncate x.st ~level)
+      (* The expansion is limb-major: truncation keeps the seed. *)
+      { (mk x.run "truncate" (NM.truncate x.st ~level)) with
+        seeded = x.seeded; expanded = x.expanded }
     end
 
   (* The silent alignments inside add/mul/mul_sum/eval_poly. *)
@@ -241,6 +266,8 @@ module Symbolic = struct
       { x.st with NM.degree = 1; NM.bits = NM.log2_add x.st.NM.bits added }
 
   let mul ~counters:c ?rlk ?(rescale = true) a b =
+    require_expanded "mul" a;
+    require_expanded "mul" b;
     C.record c C.Hom_mul;
     C.record_op c C.Op_ct_mul ~level:(Stdlib.min a.st.NM.level b.st.NM.level);
     let x = mk a.run "mul" (NM.mul a.run.p.nm a.st b.st) in
@@ -254,6 +281,8 @@ module Symbolic = struct
     let m = Array.length a in
     if m = 0 || Array.length b <> m then
       invalid_arg "Cost_model.Symbolic.mul_sum: empty or mismatched inputs";
+    Array.iter (require_expanded "mul_sum") a;
+    Array.iter (require_expanded "mul_sum") b;
     let lvl =
       let mn acc x = Stdlib.min acc x.st.NM.level in
       Array.fold_left mn (Array.fold_left mn a.(0).st.NM.level a) b
@@ -283,6 +312,7 @@ module Symbolic = struct
 
   (* Bgv.eval_poly: Horner with the leading coefficient as a scalar. *)
   let eval_poly ~counters ?rlk ~coeffs x =
+    require_expanded "eval_poly" x;
     let d = Array.length coeffs - 1 in
     if d = 0 then add_const ~counters (mul_scalar ~counters x 0L) coeffs.(0)
     else begin
@@ -299,8 +329,11 @@ module Symbolic = struct
   let noise_budget_bits x = NM.headroom x.run.p.nm x.st
 
   (* The exact Bgv.byte_size formula: (degree+1) residue polynomials per
-     remaining prime at 4 bytes a coefficient plus the fixed header. *)
-  let byte_size x = ((x.st.NM.degree + 1) * x.st.NM.level * x.run.p.nm.NM.n * 4) + 40
+     remaining prime at 4 bytes a coefficient plus the fixed header; a
+     seeded ciphertext carries c0 and an 8-byte seed instead. *)
+  let byte_size x =
+    let poly = x.st.NM.level * x.run.p.nm.NM.n * 4 in
+    if x.seeded then 40 + poly + 8 else 40 + ((x.st.NM.degree + 1) * poly)
 
   (* Driver hooks: a phase's ledger is each watched party's counter
      delta across it; sends append to the symbolic transcript. *)
@@ -437,7 +470,7 @@ let op_basis ~n ~level op =
   let lg = log2 fn in
   let lvl = float_of_int (Stdlib.max 1 level) in
   match op with
-  | C.Op_ct_add | C.Op_ct_mul | C.Op_level_drop -> lvl *. fn
+  | C.Op_ct_add | C.Op_ct_mul | C.Op_level_drop | C.Op_expand -> lvl *. fn
   | C.Op_encrypt | C.Op_decrypt | C.Op_mul_plain | C.Op_modswitch
   | C.Op_ntt_fwd | C.Op_ntt_inv ->
     lvl *. fn *. lg

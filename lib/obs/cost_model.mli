@@ -76,8 +76,7 @@ module Symbolic : sig
   val start : params -> run
 
   type nonrec params = run
-  type secret_key
-  type public_key = run
+  type secret_key = run
   type relin_key
   type keys
   type ct
@@ -89,11 +88,12 @@ module Symbolic : sig
   val noise_params : params -> Noise_model.params
   val keygen : Util.Rng.t -> params -> keys
   val secret_key : keys -> secret_key
-  val public_key : keys -> public_key
   val relin_key : keys -> relin_key
 
   val encrypt :
-    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> public_key -> pt -> ct
+    counters:Util.Counters.t -> ?level:int -> Util.Rng.t -> secret_key -> pt -> ct
+
+  val expand : counters:Util.Counters.t -> ct -> ct
 
   val decrypt : counters:Util.Counters.t -> secret_key -> ct -> pt
   val decrypt_coeff0 : counters:Util.Counters.t -> secret_key -> ct -> int64

@@ -30,9 +30,8 @@ let make ~n ~t_plain ~moduli ~eta =
     moduli_bits = Array.map (fun m -> log2 (float_of_int m)) moduli;
     eta = float_of_int eta }
 
-let fresh_noise_bits p =
-  let n = float_of_int p.n in
-  p.t_bits +. log2 (0.5 +. (p.eta *. ((2.0 *. n) +. 1.0)))
+(* A fresh seeded secret-key ciphertext: |t·e + m| <= t·(eta + 1/2). *)
+let fresh_noise_bits p = p.t_bits +. log2 (p.eta +. 0.5)
 
 let switch_floor_bits p ~degree =
   let n = float_of_int p.n in

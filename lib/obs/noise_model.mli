@@ -28,6 +28,8 @@ val make : n:int -> t_plain:int64 -> moduli:int array -> eta:int -> params
 
 val log2_add : float -> float -> float
 val fresh_noise_bits : params -> float
+(** A fresh secret-key ciphertext's bound, [log2 (t·(eta + 1/2))]. *)
+
 val switch_floor_bits : params -> degree:int -> float
 val log2_q : params -> level:int -> float
 val chain_length : params -> int

@@ -5,8 +5,9 @@ let uniform rng ctx ~nprimes =
   let moduli = Rq.moduli ctx in
   let comps =
     Array.init nprimes (fun i ->
-        let p = moduli.(i) in
-        Array.init n (fun _ -> Rng.int_below rng p))
+        let limb = Array.make n 0 in
+        Rng.fill_below rng moduli.(i) limb;
+        limb)
   in
   Rq.of_components ctx Rq.Eval comps
 

@@ -22,11 +22,12 @@ type op =
   | Op_ntt_inv
   | Op_slot_pack
   | Op_slot_unpack
+  | Op_expand
 
 let all_ops =
   [| Op_encrypt; Op_decrypt; Op_ct_add; Op_ct_mul; Op_mul_plain; Op_modswitch;
      Op_level_drop; Op_key_switch; Op_ntt_fwd; Op_ntt_inv; Op_slot_pack;
-     Op_slot_unpack |]
+     Op_slot_unpack; Op_expand |]
 
 let num_ops = Array.length all_ops
 
@@ -43,6 +44,7 @@ let op_index = function
   | Op_ntt_inv -> 9
   | Op_slot_pack -> 10
   | Op_slot_unpack -> 11
+  | Op_expand -> 12
 
 let op_name = function
   | Op_encrypt -> "encrypt"
@@ -57,6 +59,7 @@ let op_name = function
   | Op_ntt_inv -> "ntt_inv"
   | Op_slot_pack -> "slot_pack"
   | Op_slot_unpack -> "slot_unpack"
+  | Op_expand -> "expand"
 
 (* Slot pack/unpack are plaintext-side and level-less; they record at
    level 0.  Ciphertext ops record at 1..max_level. *)

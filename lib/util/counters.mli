@@ -28,7 +28,7 @@ type t
 
 (** The coarse event classes tracked (Table 1 rows). *)
 type event =
-  | Encrypt          (** public-key encryption of one value *)
+  | Encrypt          (** encryption of one value *)
   | Decrypt          (** secret-key decryption of one value *)
   | Hom_add          (** homomorphic addition / subtraction *)
   | Hom_mul          (** homomorphic ciphertext–ciphertext multiplication *)
@@ -43,7 +43,10 @@ type event =
     count whole-polynomial conversions at the recorded level (each is
     [level] per-prime butterfly passes). *)
 type op =
-  | Op_encrypt       (** public-key encryption (4 fresh Coeff→Eval embeds) *)
+  | Op_encrypt       (** fresh encryption: the protocol's seeded secret-key
+                         form embeds t·e + m once (1 Coeff→Eval pass);
+                         public-key encryption, outside the protocol,
+                         embeds four times *)
   | Op_decrypt       (** full or coeff0-only decryption *)
   | Op_ct_add        (** ciphertext ± ciphertext *)
   | Op_ct_mul        (** ciphertext tensor product *)
@@ -55,6 +58,8 @@ type op =
   | Op_ntt_inv       (** Eval→Coeff conversion of one polynomial *)
   | Op_slot_pack     (** Plaintext.of_slots mod-t inverse NTT (level 0) *)
   | Op_slot_unpack   (** Plaintext.to_slots mod-t forward NTT (level 0) *)
+  | Op_expand        (** re-deriving a seeded ciphertext's c1 from its seed
+                         (sampled in Eval, no NTT) *)
 
 val all_ops : op array
 (** Every op kind once, in {!op_index} order. *)

@@ -7,7 +7,7 @@ let create seed = { state = seed }
 let of_int seed = create (Int64.of_int seed)
 
 (* splitmix64 finaliser: xor-shift-multiply chain with full avalanche. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -39,6 +39,26 @@ let int64_below t bound =
 let int_below t bound =
   if bound <= 0 then invalid_arg "Rng.int_below: bound <= 0";
   Int64.to_int (int64_below t (Int64.of_int bound))
+
+(* The draws of [int_below] in a loop whose int64 state stays unboxed:
+   the per-call form allocates a box per state update and result, which
+   dominates the uniform ring samples behind seed expansion. *)
+let fill_below t bound dst =
+  if bound <= 0 then invalid_arg "Rng.fill_below: bound <= 0";
+  let b = Int64.of_int bound in
+  let limit = Int64.sub Int64.max_int (Int64.sub b 1L) in
+  let state = ref t.state in
+  for i = 0 to Array.length dst - 1 do
+    let v = ref (-1L) in
+    while (!v : int64) < 0L do
+      state := Int64.add !state golden_gamma;
+      let r = Int64.shift_right_logical (mix !state) 1 in
+      let x = Int64.rem r b in
+      if (Int64.sub r x : int64) <= limit then v := x
+    done;
+    dst.(i) <- Int64.to_int !v
+  done;
+  t.state <- !state
 
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: hi < lo";

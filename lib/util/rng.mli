@@ -35,6 +35,10 @@ val int64_below : t -> int64 -> int64
 val int_below : t -> int -> int
 (** [int_below t bound] is uniform in [\[0, bound)] for positive [bound]. *)
 
+val fill_below : t -> int -> int array -> unit
+(** [fill_below t bound dst] sets [dst.(0)], [dst.(1)], … in turn to
+    [int_below t bound]: the same draws, without allocating per draw. *)
+
 val int_range : t -> int -> int -> int
 (** [int_range t lo hi] is uniform in the inclusive range [\[lo, hi\]]. *)
 

@@ -696,6 +696,132 @@ let test_sum_slots_every_level () =
         true (!verified >= 2))
     (keyed_presets ())
 
+(* ------------------------------------------------------------------ *)
+(* Seeded secret-key encryption                                        *)
+(* ------------------------------------------------------------------ *)
+
+let enc_sk ?level ?(seed = 77) slots =
+  Bgv.encrypt_sk ?level ~seed:(Int64.of_int (seed * 7919)) (Rng.of_int seed) keys.Bgv.sk
+    (Plaintext.of_slots params slots)
+
+(* Every component on the wire: an op that drops the seed (neg) makes
+   the codec carry c1 too, so equal bytes mean equal ciphertexts. *)
+let components ct = Bgv.ct_to_bytes (Bgv.neg ct)
+
+let test_seeded_codec () =
+  let a = random_slots 40 in
+  let wire = enc_sk a in
+  let full = Bgv.expand wire in
+  let n = params.Params.n and top = Params.chain_length params in
+  Alcotest.(check bool) "wire form unexpanded" false (Bgv.is_expanded wire);
+  Alcotest.(check bool) "expanded" true (Bgv.is_expanded full);
+  Alcotest.(check int) "seeded size: c0 + seed" ((top * n * 4) + 48) (Bgv.byte_size wire);
+  List.iter
+    (fun (label, ct) ->
+      Alcotest.(check int) (label ^ ": byte_size = encoded length") (Bgv.byte_size ct)
+        (Bytes.length (Bgv.ct_to_bytes ct)))
+    [ ("wire", wire); ("expanded", full); ("unseeded", Bgv.neg full);
+      ("truncated wire", Bgv.truncate_to_level wire 1) ];
+  Alcotest.(check int) "expanded still ships seeded" (Bgv.byte_size wire) (Bgv.byte_size full);
+  let decoded = Bgv.ct_of_bytes params (Bgv.ct_to_bytes full) in
+  Alcotest.(check bool) "decodes to the wire form" false (Bgv.is_expanded decoded);
+  Alcotest.(check bool) "round trip then expand" true
+    (Bytes.equal (components full) (components (Bgv.expand decoded)));
+  check_slots "decrypts" a (dec (Bgv.expand decoded));
+  Alcotest.(check (float 0.0)) "noise metadata" (Bgv.noise_bits wire) (Bgv.noise_bits decoded);
+  let bad = Bgv.ct_to_bytes wire in
+  Bytes.set_uint16_le bad 16 2;
+  Alcotest.(check bool) "seeded form is degree 1" true
+    (try ignore (Bgv.ct_of_bytes params bad); false with Failure _ -> true)
+
+let test_seeded_truncate_expand () =
+  (* The expansion is limb-major: truncating the wire form and then
+     expanding gives the truncation of the full expansion, at every
+     level — so B may encrypt at the return level directly. *)
+  let wire = enc_sk (random_slots 41) in
+  for lvl = 1 to Bgv.level wire do
+    let a = Bgv.expand (Bgv.truncate_to_level wire lvl) in
+    let b = Bgv.truncate_to_level (Bgv.expand wire) lvl in
+    Alcotest.(check bool) (Printf.sprintf "level %d" lvl) true
+      (Bytes.equal (components a) (components b))
+  done;
+  let low = enc_sk ~level:2 (random_slots 42) in
+  Alcotest.(check int) "direct low-level encryption" 2 (Bgv.level low);
+  check_slots "decrypts at level 2" (random_slots 42) (dec (Bgv.expand low))
+
+let test_seeded_ops_reject () =
+  let wire = enc_sk (random_slots 43) in
+  let full = Bgv.expand wire in
+  let pt = Plaintext.of_slots params (random_slots 44) in
+  let gk = Bgv.galois_keygen (Rng.of_int 45) keys.Bgv.sk ~elt:3 in
+  let r = Rng.of_int 46 in
+  List.iter
+    (fun (name, op) ->
+      match op () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted an unexpanded ciphertext" name)
+    [ ("add", fun () -> ignore (Bgv.add wire full));
+      ("add (right)", fun () -> ignore (Bgv.add full wire));
+      ("sub", fun () -> ignore (Bgv.sub wire full));
+      ("neg", fun () -> ignore (Bgv.neg wire));
+      ("add_plain", fun () -> ignore (Bgv.add_plain wire pt));
+      ("add_const", fun () -> ignore (Bgv.add_const wire 3L));
+      ("mul_plain", fun () -> ignore (Bgv.mul_plain wire pt));
+      ("mul_scalar", fun () -> ignore (Bgv.mul_scalar wire 3L));
+      ("mul", fun () -> ignore (Bgv.mul full wire));
+      ("mul_sum", fun () -> ignore (Bgv.mul_sum [| full; wire |] [| full; full |]));
+      ("modswitch", fun () -> ignore (Bgv.modswitch wire));
+      ("rescale_to_floor", fun () -> ignore (Bgv.rescale_to_floor wire));
+      ("relinearize", fun () -> ignore (Bgv.relinearize keys.Bgv.rlk wire));
+      ("apply_galois", fun () -> ignore (Bgv.apply_galois gk wire));
+      ("sum_slots", fun () -> ignore (Bgv.sum_slots [] wire));
+      ("eval_poly", fun () -> ignore (Bgv.eval_poly ~coeffs:[| 1L; 2L |] wire));
+      ("rerandomize", fun () -> ignore (Bgv.rerandomize r keys.Bgv.pk wire));
+      ("decrypt", fun () -> ignore (Bgv.decrypt keys.Bgv.sk wire));
+      ("decrypt_coeff0", fun () -> ignore (Bgv.decrypt_coeff0 keys.Bgv.sk wire)) ];
+  (* A result keeps its seed only while c1 is the seed's expansion. *)
+  let seeded ct = Bgv.byte_size ct = Bgv.byte_size (Bgv.truncate_to_level wire (Bgv.level ct)) in
+  Alcotest.(check bool) "add_plain keeps the seed" true (seeded (Bgv.add_plain full pt));
+  Alcotest.(check bool) "truncation keeps the seed" true (seeded (Bgv.truncate_to_level full 2));
+  Alcotest.(check bool) "mul_scalar drops it" false (seeded (Bgv.mul_scalar full 3L));
+  Alcotest.(check bool) "modswitch drops it" false (seeded (Bgv.modswitch full));
+  Alcotest.(check bool) "add drops it" false (seeded (Bgv.add full full))
+
+let test_seeded_fresh_noise () =
+  (* The fresh bound log2(t·(eta + 1/2)) holds on every preset and at
+     every level, edge plaintexts (0, t-1, ⌊t/2⌋) included. *)
+  List.iter
+    (fun (p : Params.t) ->
+      let k = Bgv.keygen (Rng.of_int 4243) p in
+      let tp = p.Params.t_plain in
+      let slots = random_slots_for p 47 in
+      slots.(0) <- Int64.pred tp;
+      slots.(1) <- Int64.div tp 2L;
+      slots.(2) <- 0L;
+      let top = Params.chain_length p in
+      List.iter
+        (fun lvl ->
+          let ct =
+            Bgv.expand
+              (Bgv.encrypt_sk ~level:lvl ~seed:(Int64.of_int lvl) (Rng.of_int (48 + lvl)) k.Bgv.sk
+                 (Plaintext.of_slots p slots))
+          in
+          let label = Printf.sprintf "%s level %d" p.Params.name lvl in
+          Alcotest.(check (float 1e-9)) (label ^ ": tracked bound") (Bgv.fresh_noise_bits p)
+            (Bgv.noise_bits ct);
+          (* Levels whose modulus cannot hold a fresh ciphertext are
+             never encrypted at; the guard reports them as exhausted. *)
+          if Bgv.noise_budget_bits ct > 0.0 then begin
+            Alcotest.(check bool) (label ^ ": actual <= tracked") true
+              (Bgv.actual_noise_bits k.Bgv.sk ct <= Bgv.noise_bits ct);
+            Alcotest.(check (array int64)) (label ^ ": decrypts") slots
+              (Plaintext.to_slots (Bgv.decrypt k.Bgv.sk ct))
+          end
+          else if lvl = top then Alcotest.failf "%s: no budget at the top level" label)
+        (List.init top (fun i -> i + 1)))
+    [ Params.toy (); Params.bench_small (); Params.bench (); Params.secure ();
+      (Config.standard ()).Config.bgv; (Config.fast ()).Config.bgv ]
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_add_homomorphic; prop_mul_homomorphic; prop_distributivity;
@@ -753,6 +879,11 @@ let () =
          Alcotest.test_case "ct after ops" `Quick test_ct_serialisation_after_ops;
          Alcotest.test_case "rejects garbage" `Quick test_ct_serialisation_rejects_garbage;
          Alcotest.test_case "keys" `Quick test_key_serialisation ]);
+      ("seeded",
+       [ Alcotest.test_case "codec round trip" `Quick test_seeded_codec;
+         Alcotest.test_case "truncate then expand" `Quick test_seeded_truncate_expand;
+         Alcotest.test_case "ops reject wire form" `Quick test_seeded_ops_reject;
+         Alcotest.test_case "fresh noise, every preset" `Slow test_seeded_fresh_noise ]);
       ("protocol pattern",
        [ Alcotest.test_case "packed distance + mask" `Quick test_homomorphic_distance_pattern;
          Alcotest.test_case "counters" `Quick test_counters ]);

@@ -200,8 +200,9 @@ let test_transcript_structure () =
     (Transcript.bytes_between tr Transcript.Party_a Transcript.Party_b > 0);
   (* 1 query + 1 distance msg + k indicator rows + 1 result = k + 3. *)
   Alcotest.(check int) "message count" (4 + 3) (Transcript.messages tr);
-  (* Setup transcript covers key and database distribution. *)
-  Alcotest.(check int) "setup messages" 4 (Transcript.messages (Protocol.setup_transcript dep))
+  (* Setup transcript: the encrypted database to A, the secret key to B
+     and to the client (no public key: every encryptor holds s). *)
+  Alcotest.(check int) "setup messages" 3 (Transcript.messages (Protocol.setup_transcript dep))
 
 let test_phase_times_present () =
   let rng = Rng.of_int 137 in
@@ -860,6 +861,69 @@ let test_cost_model_batch () =
   check_prediction "batch/steady" config ~n ~d ~k ~include_prepare:false
     (CM.Batch 3) steady.(0)
 
+let test_fresh_ciphertexts_seeded () =
+  (* Every fresh ciphertext travels as c0 plus its 8-byte seed, and Party
+     A expands each one on receipt.  On every path A's expand cells match
+     the client's and B's encryptions level for level, each encryption
+     embeds t·e + m with one forward NTT, and the setup, query and
+     indicator messages carry exactly the seeded sizes. *)
+  let module C = Util.Counters in
+  let db = small_db (Rng.of_int 655) in
+  let n = Array.length db and d = Array.length db.(0) in
+  let rng = Rng.of_int 656 in
+  let queries = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
+  let k = 3 in
+  let config = affine_config () in
+  let p = config.Config.bgv in
+  let top = Params.chain_length p and rl = config.Config.return_level in
+  let seeded level = 40 + (level * p.Params.n * 4) + 8 in
+  let bytes tr prefix =
+    List.fold_left
+      (fun acc (e : Transcript.entry) ->
+        if String.starts_with ~prefix e.Transcript.label then acc + e.Transcript.bytes else acc)
+      0 (Transcript.entries tr)
+  in
+  List.iter
+    (fun (name, run) ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 657) config ~db in
+      let setup = Protocol.setup_transcript dep in
+      Alcotest.(check int) (name ^ ": database ships seeded")
+        (n * (d + 1) * seeded top) (bytes setup "encrypted database");
+      Alcotest.(check int) (name ^ ": secret keys, one byte a coefficient")
+        (2 * p.Params.n) (bytes setup "secret key");
+      let r : Protocol.result = run dep in
+      let a = r.Protocol.counters_a and b = r.Protocol.counters_b in
+      let cl = r.Protocol.counters_client in
+      let count c op level = C.op_count c op ~level in
+      let nq = count cl C.Op_encrypt top and nind = count b C.Op_encrypt rl in
+      let check what expected actual = Alcotest.(check int) (name ^ ": " ^ what) expected actual in
+      check "client encrypts at the top only" nq (C.op_total cl C.Op_encrypt);
+      check "B encrypts at the return level only" nind (C.op_total b C.Op_encrypt);
+      check "A expands the query" nq (count a C.Op_expand top);
+      check "A expands the indicators" nind (count a C.Op_expand rl);
+      check "A expands nothing else" (nq + nind) (C.op_total a C.Op_expand);
+      check "one embed per query encryption" nq (count cl C.Op_ntt_fwd top);
+      check "one embed per indicator" nind (count b C.Op_ntt_fwd rl);
+      check "query bytes" (nq * seeded top) (bytes r.Protocol.transcript "encrypted query");
+      check "indicator bytes" (nind * seeded rl) (bytes r.Protocol.transcript "indicator vector"))
+    [ ("plain", fun dep -> Protocol.query dep ~query:queries.(0) ~k);
+      ("prepared", fun dep -> Protocol.query_prepared dep ~query:queries.(0) ~k);
+      ("packed", fun dep -> Protocol.query_packed dep ~query:queries.(0) ~k);
+      ("batch", fun dep -> (Protocol.query_batch dep ~queries ~k).(0)) ];
+  (* The symbolic backend sizes the wire form identically and rejects it
+     in a homomorphic op, as Bgv does. *)
+  let module S = CM.Symbolic in
+  let run = S.start (Attribution.model_params config ~n ~d ~k) in
+  let c = C.create () in
+  let wire =
+    S.encrypt ~counters:c (Rng.of_int 658) (S.secret_key (S.keygen rng run)) (S.pt_const run 0L)
+  in
+  Alcotest.(check int) "symbolic seeded size" (seeded top) (S.byte_size wire);
+  Alcotest.(check int) "symbolic expanded still seeded" (seeded top)
+    (S.byte_size (S.expand ~counters:c wire));
+  Alcotest.(check bool) "symbolic op rejects the wire form" true
+    (try ignore (S.add ~counters:c wire wire); false with Invalid_argument _ -> true)
+
 let test_predict_end_to_end_consistency () =
   (* predict_end_to_end = priced compute + replayed symbolic wire; with
      an empty calibration table the compute term is zero, so the total
@@ -1213,6 +1277,7 @@ let () =
          Alcotest.test_case "ledger exact (prepared)" `Quick test_cost_model_prepared;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
+         Alcotest.test_case "fresh ciphertexts seeded" `Quick test_fresh_ciphertexts_seeded;
          Alcotest.test_case "end-to-end prediction consistent" `Quick
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick

@@ -20,6 +20,7 @@ let rule_hits outcome rule file =
 let expected =
   [ (Lint_config.No_division, "bad_division.ml", 5);
     (Lint_config.Secret_taint, "bad_taint.ml", 3);
+    (Lint_config.Secret_taint, "bad_taint_encrypt_sk.ml", 1);
     (Lint_config.Orchestrator_only_obs, "bad_obs_in_pool.ml", 2);
     (Lint_config.No_ambient_nondeterminism, "bad_nondeterminism.ml", 5);
     (Lint_config.No_ambient_nondeterminism, "bad_wallclock.ml", 3);

@@ -76,6 +76,22 @@ let test_rng_bytes () =
     (let first = Bytes.get b 0 in
      not (String.for_all (Char.equal first) (Bytes.to_string b)))
 
+let test_rng_fill_below () =
+  (* The batch form draws exactly what int_below would, in order, for
+     bounds that reject often (just above a power of two) and rarely,
+     and leaves the generator where the per-call loop would. *)
+  List.iter
+    (fun bound ->
+      let a = Rng.of_int 23 and b = Rng.of_int 23 in
+      let got = Array.make 500 0 in
+      Rng.fill_below a bound got;
+      let want = Array.init 500 (fun _ -> Rng.int_below b bound) in
+      Alcotest.(check (array int)) (Printf.sprintf "bound %d" bound) want got;
+      Alcotest.(check int64) "same state after" (Rng.bits64 b) (Rng.bits64 a))
+    [ 1; 3; 257; (1 lsl 30) + 1; 1073479681 ];
+  Alcotest.check_raises "bound <= 0" (Invalid_argument "Rng.fill_below: bound <= 0")
+    (fun () -> Rng.fill_below (Rng.of_int 1) 0 [| 0 |])
+
 (* ------------------------------------------------------------------ *)
 (* Perm                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -318,7 +334,8 @@ let () =
          Alcotest.test_case "ranges" `Quick test_rng_ranges;
          Alcotest.test_case "uniformity" `Quick test_rng_int64_below_uniformish;
          Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
-         Alcotest.test_case "bytes" `Quick test_rng_bytes ]);
+         Alcotest.test_case "bytes" `Quick test_rng_bytes;
+         Alcotest.test_case "fill_below" `Quick test_rng_fill_below ]);
       ("perm",
        [ Alcotest.test_case "identity" `Quick test_perm_identity;
          Alcotest.test_case "random bijection" `Quick test_perm_random_bijection;
