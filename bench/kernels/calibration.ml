@@ -52,7 +52,7 @@ let measure ?(quick = false) ?rng (params : Params.t) : t =
   let set op level s = costs.(C.op_index op).(level) <- s in
   let keys = Bgv.keygen rng params in
   let pt = Plaintext.constant params 123L in
-  let encrypt ?level () = Bgv.encrypt_sk ?level ~seed:(Util.Rng.bits64 rng) rng keys.Bgv.sk pt in
+  let encrypt ?level () = Bgv.encrypt_sk ?level ~seed:(Util.Rng.public_seed rng) rng keys.Bgv.sk pt in
   let fresh = Bgv.expand (encrypt ()) in
   (* The protocol encrypts with the seeded secret-key form, at the full
      chain and directly at lower levels (Party B's Return-kNN indicators

@@ -117,14 +117,14 @@ let encrypt_suite ~target rng =
   let params = Params.toy () in
   let keys = Bgv.keygen rng params in
   let pt = Plaintext.constant params 123L in
-  let wire = Bgv.encrypt_sk ~seed:1L rng keys.Bgv.sk pt in
+  let wire = Bgv.encrypt_sk ~seed:(Util.Rng.public_seed rng) rng keys.Bgv.sk pt in
   let bench name f =
     let ns, reps = measure ~target f in
     { name; ring_n = params.Params.n; prime_bits = 0; ns_per_op = ns; reps }
   in
   [ bench "bgv-encrypt-pk" (fun () -> ignore (Bgv.encrypt rng keys.Bgv.pk pt));
     bench "bgv-encrypt-sk" (fun () ->
-        ignore (Bgv.encrypt_sk ~seed:(Util.Rng.bits64 rng) rng keys.Bgv.sk pt));
+        ignore (Bgv.encrypt_sk ~seed:(Util.Rng.public_seed rng) rng keys.Bgv.sk pt));
     bench "bgv-expand" (fun () -> ignore (Bgv.expand wire)) ]
 
 let run ?(quick = false) () =

@@ -33,9 +33,9 @@ type ct = {
   factor : int64;     (* decrypt yields factor * m; undone in decrypt *)
   log_noise : float;  (* bits: conservative bound on |c0 + c1 s + …| *)
   seed : int64 option;
-      (* Some s: c1 is (or, in the wire form, will be) the expansion of s,
-         so the ciphertext travels as c0 plus s.  Cleared by every op
-         that changes c1. *)
+      (* Some s: the wire form of a seeded ciphertext, c0 alone with
+         c1 the expansion of s; it travels as c0 plus s.  [expand]
+         clears it. *)
 }
 
 let record c e = match c with None -> () | Some c -> Counters.record c e
@@ -78,7 +78,7 @@ let switch_floor_bits p d =
   let rec sum acc i = if i > d then acc else sum (acc +. (n ** float_of_int i)) (i + 1) in
   log2_t p -. 1.0 +. log2 (sum 0.0 0)
 
-let is_expanded ct = Array.length ct.comps > 1 || Option.is_none ct.seed
+let is_expanded ct = Option.is_none ct.seed
 let degree ct = if is_expanded ct then Array.length ct.comps - 1 else 1
 let level ct = Rq.nprimes ct.comps.(0)
 
@@ -254,11 +254,11 @@ let encrypt_sk ?counters ?level ~seed rng sk pt =
 
 let expand ?counters ct =
   match ct.seed with
-  | Some seed when not (is_expanded ct) ->
+  | Some seed ->
     let nprimes = level ct in
     record_op counters Counters.Op_expand ~level:nprimes;
-    { ct with comps = [| ct.comps.(0); expansion ct.params seed ~nprimes |] }
-  | _ -> ct
+    { ct with comps = [| ct.comps.(0); expansion ct.params seed ~nprimes |]; seed = None }
+  | None -> ct
 
 exception Decryption_failure of string
 
@@ -350,8 +350,7 @@ let truncate_to_level ?counters ct k =
   if k = level ct then ct
   else begin
     record_op counters Counters.Op_level_drop ~level:k;
-    (* The expansion is limb-major, so a seed survives truncation, in
-       either form. *)
+    (* The expansion is limb-major, so a seeded wire form stays seeded. *)
     { ct with comps = Array.map (fun c -> Rq.truncate c ~nprimes:k) ct.comps }
   end
 
@@ -368,8 +367,7 @@ let scale_raw ct v =
   let t = ct.params.Params.t_plain in
   { ct with
     comps = Array.map (fun c -> Rq.mul_scalar c v) ct.comps;
-    log_noise = ct.log_noise +. log2 (centered_magnitude t v);
-    seed = None }
+    log_noise = ct.log_noise +. log2 (centered_magnitude t v) }
 
 let match_factor target ct =
   if Int64.equal ct.factor target then ct
@@ -417,7 +415,7 @@ let sub ?counters a b =
 
 let neg ct =
   require_expanded "Bgv.neg" ct;
-  { ct with comps = Array.map Rq.neg ct.comps; seed = None }
+  { ct with comps = Array.map Rq.neg ct.comps }
 
 let plain_to_rq ct pt =
   Rq.of_int64_coeffs ct.params.Params.ring ~nprimes:(level ct) Rq.Eval
@@ -434,7 +432,6 @@ let add_plain ?counters ct pt =
   let pt = Plaintext.scale pt ct.factor in
   let comps = Array.copy ct.comps in
   comps.(0) <- Rq.add comps.(0) (plain_to_rq ct pt);
-  (* c1 is untouched, so a seed stays valid. *)
   { ct with comps; log_noise = log2_add ct.log_noise (log2_t ct.params -. 1.0) }
 
 let add_const ?counters ct v =
@@ -449,8 +446,7 @@ let mul_plain ?counters ct pt =
   let m = plain_to_rq ct pt in
   { ct with
     comps = Array.map (fun c -> Rq.mul c m) ct.comps;
-    log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0;
-    seed = None }
+    log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0 }
 
 let mul_scalar ?counters ct v =
   require_expanded "Bgv.mul_scalar" ct;
@@ -517,7 +513,7 @@ let modswitch ?counters ct =
       (ct.log_noise -. log2 (float_of_int drop))
       (switch_floor_bits p (degree ct))
   in
-  { ct with comps; factor; log_noise; seed = None }
+  { ct with comps; factor; log_noise }
 
 let rescale_to_floor ?counters ct =
   require_expanded "Bgv.rescale_to_floor" ct;
@@ -590,8 +586,7 @@ let relinearize ?counters rlk ct =
   in
   { ct with
     comps = [| Rq.add ct.comps.(0) d0; Rq.add ct.comps.(1) d1 |];
-    log_noise = log2_add ct.log_noise added;
-    seed = None }
+    log_noise = log2_add ct.log_noise added }
 
 let mul ?counters ?rlk ?(rescale = true) a b =
   require_expanded "Bgv.mul" a;
@@ -963,8 +958,7 @@ let apply_galois ?counters gk ct =
   in
   { ct with
     comps = [| Rq.add c0s d0; d1 |];
-    log_noise = log2_add ct.log_noise added;
-    seed = None }
+    log_noise = log2_add ct.log_noise added }
 
 (* Rotate-and-sum slot reduction: the Galois group of the power-of-two
    cyclotomic is <3> x <-1> and acts simply transitively on the slots,

@@ -94,10 +94,8 @@ val decrypt_coeff0 : ?counters:Util.Counters.t -> secret_key -> ct -> int64
 (** {1 Homomorphic evaluation}
 
     Every operation below raises [Invalid_argument] on a ciphertext
-    that is not {!is_expanded}.  A result keeps its seed (and so its
-    compact wire form) only when its [c1] is still the seed's expansion:
-    {!truncate_to_level} and {!add_plain} keep it, everything else
-    drops it. *)
+    that is not {!is_expanded}, so every result is expanded; only
+    {!truncate_to_level} also takes the wire form, and keeps it. *)
 
 val add : ?counters:Util.Counters.t -> ct -> ct -> ct
 val sub : ?counters:Util.Counters.t -> ct -> ct -> ct
@@ -222,7 +220,7 @@ val log2_q_at_level : Params.t -> int -> float
 val byte_size : ct -> int
 (** Exact serialised size: [Bytes.length (ct_to_bytes ct)] without
     paying for the encoding (4 bytes per residue coefficient plus a
-    40-byte header).  A seeded ciphertext, expanded or not, serialises
+    40-byte header).  The wire form of a seeded ciphertext serialises
     as [c0] plus its 8-byte seed. *)
 
 val pp_ct : Format.formatter -> ct -> unit

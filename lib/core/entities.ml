@@ -87,6 +87,30 @@ module Make (Live : CT) = struct
   let batched_query_cts bq = Array.append bq.bq_coords [| bq.bq_norm |]
   let query_bytes q = cts_bytes (query_cts q)
 
+  let expand_all ~counters ?(jobs = Pool.default_jobs ()) cts =
+    Pool.map_local ~jobs ~make:Counters.create ~merge:(merge_into counters)
+      ~f:(fun counters _ c -> Live.expand ~counters c) cts
+
+  let expand_points ~counters ?(jobs = Pool.default_jobs ()) points =
+    Pool.map_local ~jobs ~make:Counters.create ~merge:(merge_into counters)
+      ~f:(fun counters _ p ->
+        let expand = Live.expand ~counters in
+        { coords = Option.map (Array.map expand) p.coords;
+          packed = expand p.packed;
+          norm = Option.map expand p.norm })
+      points
+
+  (* The query's ciphertexts expanded in one pool call, then put back
+     in [query_cts] order: coordinates, reversed query, norm. *)
+  let expand_query ~counters ?jobs q =
+    let cts = expand_all ~counters ?jobs (query_cts q) in
+    let d = Option.fold ~none:0 ~some:Array.length q.q_coords in
+    let r = d + Option.fold ~none:0 ~some:(fun _ -> 1) q.q_rev in
+    { q with
+      q_coords = Option.map (fun _ -> Array.sub cts 0 d) q.q_coords;
+      q_rev = Option.map (fun _ -> cts.(d)) q.q_rev;
+      q_norm = Option.map (fun _ -> cts.(r)) q.q_norm }
+
   let db_bytes db =
     Array.fold_left
       (fun s p ->
@@ -197,9 +221,7 @@ module Make (Live : CT) = struct
     (* Fresh ciphertexts arrive seeded (c0 plus a seed): A re-derives each
        c1 on receipt, over its domains and into its own ledger — the work
        a real wire makes it do. *)
-    let expand_each t cts =
-      Pool.map_local ~jobs:t.jobs ~make:Counters.create ~merge:(merge_into t.counters)
-        ~f:(fun counters _ c -> Live.expand ~counters c) cts
+    let expand_each t cts = expand_all ~counters:t.counters ~jobs:t.jobs cts
 
     let create ?jobs ?(mask_source = draw_mask) config rlk db =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
@@ -207,31 +229,14 @@ module Make (Live : CT) = struct
         { config; nm = Live.noise_params config.Config.bgv; rlk; db;
           counters = Counters.create (); jobs; mask_source }
       in
-      let points =
-        Pool.map_local ~jobs ~make:Counters.create ~merge:(merge_into t.counters)
-          ~f:(fun counters _ p ->
-            let expand = Live.expand ~counters in
-            { coords = Option.map (Array.map expand) p.coords;
-              packed = expand p.packed;
-              norm = Option.map expand p.norm })
-          db.points
-      in
-      { t with db = { db with points } }
+      { t with db = { db with points = expand_points ~counters:t.counters ~jobs db.points } }
 
-    let expand_received obs t cts =
+    let received obs f =
       Obs.with_span obs "expand-query" (fun () ->
-          Obs.with_pool_chunks obs ~label:"expand-query" (fun () -> expand_each t cts))
+          Obs.with_pool_chunks obs ~label:"expand-query" f)
 
-    (* The query's ciphertexts expanded in one pool call, then put back
-       in [query_cts] order: coordinates, reversed query, norm. *)
-    let expand_query obs t q =
-      let cts = expand_received obs t (query_cts q) in
-      let d = Option.fold ~none:0 ~some:Array.length q.q_coords in
-      let r = d + Option.fold ~none:0 ~some:(fun _ -> 1) q.q_rev in
-      { q with
-        q_coords = Option.map (fun _ -> Array.sub cts 0 d) q.q_coords;
-        q_rev = Option.map (fun _ -> cts.(d)) q.q_rev;
-        q_norm = Option.map (fun _ -> cts.(r)) q.q_norm }
+    let receive_query obs t q =
+      received obs (fun () -> expand_query ~counters:t.counters ~jobs:t.jobs q)
 
     let counters t = t.counters
     let db_size t = t.db.db_n
@@ -322,7 +327,7 @@ module Make (Live : CT) = struct
       let config = t.config in
       if query.q_dim <> t.db.db_d then
         invalid_arg "Party_a.compute_distances: dimension mismatch";
-      let query = expand_query obs t query in
+      let query = receive_query obs t query in
       let masks = draw_masks obs t rng in
       let coeffs = Masking.coeffs masks.(0) in
       let rngs = split_streams rng t.db.db_n in
@@ -398,7 +403,7 @@ module Make (Live : CT) = struct
       let config = t.config in
       if query.q_dim <> t.db.db_d then
         invalid_arg "Party_a.compute_distances_prepared: dimension mismatch";
-      let query = expand_query obs t query in
+      let query = receive_query obs t query in
       let q_rev, q_norm =
         match query.q_rev, query.q_norm with
         | Some r, Some n -> (r, n)
@@ -539,7 +544,7 @@ module Make (Live : CT) = struct
       let d = t.db.db_d and n = t.db.db_n in
       if query.q_dim <> d then
         invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
-      let query = expand_query obs t query in
+      let query = receive_query obs t query in
       let q_coords, q_norm =
         match query.q_coords, query.q_norm with
         | Some c, Some nr when Array.length c = d -> (c, nr)
@@ -640,7 +645,7 @@ module Make (Live : CT) = struct
       if bq.bq_dim <> d then invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
       check_packed_state t pp ~caller:"Party_a.compute_distances_batch";
       let bq =
-        let cts = expand_received obs t (batched_query_cts bq) in
+        let cts = received obs (fun () -> expand_each t (batched_query_cts bq)) in
         { bq with bq_coords = Array.sub cts 0 d; bq_norm = cts.(d) }
       in
       let slots = Live.ring_degree params in
@@ -1208,7 +1213,7 @@ module Live = struct
   let relin_key k = k.Bgv.rlk
 
   let encrypt ~counters ?level rng sk pt =
-    let seed = Rng.bits64 rng in
+    let seed = Rng.public_seed rng in
     Bgv.encrypt_sk ~counters ?level ~seed rng sk pt
 
   let expand ~counters ct = Bgv.expand ~counters ct

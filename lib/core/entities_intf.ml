@@ -148,6 +148,18 @@ module type S = sig
 
   val query_bytes : encrypted_query -> int
 
+  (** {1 Expansion on receipt}
+
+      Fresh ciphertexts travel seeded (c0 plus a seed); whoever receives
+      them re-derives each c1 before computing on it.  Both helpers run
+      over [jobs] domains (default {!Util.Pool.default_jobs}), record into
+      [counters], and give bit-identical results for every job count. *)
+
+  val expand_points :
+    counters:Util.Counters.t -> ?jobs:int -> encrypted_point array -> encrypted_point array
+
+  val expand_query : counters:Util.Counters.t -> ?jobs:int -> encrypted_query -> encrypted_query
+
   (** {1 Data owner} *)
 
   module Data_owner : sig

@@ -24,13 +24,7 @@ let deploy ?rng config ~db =
   let keys = Entities.Data_owner.keys owner in
   let counters_a = Counters.create () in
   (* Fresh ciphertexts arrive seeded; Party A expands them on receipt. *)
-  let expand = Bgv.expand ~counters:counters_a in
-  let points =
-    Array.map
-      (fun (p : Entities.encrypted_point) ->
-        { p with Entities.packed = expand p.Entities.packed; norm = Option.map expand p.norm })
-      enc_db.Entities.points
-  in
+  let points = Entities.expand_points ~counters:counters_a enc_db.Entities.points in
   { config;
     n = Array.length db;
     d = Array.length db.(0);
@@ -100,13 +94,7 @@ let run ?rng ?(max_iters = 25) t ~init =
       ~bytes:(Array.fold_left (fun s q -> s + Entities.query_bytes q) 0 enc_centroids);
     (* Party A: expands the seeded centroids on receipt, then computes
        per-point masked, per-point permuted distance rows. *)
-    let expand = Bgv.expand ~counters:t.counters_a in
-    let received =
-      Array.map
-        (fun (q : Entities.encrypted_query) ->
-          { q with Entities.q_rev = Option.map expand q.q_rev; q_norm = Option.map expand q.q_norm })
-        enc_centroids
-    in
+    let received = Array.map (Entities.expand_query ~counters:t.counters_a) enc_centroids in
     let perms = Array.init t.n (fun _ -> Perm.random rng k) in
     let masked_rows =
       Array.mapi

@@ -84,9 +84,8 @@ module Symbolic = struct
   type relin_key = unit
   type keys = { sk : secret_key; rlk : relin_key }
 
-  (* [seeded]: c1 is the expansion of a seed, so the ciphertext sizes as
-     c0 plus the seed (Bgv's [seed <> None]); [expanded]: c1 exists. *)
-  type ct = { run : run; st : NM.state; seeded : bool; expanded : bool }
+  (* [seeded]: the wire form, c0 plus a seed (Bgv's [seed <> None]). *)
+  type ct = { run : run; st : NM.state; seeded : bool }
   type pt = unit
   type env = run
 
@@ -108,7 +107,7 @@ module Symbolic = struct
     (match List.find_opt same run.noise with
      | Some pt -> if room < pt.room then begin pt.low <- st; pt.room <- room end
      | None -> run.noise <- { ph = run.current; op; low = st; room } :: run.noise);
-    { run; st; seeded = false; expanded = true }
+    { run; st; seeded = false }
 
   let keygen _rng run = { sk = run; rlk = () }
   let secret_key k = k.sk
@@ -116,7 +115,7 @@ module Symbolic = struct
 
   (* Bgv's guard: every homomorphic op rejects the wire form. *)
   let require_expanded op x =
-    if not x.expanded then
+    if x.seeded then
       invalid_arg ("Cost_model.Symbolic." ^ op ^ ": seeded ciphertext not expanded")
 
   (* Each operation mirrors the recording discipline of the matching
@@ -129,13 +128,13 @@ module Symbolic = struct
     C.record_op c C.Op_encrypt ~level;
     C.record_op c C.Op_ntt_fwd ~level;
     let x = mk run "encrypt" { NM.level; degree = 1; bits = run.fresh_bits } in
-    { x with seeded = true; expanded = false }
+    { x with seeded = true }
 
   let expand ~counters:c x =
-    if x.expanded then x
+    if not x.seeded then x
     else begin
       C.record_op c C.Op_expand ~level:x.st.NM.level;
-      { x with expanded = true }
+      { x with seeded = false }
     end
 
   (* Full decrypt: the sk dot product leaves an Eval-domain accumulator,
@@ -172,13 +171,12 @@ module Symbolic = struct
 
   let sub = add
 
-  (* c1 is untouched, so a seed stays valid. *)
   let add_plain ~counters:c x () =
     require_expanded "add_plain" x;
     C.record c C.Hom_add;
     C.record_op c C.Op_ct_add ~level:x.st.NM.level;
     C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
-    { (mk x.run "add_plain" (NM.add_plain x.run.p.nm x.st)) with seeded = x.seeded }
+    mk x.run "add_plain" (NM.add_plain x.run.p.nm x.st)
 
   let add_const ~counters x _ = add_plain ~counters x ()
 
@@ -235,9 +233,8 @@ module Symbolic = struct
     if level >= x.st.NM.level then x
     else begin
       C.record_op c C.Op_level_drop ~level;
-      (* The expansion is limb-major: truncation keeps the seed. *)
-      { (mk x.run "truncate" (NM.truncate x.st ~level)) with
-        seeded = x.seeded; expanded = x.expanded }
+      (* The expansion is limb-major: a wire form stays seeded. *)
+      { (mk x.run "truncate" (NM.truncate x.st ~level)) with seeded = x.seeded }
     end
 
   (* The silent alignments inside add/mul/mul_sum/eval_poly. *)

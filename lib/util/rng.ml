@@ -23,6 +23,13 @@ let split t =
 
 let copy t = { state = t.state }
 
+(* [mix] is a bijection, so a raw draw given away is the stream state
+   given away; a published seed goes through MD5 first. *)
+let public_seed t =
+  let b = Stdlib.Bytes.create 8 in
+  Stdlib.Bytes.set_int64_le b 0 (bits64 t);
+  String.get_int64_le (Digest.bytes (Stdlib.Bytes.cat (Stdlib.Bytes.of_string "sknn-seed") b)) 0
+
 let int64_below t bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Rng.int64_below: bound <= 0";
   (* Rejection sampling on the top bits to avoid modulo bias. *)

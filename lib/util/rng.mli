@@ -28,6 +28,13 @@ val copy : t -> t
 val bits64 : t -> int64
 (** [bits64 t] returns 64 uniform pseudo-random bits. *)
 
+val public_seed : t -> int64
+(** [public_seed t] advances [t] by one draw and returns a 64-bit seed
+    fit to publish: the draw put through a one-way function (the
+    domain-separated MD5 of [Digest], truncated).  A raw {!bits64} draw
+    is not: splitmix64's finaliser is invertible, so it yields the
+    stream state and with it every later draw of [t]. *)
+
 val int64_below : t -> int64 -> int64
 (** [int64_below t bound] is uniform in [\[0, bound)]. [bound] must be
     positive. Uses rejection sampling, so there is no modulo bias. *)

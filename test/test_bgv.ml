@@ -704,9 +704,9 @@ let enc_sk ?level ?(seed = 77) slots =
   Bgv.encrypt_sk ?level ~seed:(Int64.of_int (seed * 7919)) (Rng.of_int seed) keys.Bgv.sk
     (Plaintext.of_slots params slots)
 
-(* Every component on the wire: an op that drops the seed (neg) makes
-   the codec carry c1 too, so equal bytes mean equal ciphertexts. *)
-let components ct = Bgv.ct_to_bytes (Bgv.neg ct)
+(* An expanded ciphertext encodes every component, so equal bytes mean
+   equal ciphertexts. *)
+let components ct = Bgv.ct_to_bytes ct
 
 let test_seeded_codec () =
   let a = random_slots 40 in
@@ -716,14 +716,15 @@ let test_seeded_codec () =
   Alcotest.(check bool) "wire form unexpanded" false (Bgv.is_expanded wire);
   Alcotest.(check bool) "expanded" true (Bgv.is_expanded full);
   Alcotest.(check int) "seeded size: c0 + seed" ((top * n * 4) + 48) (Bgv.byte_size wire);
+  Alcotest.(check int) "expanded size: c0 + c1" ((2 * top * n * 4) + 40) (Bgv.byte_size full);
   List.iter
     (fun (label, ct) ->
       Alcotest.(check int) (label ^ ": byte_size = encoded length") (Bgv.byte_size ct)
         (Bytes.length (Bgv.ct_to_bytes ct)))
-    [ ("wire", wire); ("expanded", full); ("unseeded", Bgv.neg full);
-      ("truncated wire", Bgv.truncate_to_level wire 1) ];
-  Alcotest.(check int) "expanded still ships seeded" (Bgv.byte_size wire) (Bgv.byte_size full);
-  let decoded = Bgv.ct_of_bytes params (Bgv.ct_to_bytes full) in
+    [ ("wire", wire); ("expanded", full); ("truncated wire", Bgv.truncate_to_level wire 1) ];
+  Alcotest.(check bool) "expanded round trip" true
+    (Bytes.equal (components full) (components (Bgv.ct_of_bytes params (components full))));
+  let decoded = Bgv.ct_of_bytes params (Bgv.ct_to_bytes wire) in
   Alcotest.(check bool) "decodes to the wire form" false (Bgv.is_expanded decoded);
   Alcotest.(check bool) "round trip then expand" true
     (Bytes.equal (components full) (components (Bgv.expand decoded)));
@@ -779,13 +780,10 @@ let test_seeded_ops_reject () =
       ("rerandomize", fun () -> ignore (Bgv.rerandomize r keys.Bgv.pk wire));
       ("decrypt", fun () -> ignore (Bgv.decrypt keys.Bgv.sk wire));
       ("decrypt_coeff0", fun () -> ignore (Bgv.decrypt_coeff0 keys.Bgv.sk wire)) ];
-  (* A result keeps its seed only while c1 is the seed's expansion. *)
-  let seeded ct = Bgv.byte_size ct = Bgv.byte_size (Bgv.truncate_to_level wire (Bgv.level ct)) in
-  Alcotest.(check bool) "add_plain keeps the seed" true (seeded (Bgv.add_plain full pt));
-  Alcotest.(check bool) "truncation keeps the seed" true (seeded (Bgv.truncate_to_level full 2));
-  Alcotest.(check bool) "mul_scalar drops it" false (seeded (Bgv.mul_scalar full 3L));
-  Alcotest.(check bool) "modswitch drops it" false (seeded (Bgv.modswitch full));
-  Alcotest.(check bool) "add drops it" false (seeded (Bgv.add full full))
+  (* Only truncation takes the wire form, and keeps it. *)
+  Alcotest.(check bool) "truncated wire stays seeded" false
+    (Bgv.is_expanded (Bgv.truncate_to_level wire 2));
+  Alcotest.(check bool) "expand is the identity once expanded" true (Bgv.expand full == full)
 
 let test_seeded_fresh_noise () =
   (* The fresh bound log2(t·(eta + 1/2)) holds on every preset and at

@@ -919,10 +919,56 @@ let test_fresh_ciphertexts_seeded () =
     S.encrypt ~counters:c (Rng.of_int 658) (S.secret_key (S.keygen rng run)) (S.pt_const run 0L)
   in
   Alcotest.(check int) "symbolic seeded size" (seeded top) (S.byte_size wire);
-  Alcotest.(check int) "symbolic expanded still seeded" (seeded top)
+  Alcotest.(check int) "symbolic expanded size" (40 + (2 * top * p.Params.n * 4))
     (S.byte_size (S.expand ~counters:c wire));
   Alcotest.(check bool) "symbolic op rejects the wire form" true
     (try ignore (S.add ~counters:c wire wire); false with Invalid_argument _ -> true)
+
+(* splitmix64 run backwards: its finaliser is a bijection (xor-shifts and
+   odd multiplies), so a raw draw yields the state that produced it. *)
+let splitmix_next_after draw =
+  let gamma = 0x9E3779B97F4A7C15L in
+  let unshift y s =
+    let x = ref y in
+    for _ = 0 to 64 / s do x := Int64.logxor y (Int64.shift_right_logical !x s) done;
+    !x
+  in
+  let inverse c =
+    let x = ref c in
+    for _ = 1 to 6 do x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x)) done;
+    !x
+  in
+  let mix z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+  in
+  let z = unshift draw 31 in
+  let z = unshift (Int64.mul z (inverse 0x94D049BB133111EBL)) 27 in
+  let state = unshift (Int64.mul z (inverse 0xBF58476D1CE4E5B9L)) 30 in
+  mix (Int64.add state gamma)
+
+let test_seed_hides_noise_stream () =
+  (* The seed a fresh ciphertext ships must not give away the stream its
+     noise e is drawn from.  Control: inverting splitmix on a raw draw
+     does predict the next draw, the first one e consumes. *)
+  let config = affine_config () in
+  let p = config.Config.bgv in
+  let sk = (Entities.Live.keygen (Rng.of_int 660) p).Bgv.sk in
+  let pt = Plaintext.constant p 0L in
+  for i = 0 to 49 do
+    let rng = Rng.of_int (661 + i) in
+    let mirror = Rng.copy rng in
+    let wire = Entities.Live.encrypt ~counters:(Util.Counters.create ()) rng sk pt in
+    let bytes = Bgv.ct_to_bytes wire in
+    let seed = Bytes.get_int64_le bytes (Bytes.length bytes - 8) in
+    let raw = Rng.bits64 mirror in
+    let first_noise_draw = Rng.bits64 mirror in
+    Alcotest.(check int64) "control: a raw draw predicts the next" first_noise_draw
+      (splitmix_next_after raw);
+    Alcotest.(check bool) "the shipped seed does not" false
+      (Int64.equal first_noise_draw (splitmix_next_after seed))
+  done
 
 let test_predict_end_to_end_consistency () =
   (* predict_end_to_end = priced compute + replayed symbolic wire; with
@@ -1278,6 +1324,7 @@ let () =
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
          Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
          Alcotest.test_case "fresh ciphertexts seeded" `Quick test_fresh_ciphertexts_seeded;
+         Alcotest.test_case "seed hides the noise stream" `Quick test_seed_hides_noise_stream;
          Alcotest.test_case "end-to-end prediction consistent" `Quick
            test_predict_end_to_end_consistency;
          Alcotest.test_case "net timeline jobs-invariant" `Quick
