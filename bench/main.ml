@@ -15,6 +15,7 @@
    gap. *)
 
 module Rng = Util.Rng
+module CM = Sknn_obs.Cost_model
 
 let say fmt = Format.printf fmt
 
@@ -37,7 +38,6 @@ type opts = {
   trace : string option;     (* span-trace output file *)
   trace_format : string;     (* chrome | jsonl | pretty *)
   repeat : int;              (* steady-state queries in the amortized experiment *)
-  batch : int;               (* slot-dimension query batch in the amortized experiment *)
   prom : string option;      (* Prometheus text-exposition snapshot file *)
   calib : string option;     (* calibration cache file shared with sknn cost/plan *)
 }
@@ -46,16 +46,13 @@ type opts = {
    Ctx.disabled (the default) keeps the hot path unobserved. *)
 let obs : Sknn_obs.Ctx.t ref = ref Sknn_obs.Ctx.disabled
 
-(* Run one query under a root span so each benchmark query shows up as
-   its own top-level tree in the trace. *)
-let traced_query ?(prepared = false) ?(packed = false) ?rng ~experiment dep ~query ~k =
+(* Run one query on [path] under a root span so each benchmark query
+   shows up as its own top-level tree in the trace. *)
+let traced_query ?(path = CM.Plain) ?rng ~experiment dep ~query ~k =
   Sknn_obs.Ctx.with_span !obs ~kind:Sknn_obs.Trace.Root
     ~args:[ ("experiment", experiment); ("k", string_of_int k) ]
     experiment
-    (fun () ->
-      if packed then Protocol.query_packed ~obs:!obs ?rng dep ~query ~k
-      else if prepared then Protocol.query_prepared ~obs:!obs ?rng dep ~query ~k
-      else Protocol.query ~obs:!obs ?rng dep ~query ~k)
+    (fun () -> Protocol.round ~obs:!obs ?rng dep path ~query ~k)
 
 let effective_jobs opts =
   match opts.jobs with Some j -> j | None -> Util.Pool.default_jobs ()
@@ -261,15 +258,15 @@ let calibration_for ?cache (params : Params.t) =
     Hashtbl.add calibrations params.Params.name c;
     c
 
-let run_query_series ?(packed = false) ?predict ~opts ~experiment ~config ~db ~queries_k
+let run_query_series ?(path = CM.Plain) ?predict ~opts ~experiment ~config ~db ~queries_k
     ~rng () =
   let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
-  let base_extra = if packed then [ ("packed", Bool true) ] else [] in
+  let base_extra = if path = CM.Packed then [ ("packed", Bool true) ] else [] in
   List.mapi
     (fun i k ->
       let q = Synthetic.query_like rng db in
       let r, s =
-        Util.Timer.time (fun () -> traced_query ~packed ~experiment dep ~query:q ~k)
+        Util.Timer.time (fun () -> traced_query ~path ~experiment dep ~query:q ~k)
       in
       let ok = Protocol.exact dep ~db ~query:q r in
       let extra =
@@ -312,38 +309,36 @@ let k_dependent_seconds (r : Protocol.result) =
       | _ -> acc)
     0.0 r.Protocol.phase_seconds
 
-let fig_k_sweep ?(packed = false) ?(attribute = false) ~id ~title ~dataset_name ~db
+let fig_k_sweep ?(path = CM.Plain) ?(attribute = false) ~id ~title ~dataset_name ~db
     ~config ~paper_anchors opts =
   hr (Printf.sprintf "%s — %s" id title);
   let n = Array.length db and d = Array.length db.(0) in
   say "dataset: %s, n=%d, d=%d, layout=%s%s%s@." dataset_name n d
     (Config.layout_name config.Config.layout)
-    (if packed then " (slot-packed path)" else "")
+    (if path = CM.Packed then " (slot-packed path)" else "")
     (if opts.full then "" else " (scaled; --full for paper scale)");
   let ks = [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ] in
   let rng = Rng.of_int opts.seed in
   (* Attribution annotations: price each run's analytic op-count replica
      with the calibrated unit costs, so the JSON carries a predicted
      figure next to every measured phase (check_regress gates the
-     drift).  Only the first query of the packed sweep pays prepare-db —
+     drift).  Only the first query of a prepared sweep pays prepare-db —
      the deployment is shared down the k sweep. *)
   let predict =
     if not attribute then None
     else begin
       let unit_costs = calibration_for ?cache:opts.calib config.Config.bgv in
-      let path =
-        if packed then Sknn_obs.Cost_model.Packed else Sknn_obs.Cost_model.Plain
-      in
       Some
         (fun ~first ~k ->
           let pred =
-            Attribution.predict ~include_prepare:(packed && first) config ~n ~d ~k path
+            Attribution.predict ~include_prepare:(path <> CM.Plain && first) config ~n ~d
+              ~k path
           in
           Attribution.predicted_phase_seconds ~unit_costs pred)
     end
   in
   let rows =
-    run_query_series ~packed ?predict ~opts ~experiment:id ~config ~db ~queries_k:ks
+    run_query_series ~path ?predict ~opts ~experiment:id ~config ~db ~queries_k:ks
       ~rng ()
   in
   say "@.%6s %10s %10s %10s %7s@." "k" "paper" "measured" "k-dep" "exact";
@@ -379,7 +374,7 @@ let fig3p opts =
   let db =
     Preprocess.scale_to_max ~max_value:255 (Uci_like.cervical_cancer ~n rng)
   in
-  fig_k_sweep ~packed:true ~attribute:true ~id:"fig3p"
+  fig_k_sweep ~path:CM.Packed ~attribute:true ~id:"fig3p"
     ~title:"fig3 workload, slot-packed path (858 x 32, affine mask)"
     ~dataset_name:"cervical-cancer (UCI-shaped)" ~db
     ~config:(Config.with_mask_degree 1 (Config.standard ()))
@@ -507,9 +502,8 @@ let table1 opts =
     ~exact:(Protocol.exact dep ~db ~query:q r) r;
   let ours_measured = Cost.measured r in
   let ours_predicted =
-    let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k
-        Sknn_obs.Cost_model.Plain in
-    Cost.ours ~bytes:pred.Sknn_obs.Cost_model.ab_bytes ~n ~d ~k
+    let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k CM.Plain in
+    Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
       ~mask_degree:config.Config.mask_degree ()
   in
   (* Baseline, measured on a further-scaled instance (it is the slow
@@ -734,7 +728,7 @@ let amortized opts =
   (* One pass per computation plan over the same deployment: the PR-3
      prepared path, then the slot-packed path.  Each pass pays its own
      one-time prepare-db on the first query. *)
-  let pass ~packed name =
+  let pass path name =
     say "@.%s:@." name;
     say "%8s %10s %12s %7s@." "query" "total" "prepare-db" "exact";
     Array.init (reps + 1) (fun i ->
@@ -745,8 +739,7 @@ let amortized opts =
         Gc.full_major ();
         let r, s =
           Util.Timer.time (fun () ->
-              traced_query ~prepared:(not packed) ~packed ~experiment:"amortized" dep
-                ~query:q ~k)
+              traced_query ~path ~experiment:"amortized" dep ~query:q ~k)
         in
         let ok = Protocol.exact dep ~db ~query:q r in
         let prep_s =
@@ -757,8 +750,8 @@ let amortized opts =
         record_run
           ~extra:
             [ ("query_index", Int i);
-              ("prepared", Bool true);
-              ("packed", Bool packed);
+              ("prepared", Bool (path <> CM.Plain));
+              ("packed", Bool (path = CM.Packed));
               ("steady_state", Bool (i > 0)) ]
           ~experiment:"amortized" ~n ~d ~k ~jobs:(Protocol.jobs dep) ~seconds:s
           ~exact:ok r;
@@ -775,8 +768,8 @@ let amortized opts =
   let steady times =
     Array.fold_left ( +. ) 0.0 (Array.sub times 1 reps) /. float_of_int reps
   in
-  let times = pass ~packed:false "prepared path (PR-3, one ct-mul per point)" in
-  let times_p = pass ~packed:true "slot-packed path (d plain products per batch)" in
+  let times = pass CM.Prepared "prepared path (PR-3, one ct-mul per point)" in
+  let times_p = pass CM.Packed "slot-packed path (d plain products per batch)" in
   let first = fst times.(0) and steady_prep = steady (Array.map fst times) in
   let first_p = fst times_p.(0) and steady_packed = steady (Array.map fst times_p) in
   (* The acceptance gate is on the phase the packing accelerates:
@@ -784,36 +777,10 @@ let amortized opts =
      return-knn phase would otherwise dominate the ratio). *)
   let steady_cd_prep = steady (Array.map snd times) in
   let steady_cd_packed = steady (Array.map snd times_p) in
-  (* Slot-dimension multi-query batching (--batch M): M queries in one
-     protocol round, amortizing even the per-round fixed costs. *)
-  let batch_fields =
-    if opts.batch < 2 then []
-    else begin
-      let m = opts.batch in
-      let queries = Array.init m (fun _ -> Synthetic.query_like rng db) in
-      Gc.full_major ();
-      let results, s =
-        Util.Timer.time (fun () -> Protocol.query_batch ~obs:!obs dep ~queries ~k)
-      in
-      let ok = ref true in
-      Array.iteri
-        (fun i r -> ok := !ok && Protocol.exact dep ~db ~query:queries.(i) r)
-        results;
-      record_run
-        ~extra:[ ("packed", Bool true); ("batch", Int m) ]
-        ~experiment:"amortized" ~n ~d ~k ~jobs:(Protocol.jobs dep) ~seconds:s
-        ~exact:!ok results.(0);
-      say "@.batched round (--batch %d): %.2fs total, %.3fs per query, exact=%b@." m s
-        (s /. float_of_int m)
-        !ok;
-      [ ("batch_m", Int m); ("batch_round_s", Float s);
-        ("batch_per_query_s", Float (s /. float_of_int m)) ]
-    end
-  in
   amortized_summary :=
     Some
       (Obj
-         ([ ("n", Int n); ("d", Int d); ("k", Int k); ("repeats", Int reps);
+         [ ("n", Int n); ("d", Int d); ("k", Int k); ("repeats", Int reps);
             ("first_query_s", Float first);
             ("steady_state_mean_s", Float steady_prep);
             ("amortization_speedup", Float (first /. steady_prep));
@@ -823,8 +790,7 @@ let amortized opts =
             ("steady_state_compute_distances_s", Float steady_cd_prep);
             ("packed_steady_state_compute_distances_s", Float steady_cd_packed);
             ( "packed_compute_distances_speedup",
-              Float (steady_cd_prep /. steady_cd_packed) ) ]
-          @ batch_fields));
+              Float (steady_cd_prep /. steady_cd_packed) ) ]);
   say "@.prepared: first %.2fs, steady-state mean %.2fs (amortization %.1fx)@." first
     steady_prep (first /. steady_prep);
   say "packed:   first %.2fs, steady-state mean %.2fs — %.1fx vs prepared steady state@."
@@ -854,10 +820,10 @@ let planned opts =
   let preset = Config.with_mask_degree 1 (Config.standard ()) in
   let costs = calibration_for ?cache:opts.calib preset.Config.bgv in
   let unit_model =
-    Sknn_obs.Cost_model.fit_unit_model ~n:preset.Config.bgv.Params.n costs
+    CM.fit_unit_model ~n:preset.Config.bgv.Params.n costs
   in
   let w =
-    Planner.workload ~layout:preset.Config.layout ~path:Sknn_obs.Cost_model.Packed
+    Planner.workload ~layout:preset.Config.layout ~path:CM.Packed
       ~mask_degree:preset.Config.mask_degree
       ~mask_coeff_bits:preset.Config.mask_coeff_bits ~points:n ~dim:d ~k
       ~coord_bits:preset.Config.max_coord_bits ()
@@ -884,12 +850,12 @@ let planned opts =
     let preset_steady_pred =
       let bgv = preset.Config.bgv in
       let unit_costs =
-        Sknn_obs.Cost_model.unit_costs_for unit_model ~n:bgv.Params.n
+        CM.unit_costs_for unit_model ~n:bgv.Params.n
           ~levels:(Params.chain_length bgv)
       in
       let pred =
         Attribution.predict ~include_prepare:false preset ~n ~d ~k
-          Sknn_obs.Cost_model.Packed
+          CM.Packed
       in
       List.fold_left (fun acc (_, ps) -> acc +. ps) 0.0
         (Attribution.predicted_phase_seconds ~unit_costs pred)
@@ -912,7 +878,7 @@ let planned opts =
           Gc.full_major ();
           let r, secs =
             Util.Timer.time (fun () ->
-                traced_query ~packed:true ~experiment:"planned" dep ~query:q ~k)
+                traced_query ~path:CM.Packed ~experiment:"planned" dep ~query:q ~k)
           in
           let ok = Protocol.exact dep ~db ~query:q r in
           record_run
@@ -943,9 +909,8 @@ let planned opts =
 (* Network: virtual-clock end-to-end, predicted vs replayed            *)
 (* ------------------------------------------------------------------ *)
 
-(* The comms-aware acceptance experiment: the fig3 (plain), fig3p
-   (slot-packed) and batch-8 shapes, each run live under the lan and wan
-   profiles.  The virtual wire time is a pure function of (transcript,
+(* The comms-aware acceptance experiment: the fig3 (plain) and fig3p
+   (slot-packed) shapes, each run live under the lan and wan profiles.  The virtual wire time is a pure function of (transcript,
    profile), so the predicted transcript's replay and the live
    transcript's replay must agree to the last bit on rounds, bytes and
    wire seconds — only the compute term depends on the calibration.
@@ -959,12 +924,11 @@ let network opts =
     Preprocess.scale_to_max ~max_value:255 (Uci_like.cervical_cancer ~n rng)
   in
   let d = Array.length db.(0) and k = 2 in
-  let m = 8 in
   let plain_config = Config.standard () in
   let packed_config = Config.with_mask_degree 1 (Config.standard ()) in
   let unit_costs = calibration_for ?cache:opts.calib plain_config.Config.bgv in
   let profiles = [ Profile.lan; Profile.wan ] in
-  say "n=%d, d=%d, k=%d, batch m=%d@." n d k m;
+  say "n=%d, d=%d, k=%d@." n d k;
   say "@.%-7s %-9s %7s %10s %13s %12s %12s %12s %6s@." "shape" "profile" "rounds"
     "bytes" "pred compute" "pred wire" "pred e2e" "replayed" "match";
   let link_sig (tl : Clock.timeline) =
@@ -975,20 +939,21 @@ let network opts =
       tl.Clock.links
   in
   let all_exact = ref true in
-  let shape ~id ~config ~path ~prepare run_live =
+  let shape ~id ~config path =
     let dep =
       Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 91)) ?jobs:opts.jobs
         config ~db
     in
     (* Pay prepare-db up front so every profile's run is steady state and
        the prediction can price the query alone. *)
-    if prepare then Protocol.prepare_packed ~obs:!obs dep;
-    let qrng = Rng.of_int (opts.seed + 92) in
-    let queries = Array.init m (fun _ -> Synthetic.query_like qrng db) in
+    if path = CM.Packed then Protocol.prepare_packed ~obs:!obs dep;
+    let query = Synthetic.query_like (Rng.of_int (opts.seed + 92)) db in
     List.iter
       (fun profile ->
-        let r, s = Util.Timer.time (fun () -> run_live dep ~net:profile ~queries) in
-        let ok = Protocol.exact dep ~db ~query:queries.(0) r in
+        let r, s =
+          Util.Timer.time (fun () -> Protocol.round ~obs:!obs ~net:profile dep path ~query ~k)
+        in
+        let ok = Protocol.exact dep ~db ~query r in
         let tl =
           match r.Protocol.net with
           | Some tl -> tl
@@ -999,7 +964,7 @@ let network opts =
             ~unit_costs ~profile path
         in
         let exact_tr =
-          link_sig e2e.Sknn_obs.Cost_model.timeline = link_sig tl
+          link_sig e2e.CM.timeline = link_sig tl
         in
         all_exact := !all_exact && exact_tr;
         let tr = r.Protocol.transcript in
@@ -1007,9 +972,9 @@ let network opts =
           ~extra:
             [ ("shape", Str id);
               ("profile", Str (Profile.to_string profile));
-              ("predicted_compute_s", Float e2e.Sknn_obs.Cost_model.compute_s);
-              ("predicted_wire_s", Float e2e.Sknn_obs.Cost_model.wire_s);
-              ("predicted_total_s", Float e2e.Sknn_obs.Cost_model.total_s);
+              ("predicted_compute_s", Float e2e.CM.compute_s);
+              ("predicted_wire_s", Float e2e.CM.wire_s);
+              ("predicted_total_s", Float e2e.CM.total_s);
               ("replayed_wire_s", Float tl.Clock.end_to_end_s);
               ("transcript_exact", Bool exact_tr) ]
           ~experiment:"network" ~n ~d ~k ~jobs:(Protocol.jobs dep) ~seconds:s
@@ -1017,20 +982,13 @@ let network opts =
         say "%-7s %-9s %7d %10d %12.6fs %11.6fs %11.6fs %11.6fs %6b@." id
           (Profile.to_string profile)
           (Transcript.rounds tr Transcript.Party_a Transcript.Party_b)
-          (Transcript.total_bytes tr) e2e.Sknn_obs.Cost_model.compute_s
-          e2e.Sknn_obs.Cost_model.wire_s e2e.Sknn_obs.Cost_model.total_s
+          (Transcript.total_bytes tr) e2e.CM.compute_s
+          e2e.CM.wire_s e2e.CM.total_s
           tl.Clock.end_to_end_s exact_tr)
       profiles
   in
-  shape ~id:"fig3" ~config:plain_config ~path:Sknn_obs.Cost_model.Plain
-    ~prepare:false (fun dep ~net ~queries ->
-      Protocol.query ~obs:!obs ~net dep ~query:queries.(0) ~k);
-  shape ~id:"fig3p" ~config:packed_config ~path:Sknn_obs.Cost_model.Packed
-    ~prepare:true (fun dep ~net ~queries ->
-      Protocol.query_packed ~obs:!obs ~net dep ~query:queries.(0) ~k);
-  shape ~id:"batch8" ~config:packed_config ~path:(Sknn_obs.Cost_model.Batch m)
-    ~prepare:true (fun dep ~net ~queries ->
-      (Protocol.query_batch ~obs:!obs ~net dep ~queries ~k).(0));
+  shape ~id:"fig3" ~config:plain_config CM.Plain;
+  shape ~id:"fig3p" ~config:packed_config CM.Packed;
   say "@.predicted transcripts %s the live replays on every shape x profile@."
     (if !all_exact then "exactly match" else "DIVERGE from")
 
@@ -1185,12 +1143,6 @@ let repeat_t =
        & info [ "repeat" ] ~docv:"N"
            ~doc:"Steady-state queries after the first in the amortized experiment.")
 
-let batch_t =
-  Arg.(value & opt int 1
-       & info [ "batch" ] ~docv:"M"
-           ~doc:"Also run M queries through the slot-dimension batch round in the \
-                 amortized experiment (1 disables; M must fit the slot count).")
-
 let trace_format_t =
   Arg.(value & opt string "chrome"
        & info [ "trace-format" ]
@@ -1210,7 +1162,7 @@ let calib_t =
                  sknn cost and sknn plan; hits skip the per-op measurement pass, \
                  stale entries warn.")
 
-let main full scale only seed jobs json trace trace_format repeat batch prom calib =
+let main full scale only seed jobs json trace trace_format repeat prom calib =
   (match jobs with
    | Some j when j < 1 ->
      Format.eprintf "--jobs must be at least 1 (got %d)@." j;
@@ -1220,19 +1172,14 @@ let main full scale only seed jobs json trace trace_format repeat batch prom cal
     Format.eprintf "--repeat must be at least 1 (got %d)@." repeat;
     exit 2
   end;
-  if batch < 1 then begin
-    Format.eprintf "--batch must be at least 1 (got %d)@." batch;
-    exit 2
-  end;
   let only = Option.map (String.split_on_char ',') only in
   run
-    { full; scale; only; seed; jobs; json; trace; trace_format; repeat; batch; prom;
-      calib }
+    { full; scale; only; seed; jobs; json; trace; trace_format; repeat; prom; calib }
 
 let cmd =
   Cmd.v
     (Cmd.info "sknn-bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(const main $ full_t $ scale_t $ only_t $ seed_t $ jobs_t $ json_t $ trace_t
-          $ trace_format_t $ repeat_t $ batch_t $ prom_t $ calib_t)
+          $ trace_format_t $ repeat_t $ prom_t $ calib_t)
 
 let () = exit (Cmd.eval cmd)

@@ -14,16 +14,27 @@ open Cmdliner
 
 let read_db path = Csv_io.read ~has_header:false path
 
+(* A bad flag value is a usage error: one line on stderr, exit 2. *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 2)
+    fmt
+
 let parse_query s =
-  String.split_on_char ',' s
-  |> List.map (fun f -> int_of_string (String.trim f))
-  |> Array.of_list
+  let field f =
+    match int_of_string_opt (String.trim f) with
+    | Some v -> v
+    | None -> usage_error "malformed --query %S: %S is not an integer" s f
+  in
+  String.split_on_char ',' s |> List.map field |> Array.of_list
 
 let config_of_layout = function
   | "per-coordinate" -> Config.standard ()
   | "dot-product" -> Config.fast ()
   | "secure" -> Config.secure ()
-  | other -> invalid_arg (Printf.sprintf "unknown layout %S" other)
+  | other -> usage_error "unknown layout %S (per-coordinate | dot-product | secure)" other
 
 (* ------------------------------------------------------------------ *)
 (* gen                                                                 *)
@@ -103,49 +114,46 @@ let append_net_records path (tl : Clock.timeline) =
 
 module CM = Sknn_obs.Cost_model
 
-(* The one --path flag of query, cost and plan, and its one parser;
-   [m] is the batch size a "batch" round carries. *)
+(* The one --path flag of query, cost and plan, and its one parser. *)
 let path_t ~doc = Arg.(value & opt string "plain" & info [ "path" ] ~docv:"PATH" ~doc)
 
-let parse_path ~m = function
+let parse_path = function
   | "plain" -> CM.Plain
   | "prepared" -> CM.Prepared
   | "packed" -> CM.Packed
-  | "batch" -> CM.Batch m
-  | other ->
-    Format.eprintf "unknown path %S (plain | prepared | packed | batch)@." other;
-    exit 2
+  | other -> usage_error "unknown path %S (plain | prepared | packed)" other
 
-(* Every path but the paper's per-coordinate one needs affine masking and
-   d <= ring degree. *)
-let check_path_config config path ~d =
+(* What every verb that runs a query starts from: the query, its layout's
+   configuration and the path, each parsed and checked against the
+   others.  Every path but the paper's per-coordinate one needs affine
+   masking and d <= ring degree. *)
+let query_inputs ?(path = "plain") ~layout query_s =
+  let q = parse_query query_s in
+  let path = parse_path path in
+  let config = config_of_layout layout in
+  let d = Array.length q in
+  (match Config.validate config ~d with
+   | Ok () -> ()
+   | Error e -> usage_error "configuration unsound for this data: %s" e);
   if path <> CM.Plain
      && not (config.Config.mask_degree = 1 && d <= config.Config.bgv.Params.n)
-  then begin
-    Format.eprintf
-      "the %s path needs affine (degree-1) masking and d <= ring degree (try \
-       --layout dot-product)@."
+  then
+    usage_error
+      "the %s path needs affine (degree-1) masking and d <= ring degree (try --layout \
+       dot-product)"
       (Planner.path_name path);
-    exit 2
-  end
+  (q, config, path)
 
 let query_run data query_s k layout seed jobs repeat path_s net verbose
     trace trace_format audit metrics prom flight_out =
   (match jobs with
-   | Some j when j < 1 ->
-     Format.eprintf "--jobs must be at least 1 (got %d)@." j;
-     exit 2
+   | Some j when j < 1 -> usage_error "--jobs must be at least 1 (got %d)" j
    | _ -> ());
-  if repeat < 1 then begin
-    Format.eprintf "--repeat must be at least 1 (got %d)@." repeat;
-    exit 2
-  end;
+  if repeat < 1 then usage_error "--repeat must be at least 1 (got %d)" repeat;
   let trace_fmt =
     match Sknn_obs.Trace.format_of_string trace_format with
     | Ok f -> f
-    | Error msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
+    | Error msg -> usage_error "%s" msg
   in
   (* --prom implies a registry even without --metrics (the flag controls
      the console print, the option the exposition file). *)
@@ -196,36 +204,15 @@ let query_run data query_s k layout seed jobs repeat path_s net verbose
       exit 1
   in
   let db = read_db data in
-  (* --path batch runs every ';'-separated query of --query in one
-     slot-dimension protocol round; otherwise --query is one query. *)
-  let queries =
-    String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
-  in
-  let path = parse_path ~m:(Array.length queries) path_s in
-  (match path with
-   | CM.Batch _ -> ()
-   | _ ->
-     if Array.length queries > 1 then begin
-       Format.eprintf "multiple ';'-separated queries need --path batch@.";
-       exit 2
-     end);
-  let q = queries.(0) in
-  let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
-   | Ok () -> ()
-   | Error e ->
-     Format.eprintf "configuration unsound for this data: %s@." e;
-     exit 2);
-  check_path_config config path ~d:(Array.length q);
+  let q, config, path = query_inputs ~path:path_s ~layout query_s in
   let rng = Util.Rng.of_int seed in
   let trace0 = new_trace () in
   let obs0 = make_ctx trace0 in
   let dep, setup_s =
     Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
   in
-  let run obs () = guarded (fun () -> Protocol.round ~obs ?net dep path ~queries ~k) in
-  let results, query_s' = Util.Timer.time (run obs0) in
-  let r = results.(0) in
+  let run obs () = guarded (fun () -> Protocol.round ~obs ?net dep path ~query:q ~k) in
+  let r, query_s' = Util.Timer.time (run obs0) in
   write_trace trace0 0;
   let steady_times =
     List.init (repeat - 1) (fun i ->
@@ -236,13 +223,9 @@ let query_run data query_s k layout seed jobs repeat path_s net verbose
         t)
   in
   if verbose then Format.printf "domains: %d@." (Protocol.jobs dep);
-  Array.iteri
-    (fun i r ->
-      if Array.length results > 1 then Format.printf "query %d " i;
-      Format.printf "neighbours:@.";
-      Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
-      Format.printf "exact: %b@." (Protocol.exact dep ~db ~query:queries.(i) r))
-    results;
+  Format.printf "neighbours:@.";
+  Array.iter (fun p -> Format.printf "  %a@." Point.pp p) r.Protocol.neighbours;
+  Format.printf "exact: %b@." (Protocol.exact dep ~db ~query:q r);
   Format.printf "setup %a, %s query %a@." Util.Timer.pp_duration setup_s
     (Planner.path_name path) Util.Timer.pp_duration query_s';
   if repeat > 1 then begin
@@ -357,8 +340,7 @@ let query_cmd =
     path_t
       ~doc:"Query pipeline: plain (the paper's per-query path) | prepared \
             (inner-product database, one product per point) | packed (slot-packed \
-            database, owner-delegated) | batch (the ';'-separated --query list in \
-            one slot-dimension round).  All but plain need affine masking and d <= \
+            database, owner-delegated).  All but plain need affine masking and d <= \
             ring degree."
   in
   let prom =
@@ -387,18 +369,10 @@ let dump_flight_run data query_s k layout seed jobs out =
   let flight =
     match Sknn_obs.Flight.default () with
     | Some f -> f
-    | None ->
-      Format.eprintf "flight recorder disabled (SKNN_FLIGHT=0)@.";
-      exit 2
+    | None -> usage_error "flight recorder disabled (SKNN_FLIGHT=0)"
   in
   let db = read_db data in
-  let q = parse_query query_s in
-  let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
-   | Ok () -> ()
-   | Error e ->
-     Format.eprintf "configuration unsound for this data: %s@." e;
-     exit 2);
+  let q, config, _ = query_inputs ~layout query_s in
   let rng = Util.Rng.of_int seed in
   let obs = Sknn_obs.Ctx.create ~flight () in
   let dump ~reason =
@@ -445,9 +419,7 @@ let report_run files =
   List.iter
     (fun f ->
       try Sknn_obs.Report.add_file t f
-      with Sys_error e ->
-        Format.eprintf "%s@." e;
-        exit 2)
+      with Sys_error e -> usage_error "%s" e)
     files;
   Format.printf "%a@." Sknn_obs.Report.pp t;
   0
@@ -483,25 +455,7 @@ let calib_t =
 
 let cost_run data query_s k layout path_s seed jobs net quick calib verbose json =
   let db = read_db data in
-  let queries =
-    String.split_on_char ';' query_s |> List.map parse_query |> Array.of_list
-  in
-  let q = queries.(0) in
-  let cm_path = parse_path ~m:(Array.length queries) path_s in
-  let config = config_of_layout layout in
-  (match Config.validate config ~d:(Array.length q) with
-   | Ok () -> ()
-   | Error e ->
-     Format.eprintf "configuration unsound for this data: %s@." e;
-     exit 2);
-  (match cm_path with
-   | CM.Batch _ -> ()
-   | _ ->
-     if Array.length queries > 1 then begin
-       Format.eprintf "multiple ';'-separated queries need --path batch@.";
-       exit 2
-     end);
-  check_path_config config cm_path ~d:(Array.length q);
+  let q, config, cm_path = query_inputs ~path:path_s ~layout query_s in
   let n = Array.length db and d = Array.length db.(0) in
   let rng = Util.Rng.of_int seed in
   Format.printf "calibrating per-op unit costs (%s pass%s)...@."
@@ -513,7 +467,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
   let dep = Protocol.deploy ~rng ?jobs config ~db in
-  let r = (Protocol.round ?net dep cm_path ~queries ~k).(0) in
+  let r = Protocol.round ?net dep cm_path ~query:q ~k in
   (* The one query above pays any prepare-db phase, so predict it too. *)
   let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k cm_path in
   let ledger_exact =
@@ -549,14 +503,14 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   (* The paper's Table 1 rows, predicted vs measured: the closed form
      (plus the exact serialized-bytes prediction) on the per-point paths
      it describes; the replica's own ledger counts on the slot-packed
-     paths, whose decryption count the closed form does not model. *)
+     path, whose decryption count the closed form does not model. *)
   let t1p, t1_source =
     match cm_path with
     | CM.Plain | CM.Prepared ->
       ( Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
           ~mask_degree:config.Config.mask_degree (),
         "Table 1 closed form" )
-    | CM.Packed | CM.Batch _ -> (Cost.predicted pred, "replica ledger")
+    | CM.Packed -> (Cost.predicted pred, "replica ledger")
   in
   let t1m = Cost.measured r in
   Format.printf "@.Table 1 (ours): predicted %a  (%s)@.                measured  %a@."
@@ -645,8 +599,7 @@ let cost_cmd =
   in
   let path =
     path_t
-      ~doc:"Query pipeline to attribute: plain | prepared | packed | batch (batch \
-            answers the ';'-separated --query list in one round)."
+      ~doc:"Query pipeline to attribute: plain | prepared | packed."
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:"OCaml domains.")
@@ -680,23 +633,16 @@ let cost_cmd =
    matching preset would cost at the same workload under the same
    calibrated unit model. *)
 
-let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
+let plan_run points dims k coord_bits layout_s path_s mask_degree
     mask_coeff_bits min_security noise_margin objective_s net keep preset_s quick
     calib json_path apply seed jobs =
   let layout =
     match layout_s with
     | "per-coordinate" -> Config.Per_coordinate
     | "dot-product" -> Config.Dot_product
-    | other ->
-      Format.eprintf "unknown layout %S (per-coordinate | dot-product)@." other;
-      exit 2
+    | other -> usage_error "unknown layout %S (per-coordinate | dot-product)" other
   in
-  let path = parse_path ~m:batch_m path_s in
-  (match path with
-   | CM.Batch m when m < 2 ->
-     Format.eprintf "--path batch needs --batch at least 2 (got %d)@." m;
-     exit 2
-   | _ -> ());
+  let path = parse_path path_s in
   let objective =
     match objective_s with
     | "first" -> Planner.First_query
@@ -705,9 +651,8 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       (match float_of_string_opt s with
        | Some alpha -> Planner.Weighted alpha
        | None ->
-         Format.eprintf
-           "unknown objective %S (first | steady | a first-query weight in [0,1])@." s;
-         exit 2)
+         usage_error
+           "unknown objective %S (first | steady | a first-query weight in [0,1])" s)
   in
   let ref_params =
     match preset_s with
@@ -715,17 +660,13 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
     | "bench-small" -> Params.bench_small ()
     | "bench" -> Params.bench ()
     | "secure" -> Params.secure ()
-    | other ->
-      Format.eprintf "unknown preset %S (toy | bench-small | bench | secure)@." other;
-      exit 2
+    | other -> usage_error "unknown preset %S (toy | bench-small | bench | secure)" other
   in
   let w =
     try
       Planner.workload ~layout ~path ~mask_degree ~mask_coeff_bits ~points ~dim:dims
         ~k ~coord_bits ()
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
+    with Invalid_argument msg -> usage_error "%s" msg
   in
   Format.printf "calibrating per-op unit costs on %s (%s pass%s)...@."
     ref_params.Params.name
@@ -744,9 +685,7 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
   in
   let outcome =
     try Planner.plan ~keep ~unit_model w limits
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
+    with Invalid_argument msg -> usage_error "%s" msg
   in
   Format.printf "@.%a@." Planner.pp_outcome outcome;
   (* What the matching preset costs at this workload under the same unit
@@ -833,17 +772,8 @@ let plan_run points dims k coord_bits layout_s path_s batch_m mask_degree
       let max_value = (1 lsl coord_bits) - 1 in
       let db = Synthetic.uniform rng ~n:points ~d:dims ~max_value in
       let q = Synthetic.query_like rng db in
-      let queries =
-        match path with
-        | CM.Batch m ->
-          Array.init m (fun i -> if i = 0 then q else Synthetic.query_like rng db)
-        | _ -> [| q |]
-      in
       let dep = Protocol.deploy ~rng ?jobs config ~db in
-      let results, secs =
-        Util.Timer.time (fun () -> Protocol.round dep path ~queries ~k)
-      in
-      let r = results.(0) in
+      let r, secs = Util.Timer.time (fun () -> Protocol.round dep path ~query:q ~k) in
       let ok = Protocol.exact dep ~db ~query:q r in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;
       if ok then 0 else 1
@@ -861,11 +791,7 @@ let plan_cmd =
     Arg.(value & opt string "per-coordinate"
          & info [ "layout" ] ~doc:"per-coordinate | dot-product")
   in
-  let path = path_t ~doc:"Query pipeline to plan for: plain | prepared | packed | batch." in
-  let batch_m =
-    Arg.(value & opt int 4
-         & info [ "batch" ] ~docv:"M" ~doc:"Batch size when --path batch.")
-  in
+  let path = path_t ~doc:"Query pipeline to plan for: plain | prepared | packed." in
   let mask_degree =
     Arg.(value & opt int 1 & info [ "mask-degree" ] ~doc:"Masking-polynomial degree.")
   in
@@ -924,7 +850,7 @@ let plan_cmd =
        ~doc:"Search the (ring degree, chain, plaintext prime) space for the \
              cheapest parameter set a workload can prove safe")
     Term.(const plan_run $ points $ dims $ k_t $ coord_bits $ layout $ path
-          $ batch_m $ mask_degree $ mask_coeff_bits $ min_security $ noise_margin
+          $ mask_degree $ mask_coeff_bits $ min_security $ noise_margin
           $ objective $ net_t $ keep $ preset $ quick $ calib_t $ json $ apply
           $ seed_t $ jobs)
 
@@ -961,10 +887,7 @@ let baseline_cmd =
 
 let kmeans_run data k max_iters seed =
   let db = read_db data in
-  if k < 1 || k > Array.length db then begin
-    Format.eprintf "k out of range@.";
-    exit 2
-  end;
+  if k < 1 || k > Array.length db then usage_error "k out of range";
   let rng = Util.Rng.of_int seed in
   let init = Array.init k (fun i -> db.(i * (Array.length db / k))) in
   let dep = Kmeans.deploy ~rng (Config.fast ()) ~db in

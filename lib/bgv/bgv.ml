@@ -106,6 +106,11 @@ let byte_size ct =
   | Some _ -> header_bytes + poly + seed_bytes
   | None -> header_bytes + ((degree ct + 1) * poly)
 
+(* One (b_j, a_j) pair of full-chain polynomials per gadget row. *)
+let relin_key_bytes rlk =
+  let p = rlk.rk_params in
+  header_bytes + (Array.length rlk.rk_rows * 2 * Params.chain_length p * p.Params.n * 4)
+
 let pp_ct ppf ct =
   Format.fprintf ppf "<ct deg=%d level=%d noise=%.0f budget=%.0f factor=%Ld>"
     (degree ct) (level ct) ct.log_noise (noise_budget_bits ct) ct.factor

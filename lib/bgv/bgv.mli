@@ -223,6 +223,10 @@ val byte_size : ct -> int
     40-byte header).  The wire form of a seeded ciphertext serialises
     as [c0] plus its 8-byte seed. *)
 
+val relin_key_bytes : relin_key -> int
+(** Serialised size of the relinearisation key, on the {!byte_size}
+    scale: the header plus two full-chain polynomials per gadget row. *)
+
 val pp_ct : Format.formatter -> ct -> unit
 
 (** {1 Serialisation}

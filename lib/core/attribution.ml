@@ -94,7 +94,6 @@ let symbolic ?(include_prepare = true) (p : CM.params) path =
   in
   let top = (1 lsl p.CM.max_coord_bits) - 1 in
   let db = Array.make_matrix p.CM.n_points p.CM.d top in
-  let m = match path with CM.Batch m -> m | _ -> 1 in
   let rng = Util.Rng.of_int 0 in
   let dep =
     Sym.Run.deploy ~jobs:1 ~mask_source:largest_mask (CM.Symbolic.start p) rng config ~db
@@ -104,11 +103,9 @@ let symbolic ?(include_prepare = true) (p : CM.params) path =
     match path with
     | CM.Plain -> ()
     | CM.Prepared -> ignore (Sym.Run.prepare dep)
-    | CM.Packed | CM.Batch _ -> ignore (Sym.Run.prepare_packed dep)
+    | CM.Packed -> ignore (Sym.Run.prepare_packed dep)
   end;
-  ignore
-    (Sym.Run.query run dep path rng ~queries:(Array.make m (Array.make p.CM.d top))
-       ~k:p.CM.k);
+  ignore (Sym.Run.query run dep path rng ~query:(Array.make p.CM.d top) ~k:p.CM.k);
   run
 
 let predict_model ?include_prepare p path =

@@ -48,7 +48,7 @@ val symbolic :
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.Symbolic.run
 (** Deploy on the symbolic backend with the worst-case database and run
-    one query (one [Batch m] round) on [path].  [include_prepare]
+    one query on [path].  [include_prepare]
     (default [true]) leaves the prepared state to the query, which then
     records the ["prepare-db"] phase a deployment's first
     prepared/packed query pays; [false] builds it beforehand, as for a

@@ -66,10 +66,6 @@ module Make (Live : CT) = struct
     q_dim : int;
   }
 
-  (* Slot-batched multi-query form: ciphertext j carries query m's j-th
-     coordinate in slot m, so M queries ride one set of d+1 ciphertexts. *)
-  type batched_query = { bq_coords : ct array; bq_norm : ct; bq_count : int; bq_dim : int }
-
   (* What Party A answers each rank from: Π(P') as per-point return
      ciphertexts (Algorithm 3), or the Π-permuted plaintext points packed
      point-major into slot blocks (the slot return). *)
@@ -84,7 +80,6 @@ module Make (Live : CT) = struct
   let opt_arr = function None -> [||] | Some a -> a
 
   let query_cts q = Array.concat [ opt_arr q.q_coords; opt_cts q.q_rev; opt_cts q.q_norm ]
-  let batched_query_cts bq = Array.append bq.bq_coords [| bq.bq_norm |]
   let query_bytes q = cts_bytes (query_cts q)
 
   let expand_all ~counters ?(jobs = Pool.default_jobs ()) cts =
@@ -242,27 +237,22 @@ module Make (Live : CT) = struct
     let db_size t = t.db.db_n
     let jobs t = t.jobs
 
-    (* Per-query secrets: one fresh mask per query (one per slot-batched
-       query) and the permutation Π. *)
-    type query_state = { masks : Masking.t array; perm : Perm.t }
-    type batch_state = query_state
+    (* Per-query secrets: the fresh mask and the permutation Π. *)
+    type query_state = { mask : Masking.t; perm : Perm.t }
 
-    let state_mask s = s.masks.(0)
+    let state_mask s = s.mask
     let state_perm s = s.perm
-    let batch_state_masks s = s.masks
-    let batch_state_perm s = s.perm
     let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
 
     let return_level t =
       Stdlib.min t.config.Config.return_level (NM.chain_length t.nm)
 
-    let draw_masks ?(count = 1) obs t rng =
+    let fresh_mask obs t rng =
       let c = t.config in
       Obs.with_span obs "draw-mask" (fun () ->
-          Array.init count (fun _ ->
-              t.mask_source rng ~t_plain:(Live.t_plain c.Config.bgv)
-                ~input_bits:(Config.max_distance_bits c ~d:t.db.db_d)
-                ~degree:c.Config.mask_degree ~coeff_bits:c.Config.mask_coeff_bits))
+          t.mask_source rng ~t_plain:(Live.t_plain c.Config.bgv)
+            ~input_bits:(Config.max_distance_bits c ~d:t.db.db_d)
+            ~degree:c.Config.mask_degree ~coeff_bits:c.Config.mask_coeff_bits)
 
     (* The level-drop rule, the one place a ciphertext leaves the chain
        early: the lowest level whose modulus clears [masked_bits] (the
@@ -328,8 +318,8 @@ module Make (Live : CT) = struct
       if query.q_dim <> t.db.db_d then
         invalid_arg "Party_a.compute_distances: dimension mismatch";
       let query = receive_query obs t query in
-      let masks = draw_masks obs t rng in
-      let coeffs = Masking.coeffs masks.(0) in
+      let mask = fresh_mask obs t rng in
+      let coeffs = Masking.coeffs mask in
       let rngs = split_streams rng t.db.db_n in
       let masked =
         distance_batches obs t ~label:"distances" ~args:[ points_arg t ] t.db.points
@@ -342,7 +332,7 @@ module Make (Live : CT) = struct
               Live.add_plain ~counters m (zero_constant_randomizer rngs.(i) config.Config.bgv))
       in
       let perm = permute obs rng t.db.db_n in
-      ({ masks; perm }, Perm.apply perm masked)
+      ({ mask; perm }, Perm.apply perm masked)
 
     (* ---- Prepared (multi-query) path ----------------------------- *)
 
@@ -413,8 +403,8 @@ module Make (Live : CT) = struct
              (use Client.encrypt_query_ip)"
       in
       check_affine t ~what:"prepared" ~caller:"Party_a.compute_distances_prepared";
-      let masks = draw_masks obs t rng in
-      let coeffs = Masking.coeffs masks.(0) in
+      let mask = fresh_mask obs t rng in
+      let coeffs = Masking.coeffs mask in
       let rngs = split_streams rng t.db.db_n in
       let masked =
         distance_batches obs t ~label:"distances" ~args:[ points_arg t ] prep.prep_packed
@@ -443,7 +433,7 @@ module Make (Live : CT) = struct
             Live.add_plain ~counters m (zero_constant_randomizer rngs.(i) config.Config.bgv))
       in
       let perm = permute obs rng t.db.db_n in
-      ({ masks; perm }, Perm.apply perm masked)
+      ({ mask; perm }, Perm.apply perm masked)
 
     (* One rank's answer, split across domains; return_knn keeps the k
        rows sequential so parallelism is never nested. *)
@@ -516,28 +506,6 @@ module Make (Live : CT) = struct
         pp_norms =
           Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i)))) }
 
-    (* The packed and batched circuits truncate the query ciphertexts up
-       front, at the level the level-drop rule picks for the predicted
-       masked bound: every later op's noise increment is
-       level-independent, so all per-batch work runs on the short chain
-       and ends at the same bound.  [masked q] predicts the masked noise
-       from the query's worst noise state [q]. *)
-    let truncate_query t ~masked (coords, norm) =
-      let q_noise =
-        Array.fold_left (fun m c -> Float.max m (Live.noise_bits c)) (Live.noise_bits norm) coords
-      in
-      let q = { NM.level = Live.level norm; degree = 1; bits = q_noise } in
-      match drop_level t ~top:(Live.level norm) ~masked_bits:(masked q).NM.bits with
-      | Some lvl ->
-        let cut c = Live.truncate ~counters:t.counters c lvl in
-        (Array.map cut coords, cut norm, true)
-      | None -> (coords, norm, false)
-
-    let check_packed_state t pp ~caller =
-      check_affine t ~what:"packed" ~caller;
-      if Array.length pp.pp_norms <> t.db.db_n || Array.length pp.pp_cols <> t.db.db_d then
-        invalid_arg (caller ^ ": prepared state mismatch")
-
     let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
       let config = t.config in
       let params = config.Config.bgv in
@@ -553,11 +521,13 @@ module Make (Live : CT) = struct
             "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
              Client.encrypt_query_packed)"
       in
-      check_packed_state t pp ~caller:"Party_a.compute_distances_packed";
+      check_affine t ~what:"packed" ~caller:"Party_a.compute_distances_packed";
+      if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
+        invalid_arg "Party_a.compute_distances_packed: prepared state mismatch";
       let slots = Live.ring_degree params in
       let nbatches = (n + slots - 1) / slots in
-      let masks = draw_masks obs t rng in
-      let coeffs = Masking.coeffs masks.(0) in
+      let mask = fresh_mask obs t rng in
+      let coeffs = Masking.coeffs mask in
       let rngs = split_streams rng nbatches in
       (* The permutation is drawn before the homomorphic loop: the slot
          layout must already be in permuted order when the batches are
@@ -565,11 +535,28 @@ module Make (Live : CT) = struct
          cheap slot NTTs per batch — so Π needs no Galois machinery and
          stays uniform over all n! choices exactly as in Algorithm 1. *)
       let perm = permute obs rng n in
-      let nm = t.nm in
+      (* The query ciphertexts are truncated up front, at the level the
+         level-drop rule picks for the masked bound predicted from the
+         query's worst noise state: every later op's noise increment is
+         level-independent, so all per-batch work runs on the short chain
+         and ends at the same bound. *)
+      let nm = t.nm and top = Live.level q_norm in
+      let q =
+        { NM.level = top;
+          degree = 1;
+          bits =
+            Array.fold_left
+              (fun m c -> Float.max m (Live.noise_bits c))
+              (Live.noise_bits q_norm) q_coords }
+      in
+      let ip = NM.mul_scalar (NM.sum (NM.mul_plain nm q) ~terms:d) ~bits:1.0 in
+      let masked_q = NM.mul_scalar (NM.sub (NM.add_plain nm q) ip) ~bits:nm.NM.t_bits in
       let q_coords, q_norm, dropped =
-        truncate_query t (q_coords, q_norm) ~masked:(fun q ->
-            let ip = NM.mul_scalar (NM.sum (NM.mul_plain nm q) ~terms:d) ~bits:1.0 in
-            NM.mul_scalar (NM.sub (NM.add_plain nm q) ip) ~bits:nm.NM.t_bits)
+        match drop_level t ~top ~masked_bits:masked_q.NM.bits with
+        | Some lvl ->
+          let cut c = Live.truncate ~counters:t.counters c lvl in
+          (Array.map cut q_coords, cut q_norm, true)
+        | None -> (q_coords, q_norm, false)
       in
       let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
       let norms_p = Perm.apply perm pp.pp_norms in
@@ -610,7 +597,7 @@ module Make (Live : CT) = struct
                      if s < len then 0L else Rng.int64_below rng_b tp))
             else m)
       in
-      ({ masks; perm }, masked)
+      ({ mask; perm }, masked)
 
     (* The slot return's plaintext side, point-major: permuted point i
        takes slots [i·d', i·d'+d) of block ⌊i·d'/N⌋, zeros elsewhere.
@@ -628,82 +615,6 @@ module Make (Live : CT) = struct
                  let g = (b * slots) + s in
                  let i = g / width and c = g mod width in
                  if i < n && c < d then pp.pp_cols.(c).(src.(i)) else 0L)))
-
-    (* ---- Slot-batched multi-query evaluation --------------------- *)
-
-    (* M queries in the slot dimension: per point the inner products of
-       all M queries cost d scalar products on the slot-packed query
-       ciphertexts, and one plain product + plain add applies every
-       query's own affine mask (slot q carries query q's coefficients).
-       The n output ciphertexts share one permutation, which is the extra
-       declared leakage of the batch mode: Party B can align positions
-       across the M views of a batch (audited as "batch-query-count"). *)
-    let compute_distances_batch ?(obs = Obs.disabled) t pp rng bq =
-      let config = t.config in
-      let params = config.Config.bgv in
-      let d = t.db.db_d and n = t.db.db_n in
-      if bq.bq_dim <> d then invalid_arg "Party_a.compute_distances_batch: dimension mismatch";
-      check_packed_state t pp ~caller:"Party_a.compute_distances_batch";
-      let bq =
-        let cts = received obs (fun () -> expand_each t (batched_query_cts bq)) in
-        { bq with bq_coords = Array.sub cts 0 d; bq_norm = cts.(d) }
-      in
-      let slots = Live.ring_degree params in
-      let nqueries = bq.bq_count in
-      if nqueries < 1 || nqueries > slots then
-        invalid_arg "Party_a.compute_distances_batch: batch size out of range";
-      let masks = draw_masks ~count:nqueries obs t rng in
-      let coeff q i = (Masking.coeffs masks.(q)).(i) in
-      let a1_pt =
-        Live.pack ~counters:t.counters params (fun q -> if q < nqueries then coeff q 1 else 1L)
-      in
-      let a0_shared =
-        if nqueries = slots then Some (Live.pack ~counters:t.counters params (fun q -> coeff q 0))
-        else None
-      in
-      let rngs = split_streams rng n in
-      let perm = permute obs rng n in
-      let nm = t.nm in
-      let bq_coords, bq_norm, dropped =
-        truncate_query t (bq.bq_coords, bq.bq_norm) ~masked:(fun q ->
-            let coord = NM.mul_scalar q ~bits:(float_of_int config.Config.max_coord_bits) in
-            let ip = NM.mul_scalar (NM.sum coord ~terms:d) ~bits:1.0 in
-            NM.add_plain nm (NM.mul_plain nm (NM.add_plain nm (NM.sub q ip))))
-      in
-      let masked =
-        distance_batches obs t ~label:"batched-distances"
-          ~args:[ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-          rngs
-          (fun counters i rng_i ->
-            let ip = ref None in
-            for j = 0 to d - 1 do
-              let p = Live.mul_scalar ~counters bq_coords.(j) pp.pp_cols.(j).(i) in
-              ip := Some (match !ip with None -> p | Some s -> Live.add ~counters s p)
-            done;
-            let ip = Option.get !ip in
-            let ed =
-              Live.add_const ~counters
-                (Live.sub ~counters bq_norm (Live.mul_scalar ~counters ip 2L))
-                pp.pp_norms.(i)
-            in
-            let ed = if dropped then ed else rescale_if_configured t ~counters ed in
-            let md = Live.mul_plain ~counters ed a1_pt in
-            let a0_pt =
-              match a0_shared with
-              | Some pt -> pt
-              | None ->
-                (* Dead slots (no query) get a fresh uniform value per
-                   point, killing the cross-point order their unit-slope
-                   masking would otherwise expose. *)
-                let tp = Live.t_plain params in
-                Live.pack ~counters params (fun q ->
-                    if q < nqueries then coeff q 0 else Rng.int64_below rng_i tp)
-            in
-            Live.add_plain ~counters md a0_pt)
-      in
-      ({ masks; perm }, Perm.apply perm masked)
-
-    let permuted_return_packed_batch = permuted_return_packed
 
     let return_knn ?obs t state rows =
       let packed = permuted_packed t state in
@@ -784,27 +695,6 @@ module Make (Live : CT) = struct
             out)
       in
       select_top_k obs ~k (fun () -> view_of ~block_width:t.block_width ~k masked)
-
-    let select_views_batch ?(obs = Obs.disabled) t cts ~m:nqueries ~k =
-      let n = Array.length cts in
-      if n < 1 then invalid_arg "Party_b.select_views_batch: empty database";
-      if nqueries < 1 || nqueries > Live.ring_degree t.config.Config.bgv then
-        invalid_arg "Party_b.select_views_batch: batch size out of range";
-      check_k ~n ~k;
-      let slot_rows =
-        decrypt_span obs t
-          [ ("points", string_of_int n); ("queries", string_of_int nqueries) ]
-          (fun () ->
-            Array.map
-              (fun ct ->
-                Live.unpack ~counters:t.counters (Live.decrypt ~counters:t.counters t.sk ct)
-                  ~len:nqueries)
-              cts)
-      in
-      select_top_k obs ~k (fun () ->
-          Array.init nqueries (fun q ->
-              view_of ~block_width:t.block_width ~k
-                (Array.init n (fun i -> slot_rows.(i).(q)))))
 
     (* The j-th indicator at the return level.  Per-point views get
        Algorithm 3's n encrypted bits; slot views get ⌈n·d'/N⌉ slot
@@ -896,28 +786,6 @@ module Make (Live : CT) = struct
       let q_norm = enc t rng (constant params (squared_norm query)) in
       { q_coords = Some q_coords; q_rev = None; q_norm = Some q_norm; q_dim = d }
 
-    let encrypt_query_batch t rng queries =
-      let config = t.config in
-      let params = config.Config.bgv in
-      let m = Array.length queries in
-      if m = 0 then invalid_arg "Client.encrypt_query_batch: empty batch";
-      if m > Live.ring_degree params then
-        invalid_arg "Client.encrypt_query_batch: batch exceeds the slot count";
-      let d = Array.length queries.(0) in
-      Array.iter
-        (fun q ->
-          if Array.length q <> d then invalid_arg "Client.encrypt_query_batch: ragged batch";
-          Data_owner.validate_point config ~d q)
-        queries;
-      let enc slot_of =
-        let slot q = if q < m then Int64.of_int (slot_of queries.(q)) else 0L in
-        enc t rng (Live.pack ~counters:t.counters params slot)
-      in
-      { bq_coords = Array.init d (fun j -> enc (fun query -> query.(j)));
-        bq_norm = enc squared_norm;
-        bq_count = m;
-        bq_dim = d }
-
     (* A slot result is zeros plus one d'-slot block, so coordinate c is
        the sum of the slots ≡ c mod d' — wherever Π put the block, and
        even when the point is all zeros. *)
@@ -974,20 +842,27 @@ module Make (Live : CT) = struct
       in
       let enc_db = Data_owner.encrypt_db ~obs ?counters ?jobs (Rng.split rng) owner db in
       let keys = Data_owner.keys owner in
-      let sk = Live.secret_key keys in
+      let sk = Live.secret_key keys and rlk = Live.relin_key keys in
       (* The secret key is one byte per (ternary) coefficient. *)
       let sk_bytes = Live.ring_degree config.Config.bgv in
+      (* Party A gets the relinearisation key only when it relinearises. *)
+      let rlk_msg =
+        if config.Config.use_relin then
+          [ (Transcript.Party_a, "relinearisation key", Live.relin_key_bytes rlk) ]
+        else []
+      in
       List.iter
         (fun (receiver, label, bytes) ->
           Live.send setup ~sender:Transcript.Data_owner ~receiver ~label ~bytes)
-        [ (Transcript.Party_a, "encrypted database", db_bytes enc_db);
-          (Transcript.Party_b, "secret key", sk_bytes);
-          (Transcript.Client, "secret key", sk_bytes) ];
+        ([ (Transcript.Party_a, "encrypted database", db_bytes enc_db) ]
+         @ rlk_msg
+         @ [ (Transcript.Party_b, "secret key", sk_bytes);
+             (Transcript.Client, "secret key", sk_bytes) ]);
       { config;
         db_n = Array.length db;
         db_d = Array.length db.(0);
         db;
-        a = Party_a.create ?jobs ?mask_source config (Live.relin_key keys) enc_db;
+        a = Party_a.create ?jobs ?mask_source config rlk enc_db;
         (* Party B learns d' here, as it learns n: no message carries it. *)
         b = Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk;
         cl = Client.create ?jobs config sk;
@@ -1054,27 +929,18 @@ module Make (Live : CT) = struct
           Metrics.set (Metrics.gauge m ("bgv." ^ name ^ ".min_noise_budget_bits")) !min_budget
       end
 
-    type outcome = { neighbours : int array array array; views : Party_b.view array }
+    type outcome = { neighbours : int array array; view : Party_b.view }
 
     (* One protocol round on any path: the client encrypts, A computes
        the masked distances (Algorithm 1), B decrypts and selects
        (Algorithm 2), B's indicator rows stream to A one rank at a time
        (n encrypted bits each on the per-point paths, ⌈n·d'/N⌉ slot
-       indicators on the packed ones), A returns the selected points
-       (Algorithm 3 or the slot return), the client decrypts.  A [Batch m]
-       round answers the m [queries] at once; every other path takes one.
-       Party counters are reset at the start, so they report this round;
-       the backend's [phase]/[send] hooks time it and record its
-       transcript. *)
-    let query ?(obs = Obs.disabled) env d path rng ~queries ~k =
-      let m = Array.length queries in
-      (match path with
-       | CM.Batch _ -> if m = 0 then invalid_arg "Protocol.query_batch: empty batch"
-       | _ -> if m <> 1 then invalid_arg "Protocol.query: one query per round");
-      Array.iter
-        (fun q ->
-          if Array.length q <> d.db_d then invalid_arg "Protocol.query: dimension mismatch")
-        queries;
+       indicators on the packed one), A returns the selected points
+       (Algorithm 3 or the slot return), the client decrypts.  Party
+       counters are reset at the start, so they report this round; the
+       backend's [phase]/[send] hooks time it and record its transcript. *)
+    let query ?(obs = Obs.disabled) env d path rng ~query ~k =
+      if Array.length query <> d.db_d then invalid_arg "Protocol.query: dimension mismatch";
       if k < 1 || k > d.db_n then invalid_arg "Protocol.query: k out of range";
       let ca = Party_a.counters d.a and cb = Party_b.counters d.b in
       let cc = Client.counters d.cl in
@@ -1086,64 +952,47 @@ module Make (Live : CT) = struct
       (* Prepared/packed paths: only the first such query of a deployment
          pays (and records) the "prepare-db" phase. *)
       let prepared f = phase [ pa ] "prepare-db" (fun () -> f ?obs:(Some obs) d) in
-      let returned, cts, distances =
-        let single prep encrypt distances =
-          let q = phase [ pc ] "encrypt-query" (fun () -> encrypt d.cl rng queries.(0)) in
-          (prep, query_cts q, fun () -> distances rng q)
-        in
+      let returned, encrypt, distances =
         match path with
         | CM.Plain ->
-          single (Party_a.permuted_packed d.a) Client.encrypt_query
-            (Party_a.compute_distances ~obs d.a)
+          ( Party_a.permuted_packed d.a,
+            Client.encrypt_query,
+            Party_a.compute_distances ~obs d.a )
         | CM.Prepared ->
           let p = match d.prepared with Some p -> p | None -> prepared prepare in
-          single (Party_a.permuted_packed_prepared p) Client.encrypt_query_ip
-            (Party_a.compute_distances_prepared ~obs d.a p)
+          ( Party_a.permuted_packed_prepared p,
+            Client.encrypt_query_ip,
+            Party_a.compute_distances_prepared ~obs d.a p )
         | CM.Packed ->
           let p = match d.prepared_packed with Some p -> p | None -> prepared prepare_packed in
-          single (Party_a.permuted_return_packed p) Client.encrypt_query_packed
-            (Party_a.compute_distances_packed ~obs d.a p)
-        | CM.Batch _ ->
-          let p = match d.prepared_packed with Some p -> p | None -> prepared prepare_packed in
-          let bq =
-            phase [ pc ] "encrypt-query" (fun () -> Client.encrypt_query_batch d.cl rng queries)
-          in
           ( Party_a.permuted_return_packed p,
-            batched_query_cts bq,
-            fun () -> Party_a.compute_distances_batch ~obs d.a p rng bq )
+            Client.encrypt_query_packed,
+            Party_a.compute_distances_packed ~obs d.a p )
       in
+      let q = phase [ pc ] "encrypt-query" (fun () -> encrypt d.cl rng query) in
+      let cts = query_cts q in
       send Transcript.Client Transcript.Party_a "encrypted query" (cts_bytes cts);
       audit "party-a" "compute-distances" "query-ciphertexts" (Audit.Int (Array.length cts));
       audit "party-a" "compute-distances" "query-bytes" (Audit.Int (cts_bytes cts));
-      let state, masked = phase [ pa ] "compute-distances" distances in
+      let state, masked = phase [ pa ] "compute-distances" (fun () -> distances rng q) in
       sample_cts obs ~name:"masked-distance" masked;
       send Transcript.Party_a Transcript.Party_b "masked permuted distances" (cts_bytes masked);
-      let views =
+      let view =
         phase [ pb ] "find-neighbours" (fun () ->
             match path with
-            | CM.Plain | CM.Prepared -> [| Party_b.select_neighbours ~obs d.b masked ~k |]
-            | CM.Packed -> [| Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k |]
-            | CM.Batch _ -> Party_b.select_views_batch ~obs d.b masked ~m ~k)
+            | CM.Plain | CM.Prepared -> Party_b.select_neighbours ~obs d.b masked ~k
+            | CM.Packed -> Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k)
       in
       audit "party-b" "find-neighbours" "n" (Audit.Int d.db_n);
       audit "party-b" "find-neighbours" "k" (Audit.Int k);
-      (* The one leakage the batch mode adds: B learns how many queries
-         share the round's permutation, and can align positions across
-         their views. *)
-      (match path with
-       | CM.Batch _ -> audit "party-b" "find-neighbours" "batch-query-count" (Audit.Int m)
-       | _ -> ());
       (* The slot return shows B the block width d' its indicators cover. *)
       Option.iter
         (fun w -> audit "party-b" "find-neighbours" "return-block-width" (Audit.Int w))
-        views.(0).Party_b.block_width;
-      Array.iter
-        (fun view ->
-          audit "party-b" "find-neighbours" "masked-distance-multiset"
-            (Audit.Int64s (Leakage.view_multiset view));
-          audit "party-b" "find-neighbours" "equidistant-group-sizes"
-            (Audit.Ints (Leakage.equidistant_group_sizes view)))
-        views;
+        view.Party_b.block_width;
+      audit "party-b" "find-neighbours" "masked-distance-multiset"
+        (Audit.Int64s (Leakage.view_multiset view));
+      audit "party-b" "find-neighbours" "equidistant-group-sizes"
+        (Audit.Ints (Leakage.equidistant_group_sizes view));
       (* Return kNN: each party's work in its own child span. *)
       let indicators = ref 0 and indicator_bytes = ref 0 in
       let results =
@@ -1151,36 +1000,32 @@ module Make (Live : CT) = struct
             let packed =
               Obs.with_span obs ~counters:[ pa ] "return-points" (fun () -> returned state)
             in
-            Array.map
-              (fun view ->
-                Array.init k (fun j ->
-                    let args = [ ("j", string_of_int j) ] in
-                    let row =
-                      Obs.with_span obs ~counters:[ pb ] ~args "indicator-row" (fun () ->
-                          Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j)
-                    in
-                    let bytes = cts_bytes row in
-                    indicators := !indicators + Array.length row;
-                    indicator_bytes := !indicator_bytes + bytes;
-                    send Transcript.Party_b Transcript.Party_a
-                      (Printf.sprintf "indicator vector B^%d" (j + 1))
-                      bytes;
-                    Obs.with_span obs ~counters:[ pa ] ~args "select-row" (fun () ->
-                        Party_a.select_row ~obs d.a packed row)))
-              views)
+            Array.init k (fun j ->
+                let args = [ ("j", string_of_int j) ] in
+                let row =
+                  Obs.with_span obs ~counters:[ pb ] ~args "indicator-row" (fun () ->
+                      Party_b.indicator_row ~obs d.b rng view ~n:d.db_n ~j)
+                in
+                let bytes = cts_bytes row in
+                indicators := !indicators + Array.length row;
+                indicator_bytes := !indicator_bytes + bytes;
+                send Transcript.Party_b Transcript.Party_a
+                  (Printf.sprintf "indicator vector B^%d" (j + 1))
+                  bytes;
+                Obs.with_span obs ~counters:[ pa ] ~args "select-row" (fun () ->
+                    Party_a.select_row ~obs d.a packed row)))
       in
-      let result_cts = Array.map (Array.map result_ct) results in
-      Array.iter (fun cts -> sample_cts obs ~name:"result" cts) result_cts;
+      let result_cts = Array.map result_ct results in
+      sample_cts obs ~name:"result" result_cts;
       audit "party-a" "return-knn" "indicator-ciphertexts" (Audit.Int !indicators);
       audit "party-a" "return-knn" "indicator-bytes" (Audit.Int !indicator_bytes);
-      send Transcript.Party_a Transcript.Client "encrypted k-NN result"
-        (Array.fold_left (fun s cts -> s + cts_bytes cts) 0 result_cts);
+      send Transcript.Party_a Transcript.Client "encrypted k-NN result" (cts_bytes result_cts);
       let neighbours =
         phase [ pc ] "decrypt-result" (fun () ->
-            Array.map (fun cts -> Client.decrypt_points ~obs d.cl ~d:d.db_d cts) results)
+            Client.decrypt_points ~obs d.cl ~d:d.db_d results)
       in
       audit "client" "decrypt-result" "neighbour-count" (Audit.Int k);
-      { neighbours; views }
+      { neighbours; view }
   end
 end
 
@@ -1227,7 +1072,6 @@ module Live = struct
   let add ~counters a b = Bgv.add ~counters a b
   let sub ~counters a b = Bgv.sub ~counters a b
   let add_plain ~counters ct pt = Bgv.add_plain ~counters ct pt
-  let add_const ~counters ct v = Bgv.add_const ~counters ct v
   let mul_plain ~counters ct pt = Bgv.mul_plain ~counters ct pt
   let mul_scalar ~counters ct v = Bgv.mul_scalar ~counters ct v
   let mul ~counters ?rlk ?rescale a b = Bgv.mul ~counters ?rlk ?rescale a b
@@ -1239,6 +1083,7 @@ module Live = struct
   let noise_bits = Bgv.noise_bits
   let noise_budget_bits = Bgv.noise_budget_bits
   let byte_size = Bgv.byte_size
+  let relin_key_bytes = Bgv.relin_key_bytes
 
   let env ?(obs = Obs.disabled) ?net () =
     { obs; tr = Transcript.create (); clock = Option.map Clock.cursor net; phases = [] }

@@ -53,7 +53,6 @@ module type CT = sig
   val add : counters:Util.Counters.t -> ct -> ct -> ct
   val sub : counters:Util.Counters.t -> ct -> ct -> ct
   val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
-  val add_const : counters:Util.Counters.t -> ct -> int64 -> ct
   val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
   val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
 
@@ -73,6 +72,9 @@ module type CT = sig
   val noise_bits : ct -> float
   val noise_budget_bits : ct -> float
   val byte_size : ct -> int
+
+  val relin_key_bytes : relin_key -> int
+  (** What the relinearisation key weighs on the wire. *)
 
   val phase : env -> (string * Util.Counters.t) list -> string -> (unit -> 'a) -> 'a
   (** [phase env parties name f] runs one protocol phase: its span and
@@ -122,20 +124,11 @@ module type S = sig
     q_dim : int;
   }
 
-  type batched_query = {
-    bq_coords : ct array;  (** ciphertext [j] carries query [m]'s coordinate [j] in slot [m] *)
-    bq_norm : ct;  (** slot [m] = [‖q_m‖²] *)
-    bq_count : int;  (** M, the number of queries packed in the slots *)
-    bq_dim : int;
-  }
-  (** Slot-batched multi-query form: M queries ride one set of [d + 1]
-      ciphertexts through the packed pipeline. *)
-
   type returned
   (** What Party A answers each rank of Return-kNN from: [Π(P')] as
       per-point return ciphertexts on the plain and prepared paths, or
       its plaintext points re-packed point-major into slot blocks under
-      the query's Π on the packed and batch paths. *)
+      the query's Π on the packed path. *)
 
   (** One encrypted neighbour, as Party A returns it to the client. *)
   type result =
@@ -198,7 +191,7 @@ module type S = sig
     val jobs : t -> int
 
     type query_state
-    (** Party A's per-query secrets: the fresh masking polynomial(s) and
+    (** Party A's per-query secrets: the fresh masking polynomial and
         the fresh permutation Π. *)
 
     val compute_distances :
@@ -307,29 +300,8 @@ module type S = sig
     (** The slot return's blocks for one query: permuted point [i] takes
         slots [[i·d', i·d'+d)] of block [⌊i·d'/N⌋] (zeros elsewhere), so
         [⌈n·d'/N⌉] slot plaintexts, packed under the query's Π.  Replaces
-        the per-point return ciphertexts on the packed and batch paths;
-        nothing is kept at prepare time. *)
-
-    (** {2 Slot-batched multi-query evaluation} *)
-
-    type batch_state = query_state
-    (** Per-batch secrets: one fresh affine mask per query and the shared
-        permutation Π. *)
-
-    val compute_distances_batch :
-      ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> batched_query ->
-      batch_state * ct array
-    (** M queries at once: returns [n] ciphertexts (in permuted point
-        order) whose slot [m] holds query [m]'s masked distance to the
-        point.  Each query gets its own fresh affine mask; dead slots are
-        overwritten with per-point uniform randomness.  The M views share
-        one permutation — the batch mode's extra declared leakage
-        (audited as ["batch-query-count"]). *)
-
-    val permuted_return_packed_batch : prepared_packed -> batch_state -> returned
-    val batch_state_masks : batch_state -> Masking.t array
-    val batch_state_perm : batch_state -> Util.Perm.t
-    (** Exposed for the leakage-audit tests only, like {!state_mask}. *)
+        the per-point return ciphertexts on the packed path; nothing is
+        kept at prepare time. *)
   end
 
   (** {1 Party B — key holder, never sees the database} *)
@@ -339,8 +311,8 @@ module type S = sig
 
     val create : ?jobs:int -> block_width:int -> config -> secret_key -> t
     (** [block_width] is d', the slot return's block width, given to B at
-        deploy as n is (no message carries it); only the packed and batch
-        paths use it.  [jobs] parallelises {!indicator_row}'s batch
+        deploy as n is (no message carries it); only the packed path uses
+        it.  [jobs] parallelises {!indicator_row}'s batch
         encryption only; the decrypt-and-select half of Algorithm 2
         always runs in B's own domain (it touches secret-key material). *)
 
@@ -372,10 +344,6 @@ module type S = sig
         [⌈n/N⌉] ciphertexts, unpacks the slots and discards the dead tail
         slots, so the view carries exactly the [n] per-point masked
         distances (and B's block width, for the slot return). *)
-
-    val select_views_batch : ?obs:Sknn_obs.Ctx.t -> t -> ct array -> m:int -> k:int -> view array
-    (** Batched-query selection: one {!view} per packed query, unpacked
-        from slot [m] of each of the [n] ciphertexts. *)
 
     val indicator_row :
       ?obs:Sknn_obs.Ctx.t -> t -> Util.Rng.t -> view -> n:int -> j:int -> ct array
@@ -411,10 +379,6 @@ module type S = sig
         ciphertexts with the same value in every slot plus [‖q‖²].
         @raise Invalid_argument when [d] exceeds the ring degree. *)
 
-    val encrypt_query_batch : t -> Util.Rng.t -> int array array -> batched_query
-    (** M queries packed in the slot dimension, M ≤ the slot count.
-        @raise Invalid_argument on an empty, ragged or oversized batch. *)
-
     val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> result array -> int array array
     (** Decrypts each result over [jobs] domains.  A {!Coeff_point}
         yields coefficients [0, d); a {!Slot_block} is slot-unpacked and
@@ -446,22 +410,23 @@ module type S = sig
       deployment
     (** The Setup phase: key generation (a ["keygen"] span), database
         encryption, and the key/ciphertext distribution to the parties,
-        sent through the given recorder. *)
+        sent through the given recorder.  Party A receives the
+        relinearisation key only when [config.use_relin] is set, the one
+        case it uses the key. *)
 
     val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared
     val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared_packed
     (** The cached prepared states, built on first use. *)
 
     type outcome = {
-      neighbours : int array array array;  (** per query: the k decrypted points *)
-      views : Party_b.view array;  (** per query *)
+      neighbours : int array array;  (** the k decrypted points *)
+      view : Party_b.view;  (** what Party B saw *)
     }
 
     val query :
       ?obs:Sknn_obs.Ctx.t -> env -> deployment -> Sknn_obs.Cost_model.path ->
-      Util.Rng.t -> queries:int array array -> k:int -> outcome
-    (** One protocol round on [path]: one query, or the [m] of a [Batch m]
-        round.  Phases — ["prepare-db"] (first prepared/packed query
+      Util.Rng.t -> query:int array -> k:int -> outcome
+    (** One protocol round on [path], answering one query.  Phases — ["prepare-db"] (first prepared/packed query
         only), ["encrypt-query"], ["compute-distances"],
         ["find-neighbours"], ["return-knn"] (A's ["return-points"] and, per
         rank, B's ["indicator-row"] and A's ["select-row"], as one-party

@@ -132,7 +132,7 @@ let objective_seconds limits ~first ~steady =
 
 (* Compute cost of one query, plus — under a network profile — the
    virtual wire time of its predicted transcript.  The wire term is what
-   lets a WAN objective reward the packed/batched paths' fewer, larger
+   lets a WAN objective reward the packed path's fewer, larger
    messages end-to-end, not just in compute. *)
 let price ~unit_costs ?net (pred : CM.prediction) =
   let compute =
@@ -171,9 +171,6 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
   if w.mask_degree < 1 then invalid_arg "Planner.plan: mask_degree < 1";
   if w.mask_degree > 1 && (w.layout = Config.Dot_product || w.path <> CM.Plain) then
     invalid_arg "Planner.plan: only the plain per-coordinate path supports mask_degree > 1";
-  (match w.path with
-   | CM.Batch m when m < 1 -> invalid_arg "Planner.plan: empty batch"
-   | _ -> ());
   let infeasible = Hashtbl.create 8 in
   let count_infeasible reason =
     Hashtbl.replace infeasible reason
@@ -346,7 +343,6 @@ let path_name = function
   | CM.Plain -> "plain"
   | CM.Prepared -> "prepared"
   | CM.Packed -> "packed"
-  | CM.Batch m -> Printf.sprintf "batch-%d" m
 
 let json_of_entry buf e =
   Buffer.add_string buf

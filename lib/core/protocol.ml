@@ -137,7 +137,7 @@ let guard obs d path =
 let needs_prepare d = function
   | CM.Plain -> false
   | CM.Prepared -> Option.is_none d.Run.prepared
-  | CM.Packed | CM.Batch _ -> Option.is_none d.Run.prepared_packed
+  | CM.Packed -> Option.is_none d.Run.prepared_packed
 
 let prepare ?(obs = Obs.disabled) d =
   if needs_prepare d CM.Prepared then begin
@@ -158,14 +158,12 @@ let is_packed_prepared d = not (needs_prepare d CM.Packed)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One round of the driver on the live backend.  The phase list,
-   transcript and counters describe the whole round and are shared by
-   the results of a batch; neighbours and views are per query. *)
-let round ?(obs = Obs.disabled) ?rng ?net d path ~queries ~k =
+(* One round of the driver on the live backend. *)
+let round ?(obs = Obs.disabled) ?rng ?net d path ~query ~k =
   let rng = match rng with Some r -> r | None -> Rng.split d.Run.query_seed in
   if needs_prepare d path then guard obs d path;
   let env = Entities.Live.env ~obs ?net () in
-  let out = Run.query ~obs env d path rng ~queries ~k in
+  let out = Run.query ~obs env d path rng ~query ~k in
   let tr = Entities.Live.transcript env in
   let ca = Entities.Party_a.counters (party_a d) in
   let cb = Entities.Party_b.counters (party_b d) in
@@ -190,36 +188,23 @@ let round ?(obs = Obs.disabled) ?rng ?net d path ~queries ~k =
        (fun (party, c) -> Metrics.record_ledger m ~party c)
        [ ("party-a", ca); ("party-b", cb); ("client", cc) ]);
   let net = observe_net obs tr net in
-  let phase_seconds = Entities.Live.phase_seconds env in
-  Array.mapi
-    (fun q view ->
-      { neighbours = out.Run.neighbours.(q);
-        k;
-        phase_seconds;
-        transcript = tr;
-        counters_a = ca;
-        counters_b = cb;
-        counters_client = cc;
-        view_b = view;
-        net })
-    out.Run.views
+  { neighbours = out.Run.neighbours;
+    k;
+    phase_seconds = Entities.Live.phase_seconds env;
+    transcript = tr;
+    counters_a = ca;
+    counters_b = cb;
+    counters_client = cc;
+    view_b = out.Run.view;
+    net }
 
-let query ?obs ?rng ?net d ~query ~k = (round ?obs ?rng ?net d CM.Plain ~queries:[| query |] ~k).(0)
-
-let query_prepared ?obs ?rng ?net d ~query ~k =
-  (round ?obs ?rng ?net d CM.Prepared ~queries:[| query |] ~k).(0)
-
-let query_packed ?obs ?rng ?net d ~query ~k =
-  (round ?obs ?rng ?net d CM.Packed ~queries:[| query |] ~k).(0)
-
-let query_batch ?obs ?rng ?net d ~queries ~k =
-  round ?obs ?rng ?net d (CM.Batch (Array.length queries)) ~queries ~k
+let query ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Plain ~query ~k
+let query_prepared ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Prepared ~query ~k
+let query_packed ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Packed ~query ~k
 
 let run_queries_path path ?obs ?rng ?net d ~queries ~k =
   let rng = match rng with Some r -> r | None -> d.Run.query_seed in
-  Array.map
-    (fun q -> (round ?obs ~rng:(Rng.split rng) ?net d path ~queries:[| q |] ~k).(0))
-    queries
+  Array.map (fun query -> round ?obs ~rng:(Rng.split rng) ?net d path ~query ~k) queries
 
 let run_queries ?obs = run_queries_path CM.Prepared ?obs
 let run_queries_packed ?obs = run_queries_path CM.Packed ?obs

@@ -185,32 +185,14 @@ val run_queries_packed :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   queries:int array array -> k:int -> result array
 (** {!query_packed} over a query batch, one independent RNG stream per
-    query (each query still runs its own protocol round; see
-    {!query_batch} for slot-dimension batching). *)
-
-val query_batch :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  queries:int array array -> k:int -> result array
-(** M ≤ [Params.slot_count] queries in {e one} protocol round — the
-    same driver as {!query}, on the [Batch M] path: the
-    queries ride the slot dimension of d+1 ciphertexts
-    ({!Entities.Client.encrypt_query_batch}), Party A masks each query's
-    distances with its own fresh affine polynomial in one slot-wise
-    pass, and Party B unpacks one view per query from the [n] returned
-    ciphertexts.  The M views share one permutation — the batch mode's
-    extra declared leakage, audited as
-    [party-b/find-neighbours/batch-query-count].  The returned results
-    share the round's transcript, counters and phase times; neighbours
-    and views are per query.
-    @raise Invalid_argument on an empty or oversized batch, dimension
-    mismatch, or k out of range. *)
+    query, each query in its own protocol round under its own fresh
+    permutation. *)
 
 val round :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  Sknn_obs.Cost_model.path -> queries:int array array -> k:int -> result array
+  Sknn_obs.Cost_model.path -> query:int array -> k:int -> result
 (** The one driver behind every entry point above: one protocol round on
-    [path] — one query, or the [m] of a [Batch m] round — with one result
-    per query. *)
+    [path], answering one query. *)
 
 val total_seconds : result -> float
 val exact : deployment -> db:int array array -> query:int array -> result -> bool

@@ -39,7 +39,7 @@ type params = {
   relin_rows : int;
 }
 
-type path = Plain | Prepared | Packed | Batch of int
+type path = Plain | Prepared | Packed
 
 type phase = { phase : string; party : string; counters : C.t }
 
@@ -81,7 +81,7 @@ module Symbolic = struct
 
   type params = run
   type secret_key = run
-  type relin_key = unit
+  type relin_key = run
   type keys = { sk : secret_key; rlk : relin_key }
 
   (* [seeded]: the wire form, c0 plus a seed (Bgv's [seed <> None]). *)
@@ -109,7 +109,7 @@ module Symbolic = struct
      | None -> run.noise <- { ph = run.current; op; low = st; room } :: run.noise);
     { run; st; seeded = false }
 
-  let keygen _rng run = { sk = run; rlk = () }
+  let keygen _rng run = { sk = run; rlk = run }
   let secret_key k = k.sk
   let relin_key k = k.rlk
 
@@ -268,7 +268,7 @@ module Symbolic = struct
     C.record c C.Hom_mul;
     C.record_op c C.Op_ct_mul ~level:(Stdlib.min a.st.NM.level b.st.NM.level);
     let x = mk a.run "mul" (NM.mul a.run.p.nm a.st b.st) in
-    let x = if rlk <> None && x.st.NM.degree = 2 then relinearize c x else x in
+    let x = if Option.is_some rlk && x.st.NM.degree = 2 then relinearize c x else x in
     if rescale then rescale_to_floor ~counters:c x else x
 
   (* Bgv.mul_sum: operands aligned to the common minimum level; the fused
@@ -285,7 +285,7 @@ module Symbolic = struct
       Array.fold_left mn (Array.fold_left mn a.(0).st.NM.level a) b
     in
     let a = Array.map (fun x -> align x lvl) a and b = Array.map (fun x -> align x lvl) b in
-    if rlk <> None then begin
+    if Option.is_some rlk then begin
       let acc = ref (mul ~counters:c ?rlk ~rescale:false a.(0) b.(0)) in
       for i = 1 to m - 1 do
         acc := add ~counters:c !acc (mul ~counters:c ?rlk ~rescale:false a.(i) b.(i))
@@ -331,6 +331,12 @@ module Symbolic = struct
   let byte_size x =
     let poly = x.st.NM.level * x.run.p.nm.NM.n * 4 in
     if x.seeded then 40 + poly + 8 else 40 + ((x.st.NM.degree + 1) * poly)
+
+  (* Bgv.relin_key_bytes: the header plus (b_j, a_j) per gadget row at
+     the full chain. *)
+  let relin_key_bytes run =
+    let nm = run.p.nm in
+    40 + (run.p.relin_rows * 2 * NM.chain_length nm * nm.NM.n * 4)
 
   (* Driver hooks: a phase's ledger is each watched party's counter
      delta across it; sends append to the symbolic transcript. *)

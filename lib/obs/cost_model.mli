@@ -38,9 +38,8 @@ type params = {
   relin_rows : int;  (** gadget rows in the relinearisation key *)
 }
 
-(** A query pipeline; [Batch m] is [Protocol.query_batch] with [m]
-    queries sharing the round. *)
-type path = Plain | Prepared | Packed | Batch of int
+(** A query pipeline: one query per protocol round on each. *)
+type path = Plain | Prepared | Packed
 
 type phase = {
   phase : string;  (** protocol phase name, as [Protocol] times it *)
@@ -105,7 +104,6 @@ module Symbolic : sig
   val add : counters:Util.Counters.t -> ct -> ct -> ct
   val sub : counters:Util.Counters.t -> ct -> ct -> ct
   val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
-  val add_const : counters:Util.Counters.t -> ct -> int64 -> ct
   val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
   val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
 
@@ -125,6 +123,7 @@ module Symbolic : sig
   val noise_bits : ct -> float
   val noise_budget_bits : ct -> float
   val byte_size : ct -> int
+  val relin_key_bytes : relin_key -> int
 
   val phase :
     env -> (string * Util.Counters.t) list -> string -> (unit -> 'a) -> 'a

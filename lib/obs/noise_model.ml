@@ -69,23 +69,6 @@ let mul p a b =
 
 let sum st ~terms = { st with bits = st.bits +. log2 (float_of_int terms) }
 
-(* Σᵢ aᵢ·bᵢ over m uniform terms: one product's bits plus log2 m (the
-   exact term-order log2_add fold is bounded by this and equals it for
-   identical terms, which is the worst case we forecast). *)
-let mul_sum p a b ~terms =
-  if terms < 1 then invalid_arg "Noise_model.mul_sum: terms must be positive";
-  let one = mul p a b in
-  { one with bits = one.bits +. log2 (float_of_int terms) }
-
-let relinearize p ~digit_bits st =
-  let q_bits = int_of_float (ceil (log2_q p ~level:st.level)) in
-  let ndigits = Stdlib.max 1 ((q_bits + digit_bits - 1) / digit_bits) in
-  let added =
-    p.t_bits +. log2 (float_of_int ndigits) +. log2_n p
-    +. float_of_int digit_bits +. log2 p.eta
-  in
-  { st with degree = 1; bits = log2_add st.bits added }
-
 let modswitch p st =
   if st.level <= 1 then invalid_arg "Noise_model.modswitch: already at the last level";
   { st with

@@ -52,11 +52,6 @@ val mul : params -> state -> state -> state
 val sum : state -> terms:int -> state
 (** Sum of [terms] ciphertexts with this bound: [bits + log2 terms]. *)
 
-val mul_sum : params -> state -> state -> terms:int -> state
-(** Inner product of [terms] uniform worst-case pairs.
-    @raise Invalid_argument if [terms < 1]. *)
-
-val relinearize : params -> digit_bits:int -> state -> state
 val modswitch : params -> state -> state
 val rescale_to_floor : params -> state -> state
 val truncate : state -> level:int -> state

@@ -204,6 +204,45 @@ let test_transcript_structure () =
      and to the client (no public key: every encryptor holds s). *)
   Alcotest.(check int) "setup messages" 3 (Transcript.messages (Protocol.setup_transcript dep))
 
+let test_setup_relin_key () =
+  (* Party A receives the relinearisation key exactly when it
+     relinearises: a use_relin deployment's setup is the default one
+     plus that one message, weighed as the symbolic backend weighs it. *)
+  let module CM = Sknn_obs.Cost_model in
+  let module S = CM.Symbolic in
+  let db = small_db (Rng.of_int 133) in
+  let n = Array.length db and d = Array.length db.(0) in
+  let setup config =
+    let dep = Protocol.deploy ~rng:(Rng.of_int 134) config ~db in
+    List.map
+      (fun (e : Transcript.entry) ->
+        (e.Transcript.sender, e.Transcript.receiver, e.Transcript.label, e.Transcript.bytes))
+      (Transcript.entries (Protocol.setup_transcript dep))
+  in
+  let base = Config.standard () in
+  let relin = Config.with_relin true base in
+  let without = setup base and with_rlk = setup relin in
+  let labels = List.map (fun (_, _, l, _) -> l) in
+  Alcotest.(check (list string)) "no key without relin"
+    [ "encrypted database"; "secret key"; "secret key" ] (labels without);
+  Alcotest.(check (list string)) "key to A with relin"
+    [ "encrypted database"; "relinearisation key"; "secret key"; "secret key" ]
+    (labels with_rlk);
+  Alcotest.(check bool) "every other message unchanged" true
+    (List.filter (fun (_, _, l, _) -> l <> "relinearisation key") with_rlk = without);
+  let p = Attribution.model_params relin ~n ~d ~k:1 in
+  let expected = S.relin_key_bytes (S.relin_key (S.keygen (Rng.of_int 135) (S.start p))) in
+  let bgv = relin.Config.bgv in
+  Alcotest.(check int) "symbolic size: two full-chain polynomials a gadget row"
+    (40 + (p.CM.relin_rows * 2 * Params.chain_length bgv * bgv.Params.n * 4))
+    expected;
+  let sender, receiver, _, bytes =
+    List.find (fun (_, _, l, _) -> l = "relinearisation key") with_rlk
+  in
+  Alcotest.(check bool) "owner to Party A" true
+    (sender = Transcript.Data_owner && receiver = Transcript.Party_a);
+  Alcotest.(check int) "live size = symbolic size" expected bytes
+
 let test_phase_times_present () =
   let rng = Rng.of_int 137 in
   let db = small_db rng in
@@ -567,43 +606,6 @@ let test_packed_audit_surface () =
   | Some (Audit.Int nd) -> Alcotest.(check int) "plaintext database = n x d" (20 * 3) nd
   | _ -> Alcotest.fail "plaintext-database not audited for party-a"
 
-let test_query_batch () =
-  (* M queries ride the slot dimension of one protocol round.  Each
-     result must be exact, and the batch's one extra declared leakage —
-     the shared permutation, audited as batch-query-count — must be the
-     only Party B label beyond the packed path's (lockstep with
-     sknn-lint.conf). *)
-  let module Audit = Sknn_obs.Audit in
-  let rng = Rng.of_int 431 in
-  let db = small_db rng in
-  let audit = Audit.create () in
-  let obs = Sknn_obs.Ctx.create ~audit () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 432) (affine_config ()) ~db in
-  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
-  let results = Protocol.query_batch ~obs ~rng:(Rng.of_int 433) dep ~queries ~k:3 in
-  Alcotest.(check int) "one result per query" 3 (Array.length results);
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool) (Printf.sprintf "batched query %d exact" i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r);
-      (* Per-query views over a shared round. *)
-      Alcotest.(check int) "view sees n distances"
-        (Array.length db)
-        (Array.length (Leakage.view_multiset r.Protocol.view_b)))
-    results;
-  Alcotest.(check (list string)) "batch adds batch-query-count to the packed surface"
-    [ "batch-query-count"; "equidistant-group-sizes"; "k"; "masked-distance-multiset";
-      "n"; "return-block-width" ]
-    (Audit.labels_for audit ~party:"party-b");
-  (match Audit.value_of audit ~party:"party-b" ~label:"batch-query-count" with
-   | Some (Audit.Int m) -> Alcotest.(check int) "batch count" 3 m
-   | _ -> Alcotest.fail "batch-query-count not recorded as Int");
-  (* Distinct queries in the same round stay independent: masked views
-     differ even though they share one permutation. *)
-  Alcotest.(check bool) "per-query masks differ" true
-    (Leakage.view_multiset results.(0).Protocol.view_b
-     <> Leakage.view_multiset results.(1).Protocol.view_b)
-
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
 (* ------------------------------------------------------------------ *)
@@ -846,21 +848,6 @@ let test_cost_model_packed () =
         CM.Packed steady)
     [ ("packed/affine", affine_config ()); ("packed/fast", Config.fast ()) ]
 
-let test_cost_model_batch () =
-  let db = small_db (Rng.of_int 641) in
-  let n = Array.length db and d = Array.length db.(0) in
-  let k = 3 in
-  let config = Config.fast () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 642) config ~db in
-  let rng = Rng.of_int 643 in
-  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
-  let first = Protocol.query_batch dep ~queries ~k in
-  check_prediction "batch/first" config ~n ~d ~k ~include_prepare:true
-    (CM.Batch 3) first.(0);
-  let steady = Protocol.query_batch dep ~queries ~k in
-  check_prediction "batch/steady" config ~n ~d ~k ~include_prepare:false
-    (CM.Batch 3) steady.(0)
-
 let test_fresh_ciphertexts_seeded () =
   (* Every fresh ciphertext travels as c0 plus its 8-byte seed, and Party
      A expands each one on receipt.  On every path A's expand cells match
@@ -871,7 +858,7 @@ let test_fresh_ciphertexts_seeded () =
   let db = small_db (Rng.of_int 655) in
   let n = Array.length db and d = Array.length db.(0) in
   let rng = Rng.of_int 656 in
-  let queries = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
+  let query = Synthetic.query_like rng db in
   let k = 3 in
   let config = affine_config () in
   let p = config.Config.bgv in
@@ -906,10 +893,9 @@ let test_fresh_ciphertexts_seeded () =
       check "one embed per indicator" nind (count b C.Op_ntt_fwd rl);
       check "query bytes" (nq * seeded top) (bytes r.Protocol.transcript "encrypted query");
       check "indicator bytes" (nind * seeded rl) (bytes r.Protocol.transcript "indicator vector"))
-    [ ("plain", fun dep -> Protocol.query dep ~query:queries.(0) ~k);
-      ("prepared", fun dep -> Protocol.query_prepared dep ~query:queries.(0) ~k);
-      ("packed", fun dep -> Protocol.query_packed dep ~query:queries.(0) ~k);
-      ("batch", fun dep -> (Protocol.query_batch dep ~queries ~k).(0)) ];
+    [ ("plain", fun dep -> Protocol.query dep ~query ~k);
+      ("prepared", fun dep -> Protocol.query_prepared dep ~query ~k);
+      ("packed", fun dep -> Protocol.query_packed dep ~query ~k) ];
   (* The symbolic backend sizes the wire form identically and rejects it
      in a homomorphic op, as Bgv does. *)
   let module S = CM.Symbolic in
@@ -1053,38 +1039,27 @@ let test_net_timeline_jobs_determinism () =
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Slot return (packed and batch Return-kNN)                           *)
+(* Slot return (packed Return-kNN)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let slots_fast = Params.slot_count (Config.fast ()).Config.bgv
 
-(* One packed or batch round, from a fresh deployment, at 1, 2 and 4
-   domains: every answer exact against Plain_knn, the runs bit-identical
-   (neighbours, views, transcript, counters), and the symbolic run of the
-   circuit predicting the jobs-1 ledger and transcript exactly. *)
-let check_slot_case name ~db ~queries ~k =
+(* One packed round, from a fresh deployment, at 1, 2 and 4 domains: the
+   answer exact against Plain_knn, the runs bit-identical (neighbours,
+   view, transcript, counters), and the symbolic run of the circuit
+   predicting the jobs-1 ledger and transcript exactly. *)
+let check_slot_case name ~db ~query ~k =
   let config = Config.fast () in
   let n = Array.length db and d = Array.length db.(0) in
-  let m = Array.length queries in
-  let path = if m = 1 then CM.Packed else CM.Batch m in
   let run jobs =
     let dep = Protocol.deploy ~rng:(Rng.of_int 951) ~jobs config ~db in
-    let rs =
-      if m = 1 then [| Protocol.query_packed ~rng:(Rng.of_int 952) dep ~query:queries.(0) ~k |]
-      else Protocol.query_batch ~rng:(Rng.of_int 952) dep ~queries ~k
-    in
-    (dep, rs)
+    (dep, Protocol.query_packed ~rng:(Rng.of_int 952) dep ~query ~k)
   in
   let dep, r1 = run 1 in
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool) (Printf.sprintf "%s: query %d exact" name i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r))
-    r1;
-  let fingerprint rs =
-    let r = rs.(0) in
+  Alcotest.(check bool) (name ^ ": exact") true (Protocol.exact dep ~db ~query r1);
+  let fingerprint r =
     Marshal.to_string
-      ( Array.map (fun r -> (r.Protocol.neighbours, r.Protocol.view_b)) rs,
+      ( (r.Protocol.neighbours, r.Protocol.view_b),
         Transcript.entries r.Protocol.transcript,
         Format.asprintf "%a|%a|%a" Util.Counters.pp r.Protocol.counters_a Util.Counters.pp
           r.Protocol.counters_b Util.Counters.pp r.Protocol.counters_client )
@@ -1095,7 +1070,7 @@ let check_slot_case name ~db ~queries ~k =
       Alcotest.(check string) (Printf.sprintf "%s: jobs 1 = jobs %d" name jobs)
         (fingerprint r1) (fingerprint (snd (run jobs))))
     [ 2; 4 ];
-  check_prediction name config ~n ~d ~k ~include_prepare:true path r1.(0)
+  check_prediction name config ~n ~d ~k ~include_prepare:true CM.Packed r1
 
 let test_slot_return_shapes () =
   (* n ≡ 0, 1, −1 mod N/d' blocks per slot plaintext, with d < d' (d = 3,
@@ -1105,10 +1080,8 @@ let test_slot_return_shapes () =
       let per = slots_fast / Entities.block_width d in
       let rng = Rng.of_int (960 + n + d) in
       let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
-      let qs = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
       let name = Printf.sprintf "n=%d (%d mod %d) d=%d" n (n mod per) per d in
-      check_slot_case ("packed " ^ name) ~db ~queries:[| qs.(0) |] ~k:3;
-      check_slot_case ("batch " ^ name) ~db ~queries:qs ~k:3)
+      check_slot_case ("packed " ^ name) ~db ~query:(Synthetic.query_like rng db) ~k:3)
     [ (32, 3); (33, 3); (31, 3); (16, 8); (17, 8); (15, 8) ]
 
 let test_slot_return_zero_point () =
@@ -1117,8 +1090,8 @@ let test_slot_return_zero_point () =
   let origin = [| 0; 0; 0 |] in
   let far = Synthetic.uniform (Rng.of_int 971) ~n:20 ~d:3 ~max_value:150 in
   let db = Array.append (Array.map (Array.map (( + ) 100)) far) [| origin |] in
-  check_slot_case "packed zero point" ~db ~queries:[| origin |] ~k:1;
-  check_slot_case "batch zero point" ~db ~queries:[| origin; [| 1; 0; 2 |] |] ~k:1;
+  check_slot_case "packed zero point" ~db ~query:origin ~k:1;
+  check_slot_case "packed next to the zero point" ~db ~query:[| 1; 0; 2 |] ~k:1;
   let dep = Protocol.deploy ~rng:(Rng.of_int 972) (Config.fast ()) ~db in
   let r = Protocol.query_packed dep ~query:origin ~k:1 in
   Alcotest.(check (array (array int))) "the zero point itself" [| origin |]
@@ -1130,8 +1103,8 @@ let test_slot_return_k_equals_n () =
   let base = [| [| 1; 1; 1 |]; [| 2; 2; 2 |]; [| 0; 0; 0 |]; [| 1; 1; 1 |] |] in
   let db = Array.init 18 (fun i -> base.(i mod 4)) in
   let n = Array.length db in
-  check_slot_case "packed k=n ties" ~db ~queries:[| [| 1; 1; 1 |] |] ~k:n;
-  check_slot_case "batch k=n ties" ~db ~queries:[| [| 1; 1; 1 |]; [| 0; 0; 0 |] |] ~k:n;
+  check_slot_case "packed k=n ties" ~db ~query:[| 1; 1; 1 |] ~k:n;
+  check_slot_case "packed k=n ties from the origin" ~db ~query:[| 0; 0; 0 |] ~k:n;
   let dep = Protocol.deploy ~rng:(Rng.of_int 973) (Config.fast ()) ~db in
   let r = Protocol.query_packed dep ~query:[| 2; 2; 2 |] ~k:n in
   let sorted a =
@@ -1144,15 +1117,14 @@ let test_slot_return_k_equals_n () =
 
 let test_indicator_count_per_path () =
   (* party-a/return-knn/indicator-ciphertexts counts what B actually
-     sent: k·n bits on the per-point paths, m·k·⌈n·d'/N⌉ slot indicators
-     on the packed ones. *)
+     sent: k·n bits on the per-point paths, k·⌈n·d'/N⌉ slot indicators
+     on the packed one. *)
   let module Audit = Sknn_obs.Audit in
   let db = small_db (Rng.of_int 981) in
   let n = Array.length db and d = Array.length db.(0) in
   let k = 3 in
   let blocks = ((n * Entities.block_width d) + slots_fast - 1) / slots_fast in
-  let rng = Rng.of_int 982 in
-  let queries = Array.init 2 (fun _ -> Synthetic.query_like rng db) in
+  let query = Synthetic.query_like (Rng.of_int 982) db in
   List.iter
     (fun (name, expected, run) ->
       let audit = Audit.create () in
@@ -1162,13 +1134,9 @@ let test_indicator_count_per_path () =
       match Audit.value_of audit ~party:"party-a" ~label:"indicator-ciphertexts" with
       | Some (Audit.Int c) -> Alcotest.(check int) (name ^ ": indicators received") expected c
       | _ -> Alcotest.failf "%s: indicator-ciphertexts not recorded" name)
-    [ ("plain", k * n, fun obs dep -> ignore (Protocol.query ~obs dep ~query:queries.(0) ~k));
-      ("prepared", k * n,
-       fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query:queries.(0) ~k));
-      ("packed", k * blocks,
-       fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query:queries.(0) ~k));
-      ("batch", 2 * k * blocks, fun obs dep -> ignore (Protocol.query_batch ~obs dep ~queries ~k))
-    ]
+    [ ("plain", k * n, fun obs dep -> ignore (Protocol.query ~obs dep ~query ~k));
+      ("prepared", k * n, fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query ~k));
+      ("packed", k * blocks, fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query ~k)) ]
 
 let test_slot_return_plain_surface () =
   (* The slot return widens only the packed paths' surface: the
@@ -1189,13 +1157,12 @@ let test_slot_return_plain_surface () =
       ("prepared", fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query:q ~k:3)) ]
 
 let test_slot_return_forecast_conservative () =
-  (* The packed and batch forecasts run the slot return's plain products,
-     and their minimum headroom is no higher than any live budget the
-     round samples. *)
+  (* The packed forecast runs the slot return's plain products, and its
+     minimum headroom is no higher than any live budget the round
+     samples. *)
   let module Metrics = Sknn_obs.Metrics in
   let db = small_db (Rng.of_int 991) in
-  let rng = Rng.of_int 992 in
-  let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
+  let query = Synthetic.query_like (Rng.of_int 992) db in
   List.iter
     (fun (name, path, run) ->
       let metrics = Metrics.create () in
@@ -1218,10 +1185,7 @@ let test_slot_return_forecast_conservative () =
               true
               (live >= report.NM.min_headroom_bits))
         [ "bgv.masked-distance.min_noise_budget_bits"; "bgv.result.min_noise_budget_bits" ])
-    [ ("packed", CM.Packed,
-       fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query:queries.(0) ~k:3));
-      ("batch", CM.Batch 3, fun obs dep -> ignore (Protocol.query_batch ~obs dep ~queries ~k:3))
-    ]
+    [ ("packed", CM.Packed, fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query ~k:3)) ]
 
 let test_slot_return_short_level_flagged () =
   (* At the secure preset the slot product needs ~108 bits at the return
@@ -1289,6 +1253,8 @@ let () =
          Alcotest.test_case "uci-shaped workload" `Quick test_uci_shaped_workload;
          Alcotest.test_case "validation errors" `Quick test_validation_errors;
          Alcotest.test_case "transcript structure" `Quick test_transcript_structure;
+         Alcotest.test_case "setup carries the relinearisation key" `Quick
+           test_setup_relin_key;
          Alcotest.test_case "phase times" `Quick test_phase_times_present;
          Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
          Alcotest.test_case "identical across job counts" `Quick test_jobs_determinism ]);
@@ -1307,8 +1273,7 @@ let () =
          Alcotest.test_case "run_queries batch" `Quick test_run_queries_packed;
          Alcotest.test_case "equidistant groups slot-unpacked" `Quick
            test_packed_leakage_groups;
-         Alcotest.test_case "audit surface" `Quick test_packed_audit_surface;
-         Alcotest.test_case "slot-dimension query batch" `Quick test_query_batch ]);
+         Alcotest.test_case "audit surface" `Quick test_packed_audit_surface ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;
@@ -1322,7 +1287,6 @@ let () =
          Alcotest.test_case "ledger exact (plain)" `Quick test_cost_model_plain;
          Alcotest.test_case "ledger exact (prepared)" `Quick test_cost_model_prepared;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
-         Alcotest.test_case "ledger exact (batch)" `Quick test_cost_model_batch;
          Alcotest.test_case "fresh ciphertexts seeded" `Quick test_fresh_ciphertexts_seeded;
          Alcotest.test_case "seed hides the noise stream" `Quick test_seed_hides_noise_stream;
          Alcotest.test_case "end-to-end prediction consistent" `Quick
