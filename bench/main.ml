@@ -46,13 +46,13 @@ type opts = {
    Ctx.disabled (the default) keeps the hot path unobserved. *)
 let obs : Sknn_obs.Ctx.t ref = ref Sknn_obs.Ctx.disabled
 
-(* Run one query on [path] under a root span so each benchmark query
-   shows up as its own top-level tree in the trace. *)
-let traced_query ?(path = CM.Plain) ?rng ~experiment dep ~query ~k =
+(* Run one query on the deployment's path under a root span so each
+   benchmark query shows up as its own top-level tree in the trace. *)
+let traced_query ?rng ~experiment dep ~query ~k =
   Sknn_obs.Ctx.with_span !obs ~kind:Sknn_obs.Trace.Root
     ~args:[ ("experiment", experiment); ("k", string_of_int k) ]
     experiment
-    (fun () -> Protocol.round ~obs:!obs ?rng dep path ~query ~k)
+    (fun () -> Protocol.query ~obs:!obs ?rng dep ~query ~k)
 
 let effective_jobs opts =
   match opts.jobs with Some j -> j | None -> Util.Pool.default_jobs ()
@@ -260,14 +260,12 @@ let calibration_for ?cache (params : Params.t) =
 
 let run_query_series ?(path = CM.Plain) ?predict ~opts ~experiment ~config ~db ~queries_k
     ~rng () =
-  let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
+  let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs ~path config ~db in
   let base_extra = if path = CM.Packed then [ ("packed", Bool true) ] else [] in
-  List.mapi
-    (fun i k ->
+  List.map
+    (fun k ->
       let q = Synthetic.query_like rng db in
-      let r, s =
-        Util.Timer.time (fun () -> traced_query ~path ~experiment dep ~query:q ~k)
-      in
+      let r, s = Util.Timer.time (fun () -> traced_query ~experiment dep ~query:q ~k) in
       let ok = Protocol.exact dep ~db ~query:q r in
       let extra =
         base_extra
@@ -275,7 +273,7 @@ let run_query_series ?(path = CM.Plain) ?predict ~opts ~experiment ~config ~db ~
         match predict with
         | None -> []
         | Some f ->
-          let phases : (string * float) list = f ~first:(i = 0) ~k in
+          let phases : (string * float) list = f ~k in
           [ ("predicted_phases", Obj (List.map (fun (nm, ps) -> (nm, Float ps)) phases)) ]
       in
       record_run ~extra ~experiment ~n:(Array.length db) ~d:(Array.length db.(0)) ~k
@@ -322,19 +320,15 @@ let fig_k_sweep ?(path = CM.Plain) ?(attribute = false) ~id ~title ~dataset_name
   (* Attribution annotations: price each run's analytic op-count replica
      with the calibrated unit costs, so the JSON carries a predicted
      figure next to every measured phase (check_regress gates the
-     drift).  Only the first query of a prepared sweep pays prepare-db —
-     the deployment is shared down the k sweep. *)
+     drift). *)
   let predict =
     if not attribute then None
     else begin
       let unit_costs = calibration_for ?cache:opts.calib config.Config.bgv in
       Some
-        (fun ~first ~k ->
-          let pred =
-            Attribution.predict ~include_prepare:(path <> CM.Plain && first) config ~n ~d
-              ~k path
-          in
-          Attribution.predicted_phase_seconds ~unit_costs pred)
+        (fun ~k ->
+          Attribution.predicted_phase_seconds ~unit_costs
+            (Attribution.predict config ~n ~d ~k path))
     end
   in
   let rows =
@@ -502,7 +496,7 @@ let table1 opts =
     ~exact:(Protocol.exact dep ~db ~query:q r) r;
   let ours_measured = Cost.measured r in
   let ours_predicted =
-    let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k CM.Plain in
+    let pred = Attribution.predict config ~n ~d ~k CM.Plain in
     Cost.ours ~bytes:pred.CM.ab_bytes ~n ~d ~k
       ~mask_degree:config.Config.mask_degree ()
   in
@@ -721,80 +715,83 @@ let amortized opts =
      leaves cross terms only a degree-1 mask keeps sound); the packed
      path shares the requirement. *)
   let config = Config.with_mask_degree 1 (Config.standard ()) in
-  let dep = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs config ~db in
+  (* Both deployments draw their keys from the same rng state; the query
+     stream continues from [rng]. *)
+  let keys_rng = Rng.copy rng in
+  let deploy rng path = Protocol.deploy ~obs:!obs ~rng ?jobs:opts.jobs ~path config ~db in
+  let dep_prepared = deploy rng CM.Prepared in
+  let dep_packed = deploy keys_rng CM.Packed in
   let reps = Stdlib.max 1 opts.repeat in
   say "n=%d, d=%d, k=%d, 1 first + %d steady-state queries%s@." n d k reps
     (if opts.full then "" else " (scaled)");
-  (* One pass per computation plan over the same deployment: the PR-3
-     prepared path, then the slot-packed path.  Each pass pays its own
-     one-time prepare-db on the first query. *)
-  let pass path name =
-    say "@.%s:@." name;
-    say "%8s %10s %12s %7s@." "query" "total" "prepare-db" "exact";
-    Array.init (reps + 1) (fun i ->
-        let q = Synthetic.query_like rng db in
-        (* Collect the previous query's floating garbage outside the
-           timed region so each measurement pays only for its own
-           allocation, not GC debt inherited from earlier queries. *)
-        Gc.full_major ();
-        let r, s =
-          Util.Timer.time (fun () ->
-              traced_query ~path ~experiment:"amortized" dep ~query:q ~k)
-        in
-        let ok = Protocol.exact dep ~db ~query:q r in
-        let prep_s =
-          match List.assoc_opt "prepare-db" r.Protocol.phase_seconds with
-          | Some t -> t
-          | None -> 0.0
-        in
-        record_run
-          ~extra:
-            [ ("query_index", Int i);
-              ("prepared", Bool (path <> CM.Plain));
-              ("packed", Bool (path = CM.Packed));
-              ("steady_state", Bool (i > 0)) ]
-          ~experiment:"amortized" ~n ~d ~k ~jobs:(Protocol.jobs dep) ~seconds:s
-          ~exact:ok r;
-        let cd_s =
-          match List.assoc_opt "compute-distances" r.Protocol.phase_seconds with
-          | Some t -> t
-          | None -> 0.0
-        in
-        say "%8s %9.2fs %11.2fs %7b@."
-          (if i = 0 then "first" else Printf.sprintf "#%d" i)
-          s prep_s ok;
-        (s, cd_s))
+  (* One pass per computation plan: the PR-3 prepared path, then the
+     slot-packed path.  Each deployment built its state at Setup, as its
+     prepare-db phase; the first query of a pass warms the caches and is
+     left out of the steady-state means. *)
+  let pass dep name =
+    let path = Protocol.path dep in
+    let prep_s =
+      Option.value ~default:0.0 (List.assoc_opt "prepare-db" (Protocol.setup_phase_seconds dep))
+    in
+    say "@.%s: prepare-db at deploy %.2fs@." name prep_s;
+    say "%8s %10s %7s@." "query" "total" "exact";
+    let times =
+      Array.init (reps + 1) (fun i ->
+          let q = Synthetic.query_like rng db in
+          (* Collect the previous query's floating garbage outside the
+             timed region so each measurement pays only for its own
+             allocation, not GC debt inherited from earlier queries. *)
+          Gc.full_major ();
+          let r, s =
+            Util.Timer.time (fun () -> traced_query ~experiment:"amortized" dep ~query:q ~k)
+          in
+          let ok = Protocol.exact dep ~db ~query:q r in
+          record_run
+            ~extra:
+              [ ("query_index", Int i);
+                ("prepared", Bool (path <> CM.Plain));
+                ("packed", Bool (path = CM.Packed));
+                ("steady_state", Bool (i > 0)) ]
+            ~experiment:"amortized" ~n ~d ~k ~jobs:(Protocol.jobs dep) ~seconds:s
+            ~exact:ok r;
+          let cd_s =
+            match List.assoc_opt "compute-distances" r.Protocol.phase_seconds with
+            | Some t -> t
+            | None -> 0.0
+          in
+          say "%8s %9.2fs %7b@." (if i = 0 then "first" else Printf.sprintf "#%d" i) s ok;
+          (s, cd_s))
+    in
+    (prep_s, times)
   in
   let steady times =
     Array.fold_left ( +. ) 0.0 (Array.sub times 1 reps) /. float_of_int reps
   in
-  let times = pass CM.Prepared "prepared path (PR-3, one ct-mul per point)" in
-  let times_p = pass CM.Packed "slot-packed path (d plain products per batch)" in
-  let first = fst times.(0) and steady_prep = steady (Array.map fst times) in
-  let first_p = fst times_p.(0) and steady_packed = steady (Array.map fst times_p) in
+  let prep, times = pass dep_prepared "prepared path (PR-3, one ct-mul per point)" in
+  let prep_p, times_p = pass dep_packed "slot-packed path (d plain products per batch)" in
+  let steady_prep = steady (Array.map fst times) in
+  let steady_packed = steady (Array.map fst times_p) in
   (* The acceptance gate is on the phase the packing accelerates:
-     compute-distances, steady state (prepare-db and the unchanged
-     return-knn phase would otherwise dominate the ratio). *)
+     compute-distances, steady state (the unchanged return-knn phase
+     would otherwise dominate the ratio). *)
   let steady_cd_prep = steady (Array.map snd times) in
   let steady_cd_packed = steady (Array.map snd times_p) in
   amortized_summary :=
     Some
       (Obj
          [ ("n", Int n); ("d", Int d); ("k", Int k); ("repeats", Int reps);
-            ("first_query_s", Float first);
+            ("prepare_db_s", Float prep);
             ("steady_state_mean_s", Float steady_prep);
-            ("amortization_speedup", Float (first /. steady_prep));
-            ("packed_first_query_s", Float first_p);
+            ("packed_prepare_db_s", Float prep_p);
             ("packed_steady_state_mean_s", Float steady_packed);
             ("packed_vs_prepared_speedup", Float (steady_prep /. steady_packed));
             ("steady_state_compute_distances_s", Float steady_cd_prep);
             ("packed_steady_state_compute_distances_s", Float steady_cd_packed);
             ( "packed_compute_distances_speedup",
               Float (steady_cd_prep /. steady_cd_packed) ) ]);
-  say "@.prepared: first %.2fs, steady-state mean %.2fs (amortization %.1fx)@." first
-    steady_prep (first /. steady_prep);
-  say "packed:   first %.2fs, steady-state mean %.2fs — %.1fx vs prepared steady state@."
-    first_p steady_packed (steady_prep /. steady_packed);
+  say "@.prepared: prepare-db %.2fs, steady-state mean %.2fs@." prep steady_prep;
+  say "packed:   prepare-db %.2fs, steady-state mean %.2fs — %.1fx vs prepared steady state@."
+    prep_p steady_packed (steady_prep /. steady_packed);
   say "packed compute-distances phase: %.3fs vs %.3fs prepared — %.1fx@." steady_cd_packed
     steady_cd_prep
     (steady_cd_prep /. steady_cd_packed)
@@ -853,10 +850,7 @@ let planned opts =
         CM.unit_costs_for unit_model ~n:bgv.Params.n
           ~levels:(Params.chain_length bgv)
       in
-      let pred =
-        Attribution.predict ~include_prepare:false preset ~n ~d ~k
-          CM.Packed
-      in
+      let pred = Attribution.predict preset ~n ~d ~k CM.Packed in
       List.fold_left (fun acc (_, ps) -> acc +. ps) 0.0
         (Attribution.predicted_phase_seconds ~unit_costs pred)
     in
@@ -870,7 +864,7 @@ let planned opts =
       say "%8s %10s %7s@." "query" "total" "exact";
       let dep =
         Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 31)) ?jobs:opts.jobs
-          config ~db
+          ~path:CM.Packed config ~db
       in
       let qrng = Rng.of_int (opts.seed + 32) in
       Array.init (reps + 1) (fun i ->
@@ -878,7 +872,7 @@ let planned opts =
           Gc.full_major ();
           let r, secs =
             Util.Timer.time (fun () ->
-                traced_query ~path:CM.Packed ~experiment:"planned" dep ~query:q ~k)
+                traced_query ~experiment:"planned" dep ~query:q ~k)
           in
           let ok = Protocol.exact dep ~db ~query:q r in
           record_run
@@ -941,17 +935,14 @@ let network opts =
   let all_exact = ref true in
   let shape ~id ~config path =
     let dep =
-      Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 91)) ?jobs:opts.jobs
+      Protocol.deploy ~obs:!obs ~rng:(Rng.of_int (opts.seed + 91)) ?jobs:opts.jobs ~path
         config ~db
     in
-    (* Pay prepare-db up front so every profile's run is steady state and
-       the prediction can price the query alone. *)
-    if path = CM.Packed then Protocol.prepare_packed ~obs:!obs dep;
     let query = Synthetic.query_like (Rng.of_int (opts.seed + 92)) db in
     List.iter
       (fun profile ->
         let r, s =
-          Util.Timer.time (fun () -> Protocol.round ~obs:!obs ~net:profile dep path ~query ~k)
+          Util.Timer.time (fun () -> Protocol.query ~obs:!obs ~net:profile dep ~query ~k)
         in
         let ok = Protocol.exact dep ~db ~query r in
         let tl =
@@ -960,8 +951,7 @@ let network opts =
           | None -> failwith "network run returned no timeline"
         in
         let e2e =
-          Attribution.predict_end_to_end ~include_prepare:false config ~n ~d ~k
-            ~unit_costs ~profile path
+          Attribution.predict_end_to_end config ~n ~d ~k ~unit_costs ~profile path
         in
         let exact_tr =
           link_sig e2e.CM.timeline = link_sig tl

@@ -12,8 +12,6 @@
 
 open Cmdliner
 
-let read_db path = Csv_io.read ~has_header:false path
-
 (* A bad flag value is a usage error: one line on stderr, exit 2. *)
 let usage_error fmt =
   Format.kasprintf
@@ -21,6 +19,9 @@ let usage_error fmt =
       Format.eprintf "%s@." msg;
       exit 2)
     fmt
+
+let read_db path =
+  try Csv_io.read ~has_header:false path with Failure msg -> usage_error "%s" msg
 
 let parse_query s =
   let field f =
@@ -125,13 +126,26 @@ let parse_path = function
 
 (* What every verb that runs a query starts from: the query, its layout's
    configuration and the path, each parsed and checked against the
-   others.  Every path but the paper's per-coordinate one needs affine
-   masking and d <= ring degree. *)
-let query_inputs ?(path = "plain") ~layout query_s =
+   others and against the loaded database.  Every path but the paper's
+   per-coordinate one needs affine masking and d <= ring degree. *)
+let query_inputs ?(path = "plain") ~layout ~db ~k query_s =
   let q = parse_query query_s in
   let path = parse_path path in
   let config = config_of_layout layout in
-  let d = Array.length q in
+  let n = Array.length db in
+  if n = 0 then usage_error "the database is empty";
+  let d = Array.length db.(0) in
+  if Array.length q <> d then
+    usage_error "--query has %d coordinates but the database has %d dimensions"
+      (Array.length q) d;
+  if k < 1 || k > n then usage_error "-k %d is out of range [1, %d] (the database size)" k n;
+  let bits = config.Config.max_coord_bits in
+  let in_range what v =
+    if v < 0 || v >= 1 lsl bits then
+      usage_error "%s coordinate %d is outside [0, 2^%d) for layout %s" what v bits layout
+  in
+  Array.iter (in_range "--query") q;
+  Array.iter (Array.iter (in_range "database")) db;
   (match Config.validate config ~d with
    | Ok () -> ()
    | Error e -> usage_error "configuration unsound for this data: %s" e);
@@ -204,17 +218,18 @@ let query_run data query_s k layout seed jobs repeat path_s net verbose
       exit 1
   in
   let db = read_db data in
-  let q, config, path = query_inputs ~path:path_s ~layout query_s in
+  let q, config, path = query_inputs ~path:path_s ~layout ~db ~k query_s in
   let rng = Util.Rng.of_int seed in
   let trace0 = new_trace () in
   let obs0 = make_ctx trace0 in
   let dep, setup_s =
-    Util.Timer.time (fun () -> guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs config ~db))
+    Util.Timer.time (fun () ->
+        guarded (fun () -> Protocol.deploy ~obs:obs0 ~rng ?jobs ~path config ~db))
   in
-  let run obs () = guarded (fun () -> Protocol.round ~obs ?net dep path ~query:q ~k) in
+  let run obs () = guarded (fun () -> Protocol.query ~obs ?net dep ~query:q ~k) in
   let r, query_s' = Util.Timer.time (run obs0) in
   write_trace trace0 0;
-  let steady_times =
+  let later_times =
     List.init (repeat - 1) (fun i ->
         Gc.full_major ();
         let tr = new_trace () in
@@ -229,9 +244,8 @@ let query_run data query_s k layout seed jobs repeat path_s net verbose
   Format.printf "setup %a, %s query %a@." Util.Timer.pp_duration setup_s
     (Planner.path_name path) Util.Timer.pp_duration query_s';
   if repeat > 1 then begin
-    let n_steady = List.length steady_times in
-    let mean = List.fold_left ( +. ) 0.0 steady_times /. float_of_int n_steady in
-    Format.printf "repeat %d: first %a, steady-state mean %a (%.1fx)@." repeat
+    let mean = List.fold_left ( +. ) 0.0 later_times /. float_of_int (repeat - 1) in
+    Format.printf "repeat %d: first %a, later mean %a (%.1fx)@." repeat
       Util.Timer.pp_duration query_s' Util.Timer.pp_duration mean (query_s' /. mean)
   end;
   if verbose then begin
@@ -330,18 +344,20 @@ let query_cmd =
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ]
-             ~doc:"Run the query $(docv) times on the same path and report \
-                   first-query vs steady-state latency (a prepared or packed \
-                   database is built once, by the first query).  With --trace, run \
-                   $(docv)'s spans go to FILE.$(docv).ext."
+             ~doc:"Run the query $(docv) times on the same deployment and report \
+                   the first query's latency against the mean of the later ones \
+                   (Setup builds every path's database state, so no query pays \
+                   for it).  With --trace, run $(docv)'s spans go to \
+                   FILE.$(docv).ext."
              ~docv:"N")
   in
   let path =
     path_t
-      ~doc:"Query pipeline: plain (the paper's per-query path) | prepared \
-            (inner-product database, one product per point) | packed (slot-packed \
-            database, owner-delegated).  All but plain need affine masking and d <= \
-            ring degree."
+      ~doc:"Query pipeline, fixed at deploy: plain (the paper's per-query path) | \
+            prepared (inner-product database built at setup, one product per \
+            point) | packed (slot-packed plaintext columns built at setup, \
+            owner-delegated; no encrypted database is shipped).  All but plain \
+            need affine masking and d <= ring degree."
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -372,7 +388,7 @@ let dump_flight_run data query_s k layout seed jobs out =
     | None -> usage_error "flight recorder disabled (SKNN_FLIGHT=0)"
   in
   let db = read_db data in
-  let q, config, _ = query_inputs ~layout query_s in
+  let q, config, _ = query_inputs ~layout ~db ~k query_s in
   let rng = Util.Rng.of_int seed in
   let obs = Sknn_obs.Ctx.create ~flight () in
   let dump ~reason =
@@ -455,7 +471,7 @@ let calib_t =
 
 let cost_run data query_s k layout path_s seed jobs net quick calib verbose json =
   let db = read_db data in
-  let q, config, cm_path = query_inputs ~path:path_s ~layout query_s in
+  let q, config, cm_path = query_inputs ~path:path_s ~layout ~db ~k query_s in
   let n = Array.length db and d = Array.length db.(0) in
   let rng = Util.Rng.of_int seed in
   Format.printf "calibrating per-op unit costs (%s pass%s)...@."
@@ -466,10 +482,9 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
   in
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   if verbose then Format.printf "@.%a@." Kernel_bench.Calibration.pp unit_costs;
-  let dep = Protocol.deploy ~rng ?jobs config ~db in
-  let r = Protocol.round ?net dep cm_path ~query:q ~k in
-  (* The one query above pays any prepare-db phase, so predict it too. *)
-  let pred = Attribution.predict ~include_prepare:true config ~n ~d ~k cm_path in
+  let dep = Protocol.deploy ~rng ?jobs ~path:cm_path config ~db in
+  let r = Protocol.query ?net dep ~query:q ~k in
+  let pred = Attribution.predict config ~n ~d ~k cm_path in
   let ledger_exact =
     Util.Counters.equal_ledger pred.CM.party_a r.Protocol.counters_a
     && Util.Counters.equal_ledger pred.CM.party_b r.Protocol.counters_b
@@ -634,7 +649,7 @@ let cost_cmd =
    calibrated unit model. *)
 
 let plan_run points dims k coord_bits layout_s path_s mask_degree
-    mask_coeff_bits min_security noise_margin objective_s net keep preset_s quick
+    mask_coeff_bits min_security noise_margin net keep preset_s quick
     calib json_path apply seed jobs =
   let layout =
     match layout_s with
@@ -643,17 +658,6 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
     | other -> usage_error "unknown layout %S (per-coordinate | dot-product)" other
   in
   let path = parse_path path_s in
-  let objective =
-    match objective_s with
-    | "first" -> Planner.First_query
-    | "steady" -> Planner.Steady_state
-    | s ->
-      (match float_of_string_opt s with
-       | Some alpha -> Planner.Weighted alpha
-       | None ->
-         usage_error
-           "unknown objective %S (first | steady | a first-query weight in [0,1])" s)
-  in
   let ref_params =
     match preset_s with
     | "toy" -> Params.toy ()
@@ -678,10 +682,7 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
   List.iter (fun w -> Format.printf "warning: %s@." w) calib_warnings;
   let unit_model = CM.fit_unit_model ~n:ref_params.Params.n costs in
   let limits =
-    { Planner.min_security_bits = min_security;
-      noise_margin_bits = noise_margin;
-      objective;
-      net }
+    { Planner.min_security_bits = min_security; noise_margin_bits = noise_margin; net }
   in
   let outcome =
     try Planner.plan ~keep ~unit_model w limits
@@ -708,10 +709,8 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
       let unit_costs =
         CM.unit_costs_for unit_model ~n:bgv.Params.n ~levels:(Params.chain_length bgv)
       in
-      let total ~include_prepare =
-        let pred =
-          Attribution.predict ~include_prepare preset_config ~n:points ~d:dims ~k path
-        in
+      let total =
+        let pred = Attribution.predict preset_config ~n:points ~d:dims ~k path in
         let compute =
           List.fold_left
             (fun acc (_, s) -> acc +. s)
@@ -725,16 +724,14 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
         | Some profile ->
           compute +. (Clock.replay profile pred.CM.transcript).Clock.end_to_end_s
       in
-      Some (bgv.Params.name, total ~include_prepare:true, total ~include_prepare:false)
+      Some (bgv.Params.name, total)
   in
   (match comparison, Planner.best outcome with
-   | Some (pname, pfirst, psteady), Some best ->
+   | Some (pname, preset_s), Some best ->
      Format.printf "@.vs preset %s at the same workload (same unit model):@." pname;
-     Format.printf "  preset:  first %.6fs, steady %.6fs@." pfirst psteady;
-     Format.printf "  planned: first %.6fs, steady %.6fs  (steady speedup %.2fx)@."
-       best.Planner.first_seconds best.Planner.steady_seconds
-       (if best.Planner.steady_seconds > 0.0 then
-          psteady /. best.Planner.steady_seconds
+     Format.printf "  preset:  %.6fs@." preset_s;
+     Format.printf "  planned: %.6fs  (speedup %.2fx)@." best.Planner.steady_seconds
+       (if best.Planner.steady_seconds > 0.0 then preset_s /. best.Planner.steady_seconds
         else 0.0)
    | _ -> ());
   (match json_path with
@@ -744,12 +741,11 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
      output_string oc (Planner.json_of_outcome outcome);
      output_char oc '\n';
      (match comparison, Planner.best outcome with
-      | Some (pname, pfirst, psteady), Some best ->
+      | Some (pname, preset_s), Some best ->
         output_string oc
           (Printf.sprintf
-             "{\"rec\":\"plan-compare\",\"preset\":%S,\"preset_first_s\":%.9g,\"preset_steady_s\":%.9g,\"planned_first_s\":%.9g,\"planned_steady_s\":%.9g}\n"
-             pname pfirst psteady best.Planner.first_seconds
-             best.Planner.steady_seconds)
+             "{\"rec\":\"plan-compare\",\"preset\":%S,\"preset_s\":%.9g,\"planned_s\":%.9g}\n"
+             pname preset_s best.Planner.steady_seconds)
       | _ -> ());
      close_out oc;
      Format.printf "plan written to %s@." path);
@@ -772,8 +768,8 @@ let plan_run points dims k coord_bits layout_s path_s mask_degree
       let max_value = (1 lsl coord_bits) - 1 in
       let db = Synthetic.uniform rng ~n:points ~d:dims ~max_value in
       let q = Synthetic.query_like rng db in
-      let dep = Protocol.deploy ~rng ?jobs config ~db in
-      let r, secs = Util.Timer.time (fun () -> Protocol.round dep path ~query:q ~k) in
+      let dep = Protocol.deploy ~rng ?jobs ~path config ~db in
+      let r, secs = Util.Timer.time (fun () -> Protocol.query dep ~query:q ~k) in
       let ok = Protocol.exact dep ~db ~query:q r in
       Format.printf "live query: %a, exact=%b@." Util.Timer.pp_duration secs ok;
       if ok then 0 else 1
@@ -810,12 +806,6 @@ let plan_cmd =
          & info [ "noise-margin" ] ~docv:"BITS"
              ~doc:"Forecast noise headroom every phase must keep.")
   in
-  let objective =
-    Arg.(value & opt string "steady"
-         & info [ "objective" ]
-             ~doc:"Ranking objective: first | steady | a first-query weight in \
-                   [0,1] (alpha*first + (1-alpha)*steady).")
-  in
   let keep =
     Arg.(value & opt int 10 & info [ "keep" ] ~doc:"Ranked candidates to report.")
   in
@@ -851,7 +841,7 @@ let plan_cmd =
              cheapest parameter set a workload can prove safe")
     Term.(const plan_run $ points $ dims $ k_t $ coord_bits $ layout $ path
           $ mask_degree $ mask_coeff_bits $ min_security $ noise_margin
-          $ objective $ net_t $ keep $ preset $ quick $ calib_t $ json $ apply
+          $ net_t $ keep $ preset $ quick $ calib_t $ json $ apply
           $ seed_t $ jobs)
 
 (* ------------------------------------------------------------------ *)

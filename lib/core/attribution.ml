@@ -78,7 +78,10 @@ let largest_mask : Entities.mask_source =
  fun _ ~t_plain ~input_bits ~degree ~coeff_bits ->
   Masking.largest ~t_plain ~input_bits ~degree ~coeff_bits ()
 
-let symbolic ?(include_prepare = true) (p : CM.params) path =
+(* The symbolic deploy for [path] records through a setup recorder of
+   the run, so its ledger and transcript stay out of the query's
+   prediction while the prepare-db noise states join the forecast. *)
+let symbolic (p : CM.params) path =
   if p.CM.n_points < 1 then invalid_arg "Attribution: empty database";
   if p.CM.d < 1 then invalid_arg "Attribution: dimension < 1";
   let run = CM.Symbolic.start p in
@@ -96,29 +99,20 @@ let symbolic ?(include_prepare = true) (p : CM.params) path =
   let db = Array.make_matrix p.CM.n_points p.CM.d top in
   let rng = Util.Rng.of_int 0 in
   let dep =
-    Sym.Run.deploy ~jobs:1 ~mask_source:largest_mask (CM.Symbolic.start p) rng config ~db
+    Sym.Run.deploy ~jobs:1 ~mask_source:largest_mask ~path (CM.Symbolic.setup run) rng
+      config ~db
   in
-  (* A steady-state query finds its prepared state already built. *)
-  if not include_prepare then begin
-    match path with
-    | CM.Plain -> ()
-    | CM.Prepared -> ignore (Sym.Run.prepare dep)
-    | CM.Packed -> ignore (Sym.Run.prepare_packed dep)
-  end;
-  ignore (Sym.Run.query run dep path rng ~query:(Array.make p.CM.d top) ~k:p.CM.k);
+  ignore (Sym.Run.query run dep rng ~query:(Array.make p.CM.d top) ~k:p.CM.k);
   run
 
-let predict_model ?include_prepare p path =
-  CM.Symbolic.prediction (symbolic ?include_prepare p path)
+let predict_model p path = CM.Symbolic.prediction (symbolic p path)
 
 let forecast ?margin_bits p path = CM.Symbolic.report ?margin_bits (symbolic p path)
 
-let predict ?include_prepare config ~n ~d ~k path =
-  predict_model ?include_prepare (model_params config ~n ~d ~k) path
+let predict config ~n ~d ~k path = predict_model (model_params config ~n ~d ~k) path
 
-let predict_end_to_end ?include_prepare config ~n ~d ~k ~unit_costs ~profile path =
-  CM.predict_end_to_end ~unit_costs ~profile
-    (predict ?include_prepare config ~n ~d ~k path)
+let predict_end_to_end config ~n ~d ~k ~unit_costs ~profile path =
+  CM.predict_end_to_end ~unit_costs ~profile (predict config ~n ~d ~k path)
 
 (* Predicted wall-clock per protocol phase: the per-party phase ledgers
    priced by the calibration table, summed per phase name in protocol

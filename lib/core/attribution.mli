@@ -43,37 +43,34 @@ val model_params :
     count — the three run-time numbers a [Config.t] does not carry. *)
 
 val symbolic :
-  ?include_prepare:bool ->
   Sknn_obs.Cost_model.params ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.Symbolic.run
-(** Deploy on the symbolic backend with the worst-case database and run
-    one query on [path].  [include_prepare]
-    (default [true]) leaves the prepared state to the query, which then
-    records the ["prepare-db"] phase a deployment's first
-    prepared/packed query pays; [false] builds it beforehand, as for a
-    steady-state query.
+(** Deploy [path] on the symbolic backend with the worst-case database
+    and run one query: the deploy through a
+    {!Sknn_obs.Cost_model.Symbolic.setup} recorder of the returned run,
+    the query through the run itself.  The run's prediction is
+    therefore the query's ledger and transcript alone, and its noise
+    report covers both, the ["prepare-db"] steps included.
     @raise Invalid_argument on nonsensical sizes or a configuration the
     live circuit rejects. *)
 
 val predict_model :
-  ?include_prepare:bool ->
   Sknn_obs.Cost_model.params ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Cost_model.prediction
-(** The ledger and transcript of {!symbolic}. *)
+(** The ledger and transcript of {!symbolic}'s query. *)
 
 val forecast :
   ?margin_bits:float ->
   Sknn_obs.Cost_model.params ->
   Sknn_obs.Cost_model.path ->
   Sknn_obs.Noise_model.report
-(** The noise report of {!symbolic} (prepare included): the lowest
-    headroom of every (phase, operation) state.  [margin_bits] defaults
-    to 4. *)
+(** The noise report of {!symbolic}: the lowest headroom of every
+    (phase, operation) state of the deploy and the query.
+    [margin_bits] defaults to 4. *)
 
 val predict :
-  ?include_prepare:bool ->
   Config.t ->
   n:int ->
   d:int ->
@@ -83,7 +80,6 @@ val predict :
 (** One-stop [model_params] + {!predict_model}. *)
 
 val predict_end_to_end :
-  ?include_prepare:bool ->
   Config.t ->
   n:int ->
   d:int ->

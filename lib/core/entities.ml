@@ -147,30 +147,34 @@ module Make (Live : CT) = struct
     let config t = t.config
 
     let validate_point config ~d point =
-      if Array.length point <> d then invalid_arg "Data_owner.encrypt_db: ragged data";
+      if Array.length point <> d then invalid_arg "Data_owner.validate_db: ragged data";
       let bound = 1 lsl config.Config.max_coord_bits in
       Array.iter
         (fun v ->
           if v < 0 || v >= bound then
             invalid_arg
               (Printf.sprintf
-                 "Data_owner.encrypt_db: coordinate %d outside [0, 2^%d) — preprocess the \
+                 "Data_owner.validate_db: coordinate %d outside [0, 2^%d) — preprocess the \
                   data (Preprocess.scale_to_max)"
                  v config.Config.max_coord_bits))
         point
 
-    let encrypt_db ?(obs = Obs.disabled) ?counters ?jobs rng t db =
-      let config = t.config in
-      let n_points = Array.length db in
-      if n_points = 0 then invalid_arg "Data_owner.encrypt_db: empty database";
+    (* What every deployment checks of the database, whatever it ships. *)
+    let validate_db config db =
+      if Array.length db = 0 then invalid_arg "Data_owner.validate_db: empty database";
       let d = Array.length db.(0) in
       (match validate config ~d with
        | Ok () -> ()
-       | Error msg -> invalid_arg ("Data_owner.encrypt_db: " ^ msg));
+       | Error msg -> invalid_arg ("Data_owner.validate_db: " ^ msg));
+      if d > Live.ring_degree config.Config.bgv then
+        invalid_arg "Data_owner.validate_db: dimension exceeds ring degree";
+      Array.iter (validate_point config ~d) db
+
+    let encrypt_db ?(obs = Obs.disabled) ?counters ?jobs rng t db =
+      let config = t.config in
+      validate_db config db;
+      let n_points = Array.length db and d = Array.length db.(0) in
       let params = config.Config.bgv in
-      if d > Live.ring_degree params then
-        invalid_arg "Data_owner.encrypt_db: dimension exceeds ring degree";
-      Array.iter (validate_point config ~d) db;
       let sk = Live.secret_key t.keys in
       let rngs = split_streams rng n_points in
       let span_counters =
@@ -816,31 +820,54 @@ module Make (Live : CT) = struct
   (* ---------------------------------------------------------------- *)
 
   module Run = struct
+    (* What Setup built for the deployment's one path. *)
+    type state =
+      | Plain_state
+      | Prepared_state of Party_a.prepared
+      | Packed_state of Party_a.prepared_packed
+
     type deployment = {
       config : config;
       db_n : int;
       db_d : int;
       db : int array array;
-          (* the plaintext database — retained for the slot-packed path,
-             which runs in owner-delegated mode (Party_a.prepare_packed) *)
       a : Party_a.t;
       b : Party_b.t;
       cl : Client.t;
       query_seed : Rng.t;
       setup : env;  (* the Setup phase's recorder: its transcript *)
-      mutable prepared : Party_a.prepared option;
-      mutable prepared_packed : Party_a.prepared_packed option;
-          (* query-independent state, built once per deployment *)
+      mutable state : state;
     }
 
-    (* Setup (§3): key generation at the data owner, database encryption,
-       and the key/ciphertext distribution, recorded through [setup]. *)
-    let deploy ?(obs = Obs.disabled) ?counters ?jobs ?mask_source setup rng config ~db =
+    let path d =
+      match d.state with
+      | Plain_state -> CM.Plain
+      | Prepared_state _ -> CM.Prepared
+      | Packed_state _ -> CM.Packed
+
+    (* Setup (§3) for one path: key generation at the data owner, the
+       database encryption that path reads, the key/ciphertext
+       distribution, and Party A's prepared state, all recorded through
+       [setup].  The rng is split the same way on every path, so keys and
+       query streams do not depend on it. *)
+    let deploy ?(obs = Obs.disabled) ?counters ?jobs ?mask_source ?(path = CM.Plain) setup
+        rng config ~db =
       let owner =
         Obs.with_span obs ~kind:Trace.Phase "keygen" (fun () ->
             Data_owner.create (Rng.split rng) config)
       in
-      let enc_db = Data_owner.encrypt_db ~obs ?counters ?jobs (Rng.split rng) owner db in
+      let db_rng = Rng.split rng in
+      (* The owner-delegated packed circuit reads A's plaintext columns,
+         never an encrypted database, so none is encrypted or shipped. *)
+      let enc_db, db_msg =
+        match path with
+        | CM.Packed ->
+          Data_owner.validate_db config db;
+          ({ db_n = Array.length db; db_d = Array.length db.(0); points = [||] }, [])
+        | CM.Plain | CM.Prepared ->
+          let enc_db = Data_owner.encrypt_db ~obs ?counters ?jobs db_rng owner db in
+          (enc_db, [ (Transcript.Party_a, "encrypted database", db_bytes enc_db) ])
+      in
       let keys = Data_owner.keys owner in
       let sk = Live.secret_key keys and rlk = Live.relin_key keys in
       (* The secret key is one byte per (ternary) coefficient. *)
@@ -854,38 +881,28 @@ module Make (Live : CT) = struct
       List.iter
         (fun (receiver, label, bytes) ->
           Live.send setup ~sender:Transcript.Data_owner ~receiver ~label ~bytes)
-        ([ (Transcript.Party_a, "encrypted database", db_bytes enc_db) ]
+        (db_msg
          @ rlk_msg
          @ [ (Transcript.Party_b, "secret key", sk_bytes);
              (Transcript.Client, "secret key", sk_bytes) ]);
+      let a = Party_a.create ?jobs ?mask_source config rlk enc_db in
+      let prepare f = Live.phase setup [ ("party-a", Party_a.counters a) ] "prepare-db" f in
       { config;
         db_n = Array.length db;
         db_d = Array.length db.(0);
         db;
-        a = Party_a.create ?jobs ?mask_source config rlk enc_db;
+        a;
         (* Party B learns d' here, as it learns n: no message carries it. *)
         b = Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk;
         cl = Client.create ?jobs config sk;
         query_seed = Rng.split rng;
         setup;
-        prepared = None;
-        prepared_packed = None }
-
-    let prepare ?obs d =
-      match d.prepared with
-      | Some p -> p
-      | None ->
-        let p = Party_a.prepare ?obs d.a in
-        d.prepared <- Some p;
-        p
-
-    let prepare_packed ?obs d =
-      match d.prepared_packed with
-      | Some p -> p
-      | None ->
-        let p = Party_a.prepare_packed ?obs d.a ~db:d.db in
-        d.prepared_packed <- Some p;
-        p
+        state =
+          (match path with
+           | CM.Plain -> Plain_state
+           | CM.Prepared -> Prepared_state (prepare (fun () -> Party_a.prepare ~obs a))
+           | CM.Packed -> Packed_state (prepare (fun () -> Party_a.prepare_packed ~obs a ~db)))
+      }
 
     (* Sample chain level and noise-budget headroom of a ciphertext batch
        into the metrics registry (stride keeps it O(16) per batch).  Runs
@@ -931,15 +948,15 @@ module Make (Live : CT) = struct
 
     type outcome = { neighbours : int array array; view : Party_b.view }
 
-    (* One protocol round on any path: the client encrypts, A computes
-       the masked distances (Algorithm 1), B decrypts and selects
-       (Algorithm 2), B's indicator rows stream to A one rank at a time
-       (n encrypted bits each on the per-point paths, ⌈n·d'/N⌉ slot
-       indicators on the packed one), A returns the selected points
+    (* One protocol round on the deployment's path: the client encrypts,
+       A computes the masked distances (Algorithm 1), B decrypts and
+       selects (Algorithm 2), B's indicator rows stream to A one rank at
+       a time (n encrypted bits each on the per-point paths, ⌈n·d'/N⌉
+       slot indicators on the packed one), A returns the selected points
        (Algorithm 3 or the slot return), the client decrypts.  Party
        counters are reset at the start, so they report this round; the
        backend's [phase]/[send] hooks time it and record its transcript. *)
-    let query ?(obs = Obs.disabled) env d path rng ~query ~k =
+    let query ?(obs = Obs.disabled) env d rng ~query ~k =
       if Array.length query <> d.db_d then invalid_arg "Protocol.query: dimension mismatch";
       if k < 1 || k > d.db_n then invalid_arg "Protocol.query: k out of range";
       let ca = Party_a.counters d.a and cb = Party_b.counters d.b in
@@ -949,22 +966,17 @@ module Make (Live : CT) = struct
       let phase parties name f = Live.phase env parties name f in
       let audit party ph label v = Obs.audit obs ~party ~phase:ph ~label v in
       let send sender receiver label bytes = Live.send env ~sender ~receiver ~label ~bytes in
-      (* Prepared/packed paths: only the first such query of a deployment
-         pays (and records) the "prepare-db" phase. *)
-      let prepared f = phase [ pa ] "prepare-db" (fun () -> f ?obs:(Some obs) d) in
       let returned, encrypt, distances =
-        match path with
-        | CM.Plain ->
+        match d.state with
+        | Plain_state ->
           ( Party_a.permuted_packed d.a,
             Client.encrypt_query,
             Party_a.compute_distances ~obs d.a )
-        | CM.Prepared ->
-          let p = match d.prepared with Some p -> p | None -> prepared prepare in
+        | Prepared_state p ->
           ( Party_a.permuted_packed_prepared p,
             Client.encrypt_query_ip,
             Party_a.compute_distances_prepared ~obs d.a p )
-        | CM.Packed ->
-          let p = match d.prepared_packed with Some p -> p | None -> prepared prepare_packed in
+        | Packed_state p ->
           ( Party_a.permuted_return_packed p,
             Client.encrypt_query_packed,
             Party_a.compute_distances_packed ~obs d.a p )
@@ -979,9 +991,9 @@ module Make (Live : CT) = struct
       send Transcript.Party_a Transcript.Party_b "masked permuted distances" (cts_bytes masked);
       let view =
         phase [ pb ] "find-neighbours" (fun () ->
-            match path with
-            | CM.Plain | CM.Prepared -> Party_b.select_neighbours ~obs d.b masked ~k
-            | CM.Packed -> Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k)
+            match d.state with
+            | Plain_state | Prepared_state _ -> Party_b.select_neighbours ~obs d.b masked ~k
+            | Packed_state _ -> Party_b.select_neighbours_packed ~obs d.b masked ~n:d.db_n ~k)
       in
       audit "party-b" "find-neighbours" "n" (Audit.Int d.db_n);
       audit "party-b" "find-neighbours" "k" (Audit.Int k);

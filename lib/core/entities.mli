@@ -10,8 +10,8 @@
     level-drop rule or a message exists exactly once.
 
     Each party owns only the key material it uses: Party A the
-    relinearisation key and the encrypted database, Party B and the
-    client the secret key, the data owner everything.  Every party that
+    relinearisation key and the database state its path reads, Party B
+    and the client the secret key, the data owner everything.  Every party that
     encrypts holds the secret key, so fresh ciphertexts are seeded
     secret-key encryptions that Party A expands on receipt; no public
     key is distributed.  All

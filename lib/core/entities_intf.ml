@@ -390,33 +390,43 @@ module type S = sig
   (** {1 The query driver} *)
 
   module Run : sig
+    type state =
+      | Plain_state
+      | Prepared_state of Party_a.prepared
+      | Packed_state of Party_a.prepared_packed
+    (** What Setup built for the deployment's one path. *)
+
     type deployment = {
       config : config;
       db_n : int;
       db_d : int;
-      db : int array array;  (** plaintext database, for the owner-delegated packed path *)
+      db : int array array;
+          (** the plaintext database (Protocol's perfbench shim builds the
+              packed columns from it) *)
       a : Party_a.t;
       b : Party_b.t;
       cl : Client.t;
       query_seed : Util.Rng.t;  (** source of per-query randomness *)
       setup : env;  (** the Setup phase's recorder *)
-      mutable prepared : Party_a.prepared option;
-      mutable prepared_packed : Party_a.prepared_packed option;
+      mutable state : state;
     }
+
+    val path : deployment -> Sknn_obs.Cost_model.path
 
     val deploy :
       ?obs:Sknn_obs.Ctx.t -> ?counters:Util.Counters.t -> ?jobs:int ->
-      ?mask_source:mask_source -> env -> Util.Rng.t -> config -> db:int array array ->
-      deployment
-    (** The Setup phase: key generation (a ["keygen"] span), database
-        encryption, and the key/ciphertext distribution to the parties,
-        sent through the given recorder.  Party A receives the
+      ?mask_source:mask_source -> ?path:Sknn_obs.Cost_model.path -> env -> Util.Rng.t ->
+      config -> db:int array array -> deployment
+    (** The Setup phase for [path] (default [Plain]): key generation (a
+        ["keygen"] span), the key/ciphertext distribution to the parties,
+        sent through the given recorder, and Party A's state for the
+        path.  [Plain] and [Prepared] encrypt and ship the database;
+        [Packed] ships keys only.  [Prepared] and [Packed] then build
+        {!Party_a.prepare}'s or {!Party_a.prepare_packed}'s state as a
+        ["prepare-db"] phase of the recorder.  Party A receives the
         relinearisation key only when [config.use_relin] is set, the one
-        case it uses the key. *)
-
-    val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared
-    val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> Party_a.prepared_packed
-    (** The cached prepared states, built on first use. *)
+        case it uses the key.  The rng is split identically on every
+        path. *)
 
     type outcome = {
       neighbours : int array array;  (** the k decrypted points *)
@@ -424,10 +434,10 @@ module type S = sig
     }
 
     val query :
-      ?obs:Sknn_obs.Ctx.t -> env -> deployment -> Sknn_obs.Cost_model.path ->
-      Util.Rng.t -> query:int array -> k:int -> outcome
-    (** One protocol round on [path], answering one query.  Phases — ["prepare-db"] (first prepared/packed query
-        only), ["encrypt-query"], ["compute-distances"],
+      ?obs:Sknn_obs.Ctx.t -> env -> deployment -> Util.Rng.t -> query:int array -> k:int ->
+      outcome
+    (** One protocol round on the deployment's path, answering one
+        query.  Phases — ["encrypt-query"], ["compute-distances"],
         ["find-neighbours"], ["return-knn"] (A's ["return-points"] and, per
         rank, B's ["indicator-row"] and A's ["select-row"], as one-party
         child spans), ["decrypt-result"]

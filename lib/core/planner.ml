@@ -7,7 +7,7 @@
    - feasibility — the symbolic run of the workload's query path
      (Attribution.symbolic: the protocol circuit on noise states, with
      worst-case inputs) yields its minimum noise headroom, the same
-     forecast the live prepare-time guard audits; Params.security_bits_for
+     forecast the live deploy-time guard audits; Params.security_bits_for
      prices the RLWE floor;
    - cost — the same run's op ledger, priced by a fitted unit model
      (Cost_model.fit_unit_model) at any (n, chain) shape from one
@@ -25,7 +25,7 @@ module CM = Sknn_obs.Cost_model
 let lg2 x = log x /. log 2.0
 
 (* Worst-case noise of a query path: the symbolic run of its circuit
-   (Attribution), the same run the live prepare-time guard audits. *)
+   (Attribution), the same run the live deploy-time guard audits. *)
 let forecast = Attribution.forecast
 
 (* ------------------------------------------------------------------ *)
@@ -47,20 +47,13 @@ let workload ?(layout = Config.Dot_product) ?(path = CM.Packed) ?(mask_degree = 
     ?(mask_coeff_bits = 8) ~points ~dim ~k ~coord_bits () =
   { points; dim; k; coord_bits; layout; path; mask_degree; mask_coeff_bits }
 
-type objective = First_query | Steady_state | Weighted of float
-
 type constraints = {
   min_security_bits : float;
   noise_margin_bits : float;
-  objective : objective;
   net : Profile.t option;
 }
 
-let default_constraints =
-  { min_security_bits = 0.0;
-    noise_margin_bits = 4.0;
-    objective = Steady_state;
-    net = None }
+let default_constraints = { min_security_bits = 0.0; noise_margin_bits = 4.0; net = None }
 
 type spec = {
   sp_n : int;
@@ -76,9 +69,7 @@ type entry = {
   log2_q : float;
   security_bits : float;
   min_headroom_bits : float;
-  first_seconds : float;
   steady_seconds : float;
-  objective_seconds : float;
   phase_seconds : (string * float) list;
 }
 
@@ -122,14 +113,6 @@ let min_plain_bits w =
   in
   (int_of_float (ceil need)) + 1
 
-let objective_seconds limits ~first ~steady =
-  match limits.objective with
-  | First_query -> first
-  | Steady_state -> steady
-  | Weighted alpha ->
-    let a = Float.max 0.0 (Float.min 1.0 alpha) in
-    (a *. first) +. ((1.0 -. a) *. steady)
-
 (* Compute cost of one query, plus — under a network profile — the
    virtual wire time of its predicted transcript.  The wire term is what
    lets a WAN objective reward the packed path's fewer, larger
@@ -146,21 +129,18 @@ let price ~unit_costs ?net (pred : CM.prediction) =
     compute +. (Clock.replay prof pred.CM.transcript).Clock.end_to_end_s
 
 let compare_entries a b =
-  let c = Float.compare a.objective_seconds b.objective_seconds in
+  let c = Float.compare a.steady_seconds b.steady_seconds in
   if c <> 0 then c
   else
-    let c = Float.compare a.steady_seconds b.steady_seconds in
+    let c = Int.compare a.spec.sp_n b.spec.sp_n in
     if c <> 0 then c
     else
-      let c = Int.compare a.spec.sp_n b.spec.sp_n in
+      let c = Int.compare a.spec.sp_chain_len b.spec.sp_chain_len in
       if c <> 0 then c
       else
-        let c = Int.compare a.spec.sp_chain_len b.spec.sp_chain_len in
+        let c = Int.compare a.spec.sp_prime_bits b.spec.sp_prime_bits in
         if c <> 0 then c
-        else
-          let c = Int.compare a.spec.sp_prime_bits b.spec.sp_prime_bits in
-          if c <> 0 then c
-          else Int.compare a.spec.sp_return_level b.spec.sp_return_level
+        else Int.compare a.spec.sp_return_level b.spec.sp_return_level
 
 let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcome =
   if w.points < 1 then invalid_arg "Planner.plan: empty database";
@@ -266,15 +246,10 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                     in
                     match first_feasible chain_len with
                     | None -> incr pruned_noise
-                    | Some (rl, report, pred_first) ->
+                    | Some (rl, report, pred) ->
                       let unit_costs =
                         CM.unit_costs_for unit_model ~n ~levels:chain_len
                       in
-                      let pred_steady =
-                        Attribution.predict_model ~include_prepare:false (model rl) w.path
-                      in
-                      let first = price ~unit_costs ?net:limits.net pred_first in
-                      let steady = price ~unit_costs ?net:limits.net pred_steady in
                       let entry =
                         { spec =
                             { sp_n = n; sp_plain_bits = plain_bits;
@@ -284,13 +259,9 @@ let plan ?(keep = 10) ~unit_model (w : workload) (limits : constraints) : outcom
                           log2_q;
                           security_bits = security;
                           min_headroom_bits = report.NM.min_headroom_bits;
-                          first_seconds = first;
-                          steady_seconds = steady;
-                          objective_seconds =
-                            objective_seconds limits ~first ~steady;
+                          steady_seconds = price ~unit_costs ?net:limits.net pred;
                           phase_seconds =
-                            Attribution.predicted_phase_seconds ~unit_costs
-                              pred_steady }
+                            Attribution.predicted_phase_seconds ~unit_costs pred }
                       in
                       entries := entry :: !entries
                   end)
@@ -350,11 +321,10 @@ let json_of_entry buf e =
        "{\"n\":%d,\"plain_bits\":%d,\"prime_bits\":%d,\"chain_len\":%d,\
         \"return_level\":%d,\"t_plain\":%Ld,\"log2_q\":%.6g,\
         \"security_bits\":%.6g,\"min_headroom_bits\":%.6g,\
-        \"first_seconds\":%.9g,\"steady_seconds\":%.9g,\
-        \"objective_seconds\":%.9g,\"phases\":["
+        \"steady_seconds\":%.9g,\"phases\":["
        e.spec.sp_n e.spec.sp_plain_bits e.spec.sp_prime_bits e.spec.sp_chain_len
        e.spec.sp_return_level e.probe.Params.pr_t_plain e.log2_q e.security_bits
-       e.min_headroom_bits e.first_seconds e.steady_seconds e.objective_seconds);
+       e.min_headroom_bits e.steady_seconds);
   List.iteri
     (fun i (name, s) ->
       if i > 0 then Buffer.add_char buf ',';
@@ -404,8 +374,8 @@ let pp_entry ppf (i, e) =
   Format.fprintf ppf "%2d. n=%-5d chain=%2d x %2d-bit t=2^%-2d rl=%d  %a steady"
     (i + 1) e.spec.sp_n e.spec.sp_chain_len e.spec.sp_prime_bits e.spec.sp_plain_bits
     e.spec.sp_return_level pp_seconds e.steady_seconds;
-  Format.fprintf ppf "  %a first  %5.1f bits headroom  %5.1f bits security@,"
-    pp_seconds e.first_seconds e.min_headroom_bits e.security_bits
+  Format.fprintf ppf "  %5.1f bits headroom  %5.1f bits security@," e.min_headroom_bits
+    e.security_bits
 
 let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>plan: %s path, %d points x %d dims, k=%d, coords<=%d bits@,"

@@ -10,15 +10,15 @@
       {!Masking.max_coeff_bits};
     - feasibility pruning runs the workload's query path on the
       symbolic backend with worst-case inputs ({!forecast},
-      {!Attribution.symbolic} — the same run the live prepare-time
+      {!Attribution.symbolic} — the same run the live deploy-time
       guard audits) against the noise margin, and
       {!Params.security_bits_for} against the security floor; the
       return level is the lowest that clears the margin;
     - survivors are ranked by {!Sknn_obs.Cost_model.predict_seconds}
-      of the same run's ledger, priced by a
+      of the same run's query ledger, priced by a
       {!Sknn_obs.Cost_model.unit_model} fitted from one measured
-      calibration — both the first-query (prepare included) and
-      steady-state objectives are computed.
+      calibration.  Setup builds every path's prepared state, so each
+      query is a steady-state one.
 
     Everything is pure given the unit model: the same spec yields the
     byte-identical plan.  Only {!realize} builds the expensive NTT/CRT
@@ -28,9 +28,9 @@
 
     The minimum noise headroom over every state the symbolic run of a
     query path produces, over {!Sknn_obs.Cost_model.params} (see
-    {!Attribution} for the bridge).  [Protocol.prepare] guards with it,
-    so the planner's feasibility rule and the live prepare-time guard
-    are the same run.  A negative minimum headroom means a live query
+    {!Attribution} for the bridge), the deploy's prepare-db steps
+    included.  [Protocol.deploy] guards with it, so the planner's
+    feasibility rule and the live deploy-time guard are the same run.  A negative minimum headroom means a live query
     would raise [Bgv.Decryption_failure]. *)
 
 val forecast :
@@ -67,26 +67,19 @@ val workload :
 (** Defaults: [Dot_product] layout, [Packed] path, affine mask with
     8-bit coefficients (the presets' request). *)
 
-type objective =
-  | First_query  (** prepare + one query *)
-  | Steady_state  (** marginal query of a deployed database *)
-  | Weighted of float  (** [alpha·first + (1−alpha)·steady], clamped *)
-
 type constraints = {
   min_security_bits : float;  (** RLWE floor; 0 disables the prune *)
   noise_margin_bits : float;  (** forecast headroom the plan must keep *)
-  objective : objective;
   net : Profile.t option;
       (** price candidates end-to-end under this network profile: each
-          entry's first/steady seconds gain the virtual wire time of its
+          entry's seconds gain the virtual wire time of its
           predicted transcript (rounds × RTT + bytes/bandwidth), so a
           WAN objective weights rounds and message sizes, not just
           compute *)
 }
 
 val default_constraints : constraints
-(** No security floor, 4-bit margin, steady-state objective, no network
-    term. *)
+(** No security floor, 4-bit margin, no network term. *)
 
 (** {1 Planning} *)
 
@@ -104,10 +97,10 @@ type entry = {
   log2_q : float;
   security_bits : float;
   min_headroom_bits : float;  (** at the chosen return level *)
-  first_seconds : float;
   steady_seconds : float;
-  objective_seconds : float;  (** the ranking key *)
-  phase_seconds : (string * float) list;  (** steady state, protocol order *)
+      (** predicted seconds of one query of a deployed database: the
+          ranking key *)
+  phase_seconds : (string * float) list;  (** the same query, protocol order *)
 }
 
 type outcome = {

@@ -14,10 +14,12 @@ let config d = d.Run.config
 let db_size d = d.Run.db_n
 let dimension d = d.Run.db_d
 let setup_transcript d = Entities.Live.transcript d.Run.setup
+let setup_phase_seconds d = Entities.Live.phase_seconds d.Run.setup
 let party_a d = d.Run.a
 let party_b d = d.Run.b
 let client d = d.Run.cl
 let jobs d = Entities.Party_a.jobs d.Run.a
+let path = Run.path
 
 (* Fold a finished transcript into the per-party counters: every entry's
    bytes to its sender, and each link's round count to both endpoints.
@@ -40,11 +42,43 @@ let tally_transcript tr counter_of =
       add x; add y)
     (Transcript.links tr)
 
-let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs config ~db =
+(* ------------------------------------------------------------------ *)
+(* Setup and its noise guard                                           *)
+(* ------------------------------------------------------------------ *)
+
+let forecast ~margin_bits config ~n ~d path =
+  Planner.forecast ~margin_bits (Attribution.model_params config ~n ~d ~k:1) path
+
+let forecast_noise ?(margin_bits = 4.0) d =
+  forecast ~margin_bits (config d) ~n:(db_size d) ~d:(dimension d) (Run.path d)
+
+(* Before a prepared state is built, the worst-case symbolic run of its
+   path is audited; a forecast below the margin warns (audit entry,
+   flight event, stderr) instead of letting a query die mid-flight. *)
+let guard obs config ~db path =
+  let margin_bits = 4.0 in
+  let forecast =
+    forecast ~margin_bits config ~n:(Array.length db) ~d:(Array.length db.(0)) path
+  in
+  Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
+    (Audit.Float forecast.NM.min_headroom_bits);
+  if forecast.NM.below_margin then begin
+    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-low-headroom-warning"
+      (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
+    Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
+    Format.eprintf
+      "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin %.1f) \
+       — deepen the modulus chain or lower the circuit depth@."
+      forecast.NM.min_headroom_bits margin_bits
+  end
+
+let deploy ?(obs = Obs.disabled) ?rng ?counters ?jobs ?(path = CM.Plain) config ~db =
   let rng = match rng with Some r -> r | None -> Rng.of_int 0x5ecdb in
   let jobs = match jobs with Some j -> j | None -> Util.Pool.default_jobs () in
+  (* An empty database is Run.deploy's error to report. *)
+  if path <> CM.Plain && Array.length db > 0 then guard obs config ~db path;
   let setup = Entities.Live.env ~obs () in
-  let d = Run.deploy ~obs ?counters ~jobs setup rng config ~db in
+  let d = Run.deploy ~obs ?counters ~jobs ~path setup rng config ~db in
   tally_transcript (setup_transcript d) (function
     | Transcript.Data_owner -> counters
     | _ -> None);
@@ -108,62 +142,14 @@ let observe_net obs tr = function
     Some tl
 
 (* ------------------------------------------------------------------ *)
-(* Prepared state and its noise guard                                  *)
-(* ------------------------------------------------------------------ *)
-
-let forecast_noise ?(margin_bits = 4.0) ?(path = CM.Prepared) d =
-  Planner.forecast ~margin_bits
-    (Attribution.model_params (config d) ~n:(db_size d) ~d:(dimension d) ~k:1)
-    path
-
-(* Before a prepared state is built, the worst-case symbolic run of its
-   circuit is audited; a forecast below the margin warns (audit entry,
-   flight event, stderr) instead of letting a query die mid-flight. *)
-let guard obs d path =
-  let margin_bits = 4.0 in
-  let forecast = forecast_noise ~margin_bits ~path d in
-  Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-min-headroom-bits"
-    (Audit.Float forecast.NM.min_headroom_bits);
-  if forecast.NM.below_margin then begin
-    Obs.audit obs ~party:"party-a" ~phase:"prepare-db" ~label:"noise-low-headroom-warning"
-      (Audit.Str (Format.asprintf "%a" NM.pp_report forecast));
-    Obs.warn obs ~name:"noise-low-headroom" ~x:forecast.NM.min_headroom_bits ();
-    Format.eprintf
-      "[sknn] warning: noise forecast predicts %.1f bits minimum headroom (margin %.1f) \
-       — deepen the modulus chain or lower the circuit depth@."
-      forecast.NM.min_headroom_bits margin_bits
-  end
-
-let needs_prepare d = function
-  | CM.Plain -> false
-  | CM.Prepared -> Option.is_none d.Run.prepared
-  | CM.Packed -> Option.is_none d.Run.prepared_packed
-
-let prepare ?(obs = Obs.disabled) d =
-  if needs_prepare d CM.Prepared then begin
-    guard obs d CM.Prepared;
-    ignore (Run.prepare ~obs d)
-  end
-
-let prepare_packed ?(obs = Obs.disabled) d =
-  if needs_prepare d CM.Packed then begin
-    guard obs d CM.Packed;
-    ignore (Run.prepare_packed ~obs d)
-  end
-
-let is_prepared d = not (needs_prepare d CM.Prepared)
-let is_packed_prepared d = not (needs_prepare d CM.Packed)
-
-(* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One round of the driver on the live backend. *)
-let round ?(obs = Obs.disabled) ?rng ?net d path ~query ~k =
+(* The one query driver, on the live backend. *)
+let query ?(obs = Obs.disabled) ?rng ?net d ~query ~k =
   let rng = match rng with Some r -> r | None -> Rng.split d.Run.query_seed in
-  if needs_prepare d path then guard obs d path;
   let env = Entities.Live.env ~obs ?net () in
-  let out = Run.query ~obs env d path rng ~query ~k in
+  let out = Run.query ~obs env d rng ~query ~k in
   let tr = Entities.Live.transcript env in
   let ca = Entities.Party_a.counters (party_a d) in
   let cb = Entities.Party_b.counters (party_b d) in
@@ -198,16 +184,17 @@ let round ?(obs = Obs.disabled) ?rng ?net d path ~query ~k =
     view_b = out.Run.view;
     net }
 
-let query ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Plain ~query ~k
-let query_prepared ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Prepared ~query ~k
-let query_packed ?obs ?rng ?net d ~query ~k = round ?obs ?rng ?net d CM.Packed ~query ~k
+(* ------------------------------------------------------------------ *)
+(* perfbench shim: deleted once perfbench deploys with ~path           *)
+(* ------------------------------------------------------------------ *)
 
-let run_queries_path path ?obs ?rng ?net d ~queries ~k =
-  let rng = match rng with Some r -> r | None -> d.Run.query_seed in
-  Array.map (fun query -> round ?obs ~rng:(Rng.split rng) ?net d path ~query ~k) queries
+let prepare_packed ?(obs = Obs.disabled) d =
+  if Run.path d <> CM.Packed then begin
+    guard obs (config d) ~db:d.Run.db CM.Packed;
+    d.Run.state <- Run.Packed_state (Entities.Party_a.prepare_packed ~obs d.Run.a ~db:d.Run.db)
+  end
 
-let run_queries ?obs = run_queries_path CM.Prepared ?obs
-let run_queries_packed ?obs = run_queries_path CM.Packed ?obs
+let query_packed = query
 
 let total_seconds r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.phase_seconds
 

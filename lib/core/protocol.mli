@@ -1,10 +1,11 @@
 (** The full Secure k-NN protocol (§3 of the paper): Setup once, then
     one-round queries.
 
-    [deploy] performs the paper's Setup phase — key generation at the
-    data owner, database encryption, and key/ciphertext distribution to
-    the parties (recorded in the transcript).  [query] runs the three
-    on-line phases end to end:
+    [deploy] performs the paper's Setup phase for one query path — key
+    generation at the data owner, the database state that path reads,
+    and key/ciphertext distribution to the parties (recorded in the
+    transcript).  [query] runs the three on-line phases end to end on
+    the deployment's path:
 
     + client encrypts Q and sends it to Party A;
     + {b Compute Distances} at A (Algorithm 1) — encrypted squared
@@ -19,30 +20,61 @@
     The result carries plaintext neighbours, per-phase wall-clock times,
     per-party operation counters and the full communication transcript —
     everything the benchmark harness needs to regenerate the paper's
-    figures and Table 1. *)
+    figures and Table 1.
+
+    {b Paths.}  [Plain] is the paper's per-query circuit.  [Prepared]
+    hoists the query-independent work (packed database ciphertexts and
+    encrypted norms [‖p_i‖²], so [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] costs one
+    ciphertext product per point) into Setup.  [Packed] lays the
+    database out dimension-major across the [N] plaintext slots, so A
+    computes a batch of [N] masked distances with [d] plain products and
+    B decrypts [⌈n/N⌉] ciphertexts; it runs in owner-delegated mode — A
+    holds the plaintext database as the data owner's delegate, audited
+    as [party-a/prepare-db/plaintext-database]
+    (see {!Entities.Party_a.prepare_packed}) — and ships no encrypted
+    database.  Both need affine (degree-1) masking and [d ≤ n].  Party
+    B's §5 surface is the same on every path, plus the block width d' on
+    [Packed].  Results are exact and bit-identical across job counts. *)
 
 type deployment
 
 val deploy :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?counters:Util.Counters.t -> ?jobs:int ->
-  Config.t -> db:int array array -> deployment
-(** [jobs] is the number of OCaml domains every parallel phase of this
+  ?path:Sknn_obs.Cost_model.path -> Config.t -> db:int array array -> deployment
+(** Setup for [path] (default [Plain]).  [Plain] and [Prepared] encrypt
+    and ship the database; [Packed] ships keys only.  [Prepared] and
+    [Packed] are guarded first: {!forecast_noise} of the path is always
+    recorded as the audit entry
+    [party-a/prepare-db/noise-min-headroom-bits], and a minimum below 4
+    bits emits a structured warning — an audit entry
+    [party-a/prepare-db/noise-low-headroom-warning], a [Warning] flight
+    event and a stderr line.  Then Party A's prepared state is built, a
+    ["prepare-db"] span.  The rng is split the same way on every path,
+    so keys and query streams do not depend on it.
+
+    [jobs] is the number of OCaml domains every parallel phase of this
     deployment uses (database encryption, Compute-Distances, Return-kNN
     inner products, indicator encryption, result decryption); it
     defaults to {!Util.Pool.default_jobs} ([SKNN_DOMAINS] or the
     machine's recommended domain count).  Query results, transcripts and
     counter totals are bit-identical for every job count.  [obs]
-    records ["keygen"] and ["encrypt-db"] spans and, when [counters] is
-    given, folds the setup transcript's bytes into it.
+    records ["keygen"], ["encrypt-db"] and ["prepare-db"] spans and,
+    when [counters] is given, folds the setup transcript's bytes into
+    it.
     @raise Invalid_argument if the configuration is unsound for the
-    database's dimensionality (see {!Config.validate}) or the data is
-    out of range. *)
+    database's dimensionality (see {!Config.validate}), the data is out
+    of range, or [path] needs affine masking the configuration lacks. *)
 
+val path : deployment -> Sknn_obs.Cost_model.path
 val config : deployment -> Config.t
 val jobs : deployment -> int
 val db_size : deployment -> int
 val dimension : deployment -> int
 val setup_transcript : deployment -> Transcript.t
+
+val setup_phase_seconds : deployment -> (string * float) list
+(** Setup's timed phases, in order: ["prepare-db"] on the prepared and
+    packed paths, nothing on the plain one. *)
 
 (** Direct access to the entity values (examples and tests). *)
 val party_a : deployment -> Entities.Party_a.t
@@ -68,10 +100,12 @@ type result = {
 val query :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   query:int array -> k:int -> result
-(** Runs one complete query.  Counters are reset at the start so each
+(** Runs one complete query on the deployment's path (the client sends
+    the path's query form).  Counters are reset at the start so each
     result reports per-query costs; when the query finishes, the
     transcript is folded back into them, so [Counters.rounds] and
     [Counters.bytes_sent] report measured per-party communication.
+    [rng] defaults to a fresh split of the deployment's query seed.
 
     With an observability context [obs] (see {!Sknn_obs.Ctx}), the five
     phases become [Phase] spans with per-party counter deltas, entity
@@ -92,107 +126,30 @@ val query :
     across job counts.
     @raise Invalid_argument on dimension mismatch or k out of range. *)
 
-(** {1 Prepared multi-query path}
-
-    A deployment answers one query per protocol run, but the database —
-    and therefore the packed ciphertexts and the encrypted norms
-    [‖p_i‖²] the distance identity [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] needs —
-    is fixed at deploy time.  The prepared path hoists that work out of
-    the per-query loop: after a one-time ["prepare-db"] phase, each
-    query costs {e one} ciphertext product per point (against the
-    reversed-packed query) instead of [d], and the query message shrinks
-    from [d] ciphertexts to two.
-
-    Requires affine (degree-1) masking and [d ≤ n]
-    (see {!Entities.Party_a.prepare}).  Results remain exact and
-    bit-identical across job counts. *)
-
-val prepare : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
-(** Builds the prepared state now (idempotent).  Otherwise the first
-    {!query_prepared} builds it lazily and records it as that query's
-    ["prepare-db"] phase.
-
-    Either way the state is guarded first: {!forecast_noise} is always
-    recorded as the audit entry
-    [party-a/prepare-db/noise-min-headroom-bits], and a minimum below 4
-    bits emits a structured warning — an audit entry
-    [party-a/prepare-db/noise-low-headroom-warning], a [Warning] flight
-    event and a stderr line. *)
-
-val forecast_noise :
-  ?margin_bits:float -> ?path:Sknn_obs.Cost_model.path -> deployment ->
-  Sknn_obs.Noise_model.report
-(** Worst-case noise headroom of [path]'s circuit (default [Prepared])
-    at this deployment's shape: {!Planner.forecast}, the symbolic run
-    with the largest coordinates and drawable mask coefficients.  A
-    negative [min_headroom_bits] means a live query would raise
+val forecast_noise : ?margin_bits:float -> deployment -> Sknn_obs.Noise_model.report
+(** Worst-case noise headroom of the deployment's path at its shape:
+    {!Planner.forecast}, the symbolic deploy and query with the largest
+    coordinates and drawable mask coefficients.  A negative
+    [min_headroom_bits] means a live query would raise
     [Bgv.Decryption_failure].  [margin_bits] defaults to 4. *)
 
-val is_prepared : deployment -> bool
+(** {1 perfbench shim}
 
-val query_prepared :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  query:int array -> k:int -> result
-(** Like {!query}, but against the prepared state, with the client
-    sending the inner-product query form
-    ({!Entities.Client.encrypt_query_ip}).  The first call on an
-    unprepared deployment additionally reports a ["prepare-db"] phase in
-    [phase_seconds]; subsequent calls are steady-state.
-    @raise Invalid_argument if the configuration does not admit the
-    prepared path. *)
-
-val run_queries :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  queries:int array array -> k:int -> result array
-(** [query_prepared] over a query batch, one independent RNG stream per
-    query split off [rng] (default: the deployment's query seed). *)
-
-(** {1 Slot-packed (SIMD) path}
-
-    The packed path lays the database out dimension-major across the
-    [N = Params.slot_count] plaintext slots, so Party A computes a batch
-    of [N] masked distances with [d] plain products plus adds, and
-    Party B decrypts [⌈n/N⌉] ciphertexts instead of [n], slot-unpacking
-    them before the top-k scan.  Party B's §5 leakage surface (masked
-    distance multiset, [n], [k], equidistant groups) is identical to the
-    unpacked paths.  The trust model differs on Party A's side: the
-    packed path runs in owner-delegated mode — A holds the plaintext
-    database as the data owner's delegate, audited as
-    [party-a/prepare-db/plaintext-database]
-    (see {!Entities.Party_a.prepare_packed}).
-
-    Requires affine (degree-1) masking and [d ≤ n].  Results remain
-    exact and bit-identical across job counts. *)
+    perfbench deploys without a path and then calls these two; the
+    benchmark change that makes it pass [~path:Packed] to {!deploy}
+    deletes them. *)
 
 val prepare_packed : ?obs:Sknn_obs.Ctx.t -> deployment -> unit
-(** Builds the packed prepared state now (idempotent, guarded like
-    {!prepare}); otherwise the first {!query_packed} builds it lazily as
-    its ["prepare-db"] phase. *)
-
-val is_packed_prepared : deployment -> bool
+(** Switches a deployment made on another path to [Packed]: guards and
+    audits as {!deploy} does, then builds
+    {!Entities.Party_a.prepare_packed}'s state from the plaintext
+    database.  A no-op on a [Packed] deployment.  The encrypted database
+    already shipped stays in the setup transcript. *)
 
 val query_packed :
   ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
   query:int array -> k:int -> result
-(** Like {!query_prepared} on the packed layout, with the client sending
-    the broadcast-slot query form
-    ({!Entities.Client.encrypt_query_packed}): d+1 ciphertexts in,
-    [⌈n/N⌉] masked-distance ciphertexts A→B.
-    @raise Invalid_argument if the configuration does not admit the
-    packed path. *)
-
-val run_queries_packed :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  queries:int array array -> k:int -> result array
-(** {!query_packed} over a query batch, one independent RNG stream per
-    query, each query in its own protocol round under its own fresh
-    permutation. *)
-
-val round :
-  ?obs:Sknn_obs.Ctx.t -> ?rng:Util.Rng.t -> ?net:Profile.t -> deployment ->
-  Sknn_obs.Cost_model.path -> query:int array -> k:int -> result
-(** The one driver behind every entry point above: one protocol round on
-    [path], answering one query. *)
+(** {!query}. *)
 
 val total_seconds : result -> float
 val exact : deployment -> db:int array array -> query:int array -> result -> bool

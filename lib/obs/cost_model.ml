@@ -61,17 +61,19 @@ let log2 x = log x /. log 2.0
 module Symbolic = struct
   (* One symbolic protocol run: the parameters, the per-(phase, party)
      ledgers and transcript the driver hooks record, and the noise
-     states every operation produced — the lowest headroom per
-     (phase, op), in first-seen order. *)
+     forecast — the current phase and the states every operation
+     produced, the lowest headroom per (phase, op), in first-seen
+     order.  A [setup] recorder of the run shares its forecast. *)
   type run = {
     p : params;
     log2_q : float array;  (* NM.log2_q by level, as a prefix-sum table *)
     fresh_bits : float;
     tr : Transcript.t;
     mutable rev_phases : phase list;
-    mutable current : string;
-    mutable noise : point list;  (* newest first *)
+    fc : forecast;
   }
+
+  and forecast = { mutable current : string; mutable noise : point list (* newest first *) }
 
   (* The lowest-headroom state seen at one (phase, op).  Both names are
      string literals of the driver and of this module, compared
@@ -93,8 +95,10 @@ module Symbolic = struct
     let nm = p.nm in
     { p;
       log2_q = Array.init (NM.chain_length nm + 1) (fun level -> NM.log2_q nm ~level);
-      fresh_bits = NM.fresh_noise_bits nm; tr = Transcript.create (); rev_phases = []; current = "setup";
-      noise = [] }
+      fresh_bits = NM.fresh_noise_bits nm; tr = Transcript.create (); rev_phases = [];
+      fc = { current = "setup"; noise = [] } }
+
+  let setup run = { run with tr = Transcript.create (); rev_phases = [] }
 
   let t_plain r = r.p.t_plain
   let ring_degree r = r.p.nm.NM.n
@@ -103,10 +107,11 @@ module Symbolic = struct
   (* Every state an operation produces is a point of the forecast. *)
   let mk run op (st : NM.state) =
     let room = run.log2_q.(st.NM.level) -. 1.0 -. st.NM.bits in
-    let same pt = pt.op == op && pt.ph == run.current in
-    (match List.find_opt same run.noise with
+    let fc = run.fc in
+    let same pt = pt.op == op && pt.ph == fc.current in
+    (match List.find_opt same fc.noise with
      | Some pt -> if room < pt.room then begin pt.low <- st; pt.room <- room end
-     | None -> run.noise <- { ph = run.current; op; low = st; room } :: run.noise);
+     | None -> fc.noise <- { ph = fc.current; op; low = st; room } :: fc.noise);
     { run; st; seeded = false }
 
   let keygen _rng run = { sk = run; rlk = run }
@@ -342,10 +347,10 @@ module Symbolic = struct
      delta across it; sends append to the symbolic transcript. *)
   let phase run parties name f =
     let before = List.map (fun (_, c) -> C.copy c) parties in
-    let outer = run.current in
-    run.current <- name;
+    let outer = run.fc.current in
+    run.fc.current <- name;
     let x = f () in
-    run.current <- outer;
+    run.fc.current <- outer;
     List.iter2
       (fun (party, c) b ->
         run.rev_phases <- { phase = name; party; counters = C.diff c b } :: run.rev_phases)
@@ -377,7 +382,7 @@ module Symbolic = struct
         (fun pt ->
           { NM.op = pt.ph ^ "/" ^ pt.op; s_level = pt.low.NM.level;
             s_bits = pt.low.NM.bits; s_headroom = pt.room })
-        run.noise
+        run.fc.noise
     in
     NM.report_of_steps ?margin_bits steps
 end

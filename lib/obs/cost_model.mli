@@ -74,6 +74,12 @@ module Symbolic : sig
 
   val start : params -> run
 
+  val setup : run -> run
+  (** A recorder for [run]'s Setup phase: its own ledger and transcript,
+      the same noise forecast.  Deploying through it and querying through
+      [run] keeps the deployment's work out of the query's prediction
+      while its noise states stay in the run's {!report}. *)
+
   type nonrec params = run
   type secret_key = run
   type relin_key

@@ -3,6 +3,7 @@
    profile, and the Table 1 cost model. *)
 
 module Rng = Util.Rng
+module CM = Sknn_obs.Cost_model
 
 (* ------------------------------------------------------------------ *)
 (* Masking                                                             *)
@@ -314,20 +315,19 @@ let test_prepared_exactness () =
   let db = small_db rng in
   List.iter
     (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 168) config ~db in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 168) ~path:CM.Prepared config ~db in
       let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
       Array.iteri
         (fun i q ->
-          let r = Protocol.query_prepared dep ~query:q ~k:4 in
+          let r = Protocol.query dep ~query:q ~k:4 in
           Alcotest.(check bool)
             (Printf.sprintf "%s: query %d exact" name i)
             true
             (Protocol.exact dep ~db ~query:q r);
-          (* Only the first prepared query pays (and reports) the
-             database preparation. *)
+          (* The deployment prepared the database; no query does. *)
           Alcotest.(check bool)
             (Printf.sprintf "%s: query %d prepare-db phase" name i)
-            (i = 0) (has_phase "prepare-db" r))
+            false (has_phase "prepare-db" r))
         queries)
     [ ("per-coordinate+affine", affine_config ()); ("dot-product", Config.fast ()) ]
 
@@ -338,9 +338,9 @@ let test_prepared_matches_unprepared () =
   let rng = Rng.of_int 169 in
   let db = small_db rng in
   let q = Synthetic.query_like rng db in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 170) (affine_config ()) ~db in
-  let r_plain = Protocol.query ~rng:(Rng.of_int 171) dep ~query:q ~k:5 in
-  let r_prep = Protocol.query_prepared ~rng:(Rng.of_int 172) dep ~query:q ~k:5 in
+  let deploy path = Protocol.deploy ~rng:(Rng.of_int 170) ~path (affine_config ()) ~db in
+  let r_plain = Protocol.query ~rng:(Rng.of_int 171) (deploy CM.Plain) ~query:q ~k:5 in
+  let r_prep = Protocol.query ~rng:(Rng.of_int 172) (deploy CM.Prepared) ~query:q ~k:5 in
   let sorted r =
     let a = Array.map (Distance.squared_euclidean q) r.Protocol.neighbours in
     Array.sort compare a;
@@ -366,8 +366,8 @@ let test_prepared_jobs_determinism () =
   let db = small_db (Rng.of_int 173) in
   let q = [| 10; 20; 30 |] in
   let run jobs config =
-    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db in
-    Protocol.query_prepared ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
+    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs ~path:CM.Prepared config ~db in
+    Protocol.query ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
   in
   let counters_s c = Format.asprintf "%a" Util.Counters.pp c in
   List.iter
@@ -391,31 +391,13 @@ let test_prepared_jobs_determinism () =
 
 let test_prepared_rejects_nonaffine () =
   (* Config.standard masks with degree 2; the inner-product trick leaves
-     cross terms that only an affine mask keeps sound, so the prepared
-     path must refuse. *)
+     cross terms that only an affine mask keeps sound, so a prepared
+     deployment must refuse. *)
   let rng = Rng.of_int 179 in
   let db = small_db rng in
-  let dep = Protocol.deploy ~rng (Config.standard ()) ~db in
   Alcotest.check_raises "degree-2 mask rejected"
     (Invalid_argument "Party_a.prepare: prepared queries need affine (degree-1) masking")
-    (fun () -> Protocol.prepare dep)
-
-let test_run_queries_batch () =
-  let rng = Rng.of_int 181 in
-  let db = small_db rng in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 182) (affine_config ()) ~db in
-  Alcotest.(check bool) "not prepared before" false (Protocol.is_prepared dep);
-  let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
-  let results = Protocol.run_queries ~rng:(Rng.of_int 183) dep ~queries ~k:3 in
-  Alcotest.(check bool) "prepared after" true (Protocol.is_prepared dep);
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool) (Printf.sprintf "batch query %d exact" i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r))
-    results;
-  Alcotest.(check bool) "first pays prepare-db" true (has_phase "prepare-db" results.(0));
-  Alcotest.(check bool) "later queries steady-state" false
-    (Array.exists (has_phase "prepare-db") (Array.sub results 1 3))
+    (fun () -> ignore (Protocol.deploy ~rng ~path:CM.Prepared (Config.standard ()) ~db))
 
 (* ------------------------------------------------------------------ *)
 (* Slot-packed (SIMD) path                                             *)
@@ -431,34 +413,37 @@ let test_packed_exactness () =
   let db = small_db rng in
   List.iter
     (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 402) config ~db in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 402) ~path:CM.Packed config ~db in
       let queries = Array.init 3 (fun _ -> Synthetic.query_like rng db) in
       Array.iteri
         (fun i q ->
-          let r = Protocol.query_packed dep ~query:q ~k:4 in
+          let r = Protocol.query dep ~query:q ~k:4 in
           Alcotest.(check bool)
             (Printf.sprintf "%s: query %d exact" name i)
             true
             (Protocol.exact dep ~db ~query:q r);
-          (* Only the first packed query pays (and reports) the packing. *)
+          (* The deployment packed the database; no query does. *)
           Alcotest.(check bool)
             (Printf.sprintf "%s: query %d prepare-db phase" name i)
-            (i = 0) (has_phase "prepare-db" r))
+            false (has_phase "prepare-db" r))
         queries)
     [ ("per-coordinate+affine", affine_config ()); ("dot-product", Config.fast ()) ]
 
 let test_packed_matches_unpacked () =
   (* The packed path changes the ciphertext layout, not the answer:
-     against the same deployment, the plain, prepared and packed paths
-     return the same neighbour set — and Party B sees the same
-     equidistant structure (slot-unpacked, never per-ciphertext). *)
+     under the same keys, the plain, prepared and packed paths return
+     the same neighbour set — and Party B sees the same equidistant
+     structure (slot-unpacked, never per-ciphertext). *)
   let rng = Rng.of_int 403 in
   let db = small_db rng in
   let q = Synthetic.query_like rng db in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 404) (affine_config ()) ~db in
-  let r_plain = Protocol.query ~rng:(Rng.of_int 405) dep ~query:q ~k:5 in
-  let r_prep = Protocol.query_prepared ~rng:(Rng.of_int 406) dep ~query:q ~k:5 in
-  let r_packed = Protocol.query_packed ~rng:(Rng.of_int 407) dep ~query:q ~k:5 in
+  let run path seed =
+    let dep = Protocol.deploy ~rng:(Rng.of_int 404) ~path (affine_config ()) ~db in
+    Protocol.query ~rng:(Rng.of_int seed) dep ~query:q ~k:5
+  in
+  let r_plain = run CM.Plain 405 in
+  let r_prep = run CM.Prepared 406 in
+  let r_packed = run CM.Packed 407 in
   Alcotest.(check (array int)) "packed = plain neighbour distances"
     (sorted_dists q r_plain) (sorted_dists q r_packed);
   Alcotest.(check (array int)) "packed = prepared neighbour distances"
@@ -480,13 +465,14 @@ let test_packed_batch_shapes () =
     (fun (n, d) ->
       let rng = Rng.of_int (409 + n + d) in
       let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 410) (Config.fast ()) ~db in
+      let deploy path = Protocol.deploy ~rng:(Rng.of_int 410) ~path (Config.fast ()) ~db in
+      let dep = deploy CM.Packed in
       let q = Synthetic.query_like rng db in
-      let r = Protocol.query_packed ~rng:(Rng.of_int 411) dep ~query:q ~k:4 in
+      let r = Protocol.query ~rng:(Rng.of_int 411) dep ~query:q ~k:4 in
       let label = Printf.sprintf "n=%d d=%d" n d in
       Alcotest.(check bool) (label ^ " exact") true
         (Protocol.exact dep ~db ~query:q r);
-      let r_plain = Protocol.query ~rng:(Rng.of_int 412) dep ~query:q ~k:4 in
+      let r_plain = Protocol.query ~rng:(Rng.of_int 412) (deploy CM.Plain) ~query:q ~k:4 in
       Alcotest.(check (array int)) (label ^ " matches plain path")
         (sorted_dists q r_plain) (sorted_dists q r))
     [ (40, 3); (slots, 2); ((2 * slots) + 2, 5) ]
@@ -497,8 +483,8 @@ let test_packed_jobs_determinism () =
   let db = small_db (Rng.of_int 413) in
   let q = [| 10; 20; 30 |] in
   let run jobs config =
-    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs config ~db in
-    Protocol.query_packed ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
+    let dep = Protocol.deploy ~rng:(Rng.of_int 999) ~jobs ~path:CM.Packed config ~db in
+    Protocol.query ~rng:(Rng.of_int 1000) dep ~query:q ~k:3
   in
   let counters_s c = Format.asprintf "%a" Util.Counters.pp c in
   List.iter
@@ -522,32 +508,14 @@ let test_packed_jobs_determinism () =
 
 let test_packed_rejects_nonaffine () =
   (* Slot-wise masking is one plain product + one plain add per batch —
-     only sound for an affine (degree-1) polynomial, so the packed path
-     must refuse a degree-2 config just as the prepared path does. *)
+     only sound for an affine (degree-1) polynomial, so a packed
+     deployment must refuse a degree-2 config just as a prepared one
+     does. *)
   let rng = Rng.of_int 419 in
   let db = small_db rng in
-  let dep = Protocol.deploy ~rng (Config.standard ()) ~db in
   Alcotest.check_raises "degree-2 mask rejected"
     (Invalid_argument "Party_a.prepare_packed: packed queries need affine (degree-1) masking")
-    (fun () -> Protocol.prepare_packed dep)
-
-let test_run_queries_packed () =
-  let rng = Rng.of_int 421 in
-  let db = small_db rng in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 422) (affine_config ()) ~db in
-  Alcotest.(check bool) "not packed-prepared before" false
-    (Protocol.is_packed_prepared dep);
-  let queries = Array.init 4 (fun _ -> Synthetic.query_like rng db) in
-  let results = Protocol.run_queries_packed ~rng:(Rng.of_int 423) dep ~queries ~k:3 in
-  Alcotest.(check bool) "packed-prepared after" true (Protocol.is_packed_prepared dep);
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check bool) (Printf.sprintf "packed query %d exact" i) true
-        (Protocol.exact dep ~db ~query:queries.(i) r))
-    results;
-  Alcotest.(check bool) "first pays prepare-db" true (has_phase "prepare-db" results.(0));
-  Alcotest.(check bool) "later queries steady-state" false
-    (Array.exists (has_phase "prepare-db") (Array.sub results 1 3))
+    (fun () -> ignore (Protocol.deploy ~rng ~path:CM.Packed (Config.standard ()) ~db))
 
 let test_packed_leakage_groups () =
   (* Regression for the equidistant-group accounting: the tie database
@@ -555,12 +523,12 @@ let test_packed_leakage_groups () =
      extraction must run on the 6 slot-unpacked distances — never on the
      single per-ciphertext aggregate, and never on the randomized dead
      slots of the ragged tail. *)
-  let tie_dep rng_seed =
-    Protocol.deploy ~rng:(Rng.of_int rng_seed) (affine_config ())
+  let tie_dep ?path rng_seed =
+    Protocol.deploy ~rng:(Rng.of_int rng_seed) ?path (affine_config ())
       ~db:[| [| 0; 0 |]; [| 0; 4 |]; [| 4; 0 |]; [| 4; 4 |]; [| 9; 9 |]; [| 2; 1 |] |]
   in
   let q = [| 2; 2 |] in
-  let r_packed = Protocol.query_packed (tie_dep 425) ~query:q ~k:2 in
+  let r_packed = Protocol.query (tie_dep ~path:CM.Packed 425) ~query:q ~k:2 in
   Alcotest.(check (array int)) "group of four equidistant points" [| 4 |]
     (Leakage.equidistant_group_sizes r_packed.Protocol.view_b);
   Alcotest.(check int) "pairs" 6 (Leakage.equidistant_pairs r_packed.Protocol.view_b);
@@ -580,9 +548,9 @@ let test_packed_audit_surface () =
   let db = Synthetic.uniform rng ~n:20 ~d:3 ~max_value:100 in
   let audit = Audit.create () in
   let obs = Sknn_obs.Ctx.create ~audit () in
-  let dep = Protocol.deploy ~rng (affine_config ()) ~db in
+  let dep = Protocol.deploy ~obs ~rng ~path:CM.Packed (affine_config ()) ~db in
   let q = Synthetic.query_like rng db in
-  let r = Protocol.query_packed ~obs dep ~query:q ~k:4 in
+  let r = Protocol.query ~obs dep ~query:q ~k:4 in
   Alcotest.(check (list string)) "party-b leakage surface adds the block width"
     [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "return-block-width" ]
     (Audit.labels_for audit ~party:"party-b");
@@ -605,6 +573,93 @@ let test_packed_audit_surface () =
   match Audit.value_of audit ~party:"party-a" ~label:"plaintext-database" with
   | Some (Audit.Int nd) -> Alcotest.(check int) "plaintext database = n x d" (20 * 3) nd
   | _ -> Alcotest.fail "plaintext-database not audited for party-a"
+
+(* ------------------------------------------------------------------ *)
+(* Deploy builds one path                                              *)
+(* ------------------------------------------------------------------ *)
+
+let setup_entries dep =
+  List.map
+    (fun (e : Transcript.entry) ->
+      (e.Transcript.sender, e.Transcript.receiver, e.Transcript.label, e.Transcript.bytes))
+    (Transcript.entries (Protocol.setup_transcript dep))
+
+let test_deploy_setup_transcripts () =
+  (* Plain and prepared deployments ship the same setup; a packed one
+     ships the keys alone, since its circuit reads no encrypted
+     database. *)
+  let db = small_db (Rng.of_int 431) in
+  List.iter
+    (fun (name, config) ->
+      let setup path = setup_entries (Protocol.deploy ~rng:(Rng.of_int 432) ~path config ~db) in
+      let plain = setup CM.Plain and packed = setup CM.Packed in
+      Alcotest.(check bool) (name ^ ": prepared setup = plain setup") true
+        (setup CM.Prepared = plain);
+      Alcotest.(check (list string)) (name ^ ": packed setup is the keys")
+        ((if config.Config.use_relin then [ "relinearisation key" ] else [])
+         @ [ "secret key"; "secret key" ])
+        (List.map (fun (_, _, l, _) -> l) packed);
+      Alcotest.(check bool) (name ^ ": the same keys as plain") true
+        (packed = List.filter (fun (_, _, l, _) -> l <> "encrypted database") plain))
+    [ ("affine", affine_config ()); ("affine+relin", Config.with_relin true (affine_config ())) ]
+
+let test_deploy_prepares_once () =
+  (* Setup builds the path's state as a prepare-db span, guarded and
+     audited first; no query on any path prepares anything. *)
+  let module Audit = Sknn_obs.Audit in
+  let module Trace = Sknn_obs.Trace in
+  let db = small_db (Rng.of_int 433) in
+  List.iter
+    (fun path ->
+      let name = Planner.path_name path in
+      let audit = Audit.create () and trace = Trace.create () in
+      let obs = Sknn_obs.Ctx.create ~audit ~trace () in
+      let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 434) ~path (affine_config ()) ~db in
+      let prepares = path <> CM.Plain in
+      let audited label = Audit.value_of audit ~party:"party-a" ~label <> None in
+      Alcotest.(check bool) (name ^ ": prepare-db phase at deploy") prepares
+        (List.mem_assoc "prepare-db" (Protocol.setup_phase_seconds dep));
+      Alcotest.(check bool) (name ^ ": prepare-db span") prepares
+        (List.exists (fun (sp : Trace.span) -> sp.Trace.name = "prepare-db") (Trace.roots trace));
+      Alcotest.(check bool) (name ^ ": noise guard audited") prepares
+        (audited "noise-min-headroom-bits");
+      Alcotest.(check bool) (name ^ ": plaintext database audited") (path = CM.Packed)
+        (audited "plaintext-database");
+      for i = 0 to 1 do
+        let q = Synthetic.query_like (Rng.of_int (435 + i)) db in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: query %d records no prepare-db" name i)
+          false
+          (has_phase "prepare-db" (Protocol.query ~obs dep ~query:q ~k:3))
+      done)
+    [ CM.Plain; CM.Prepared; CM.Packed ]
+
+let test_deploy_perfbench_shim () =
+  (* perfbench deploys without a path and switches to packed with
+     Protocol.prepare_packed; its queries must be a packed deployment's,
+     bit for bit, while its setup keeps the encrypted database. *)
+  let db = small_db (Rng.of_int 437) in
+  let q = Synthetic.query_like (Rng.of_int 438) db in
+  let deploy ?path () = Protocol.deploy ~rng:(Rng.of_int 439) ?path (affine_config ()) ~db in
+  let shim = deploy () in
+  Protocol.prepare_packed shim;
+  Protocol.prepare_packed shim;
+  Alcotest.(check bool) "switched to packed" true (Protocol.path shim = CM.Packed);
+  Alcotest.(check bool) "setup keeps the encrypted database" true
+    (setup_entries shim = setup_entries (deploy ()));
+  let packed = deploy ~path:CM.Packed () in
+  let run dep = Protocol.query ~rng:(Rng.of_int 440) dep ~query:q ~k:3 in
+  let fingerprint (r : Protocol.result) =
+    Marshal.to_string
+      ( (r.Protocol.neighbours, r.Protocol.view_b),
+        Transcript.entries r.Protocol.transcript,
+        Format.asprintf "%a|%a|%a" Util.Counters.pp r.Protocol.counters_a Util.Counters.pp
+          r.Protocol.counters_b Util.Counters.pp r.Protocol.counters_client )
+      []
+  in
+  Alcotest.(check string) "query_packed on the shim = query on a packed deployment"
+    (fingerprint (run packed))
+    (fingerprint (Protocol.query_packed ~rng:(Rng.of_int 440) shim ~query:q ~k:3))
 
 (* ------------------------------------------------------------------ *)
 (* Leakage profile (Theorems 4.1 / 4.2)                                *)
@@ -762,7 +817,6 @@ let test_cost_ours_beats_yousef () =
 (* Cost ledger vs analytic replica (DESIGN §5a)                        *)
 (* ------------------------------------------------------------------ *)
 
-module CM = Sknn_obs.Cost_model
 module NM = Sknn_obs.Noise_model
 
 let check_ledger name predicted measured =
@@ -770,8 +824,8 @@ let check_ledger name predicted measured =
     Alcotest.failf "%s: ledger mismatch@.predicted: %a@.measured:  %a" name
       Util.Counters.pp predicted Util.Counters.pp measured
 
-let check_prediction name config ~n ~d ~k ~include_prepare path (r : Protocol.result) =
-  let pred = Attribution.predict ~include_prepare config ~n ~d ~k path in
+let check_prediction name config ~n ~d ~k path (r : Protocol.result) =
+  let pred = Attribution.predict config ~n ~d ~k path in
   check_ledger (name ^ " / party-a") pred.CM.party_a r.Protocol.counters_a;
   check_ledger (name ^ " / party-b") pred.CM.party_b r.Protocol.counters_b;
   check_ledger (name ^ " / client") pred.CM.client r.Protocol.counters_client;
@@ -813,7 +867,7 @@ let test_cost_model_plain () =
       let dep = Protocol.deploy ~rng:(Rng.of_int 612) config ~db in
       let q = Synthetic.query_like (Rng.of_int 613) db in
       let r = Protocol.query dep ~query:q ~k in
-      check_prediction name config ~n ~d ~k ~include_prepare:false CM.Plain r)
+      check_prediction name config ~n ~d ~k CM.Plain r)
     [ ("plain/standard", Config.standard ()); ("plain/fast", Config.fast ()) ]
 
 let test_cost_model_prepared () =
@@ -822,14 +876,9 @@ let test_cost_model_prepared () =
   let k = 4 in
   List.iter
     (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 622) config ~db in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 622) ~path:CM.Prepared config ~db in
       let q = Synthetic.query_like (Rng.of_int 623) db in
-      let first = Protocol.query_prepared dep ~query:q ~k in
-      check_prediction (name ^ "/first") config ~n ~d ~k ~include_prepare:true
-        CM.Prepared first;
-      let steady = Protocol.query_prepared dep ~query:q ~k in
-      check_prediction (name ^ "/steady") config ~n ~d ~k ~include_prepare:false
-        CM.Prepared steady)
+      check_prediction name config ~n ~d ~k CM.Prepared (Protocol.query dep ~query:q ~k))
     [ ("prepared/affine", affine_config ()); ("prepared/fast", Config.fast ()) ]
 
 let test_cost_model_packed () =
@@ -838,14 +887,9 @@ let test_cost_model_packed () =
   let k = 4 in
   List.iter
     (fun (name, config) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 632) config ~db in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 632) ~path:CM.Packed config ~db in
       let q = Synthetic.query_like (Rng.of_int 633) db in
-      let first = Protocol.query_packed dep ~query:q ~k in
-      check_prediction (name ^ "/first") config ~n ~d ~k ~include_prepare:true
-        CM.Packed first;
-      let steady = Protocol.query_packed dep ~query:q ~k in
-      check_prediction (name ^ "/steady") config ~n ~d ~k ~include_prepare:false
-        CM.Packed steady)
+      check_prediction name config ~n ~d ~k CM.Packed (Protocol.query dep ~query:q ~k))
     [ ("packed/affine", affine_config ()); ("packed/fast", Config.fast ()) ]
 
 let test_fresh_ciphertexts_seeded () =
@@ -871,14 +915,16 @@ let test_fresh_ciphertexts_seeded () =
       0 (Transcript.entries tr)
   in
   List.iter
-    (fun (name, run) ->
-      let dep = Protocol.deploy ~rng:(Rng.of_int 657) config ~db in
+    (fun (name, path) ->
+      let dep = Protocol.deploy ~rng:(Rng.of_int 657) ~path config ~db in
       let setup = Protocol.setup_transcript dep in
+      (* The packed circuit reads no encrypted database, so none ships. *)
       Alcotest.(check int) (name ^ ": database ships seeded")
-        (n * (d + 1) * seeded top) (bytes setup "encrypted database");
+        (if path = CM.Packed then 0 else n * (d + 1) * seeded top)
+        (bytes setup "encrypted database");
       Alcotest.(check int) (name ^ ": secret keys, one byte a coefficient")
         (2 * p.Params.n) (bytes setup "secret key");
-      let r : Protocol.result = run dep in
+      let r = Protocol.query dep ~query ~k in
       let a = r.Protocol.counters_a and b = r.Protocol.counters_b in
       let cl = r.Protocol.counters_client in
       let count c op level = C.op_count c op ~level in
@@ -893,9 +939,7 @@ let test_fresh_ciphertexts_seeded () =
       check "one embed per indicator" nind (count b C.Op_ntt_fwd rl);
       check "query bytes" (nq * seeded top) (bytes r.Protocol.transcript "encrypted query");
       check "indicator bytes" (nind * seeded rl) (bytes r.Protocol.transcript "indicator vector"))
-    [ ("plain", fun dep -> Protocol.query dep ~query ~k);
-      ("prepared", fun dep -> Protocol.query_prepared dep ~query ~k);
-      ("packed", fun dep -> Protocol.query_packed dep ~query ~k) ];
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed) ];
   (* The symbolic backend sizes the wire form identically and rejects it
      in a homomorphic op, as Bgv does. *)
   let module S = CM.Symbolic in
@@ -968,7 +1012,7 @@ let test_predict_end_to_end_consistency () =
   let dep = Protocol.deploy ~rng:(Rng.of_int 652) config ~db in
   let q = Synthetic.query_like (Rng.of_int 653) db in
   let r = Protocol.query ~net:Profile.wan dep ~query:q ~k in
-  let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k CM.Plain in
+  let pred = Attribution.predict config ~n ~d ~k CM.Plain in
   let e2e = CM.predict_end_to_end ~unit_costs:[||] ~profile:Profile.wan pred in
   Alcotest.(check (float 0.0)) "empty table prices zero compute" 0.0 e2e.CM.compute_s;
   Alcotest.(check (float 0.0)) "total = compute + wire"
@@ -1007,7 +1051,7 @@ let test_black_box_pipeline () =
       let true_dists = Array.map (fun p -> Distance.squared_euclidean q p) db in
       Alcotest.(check bool) (name ^ ": live masking order-preserving") true
         (Leakage.recovers_true_order view true_dists);
-      let pred = Attribution.predict ~include_prepare:false config ~n ~d ~k:3 CM.Plain in
+      let pred = Attribution.predict config ~n ~d ~k:3 CM.Plain in
       match
         List.find_opt
           (fun ph -> ph.CM.phase = "compute-distances" && ph.CM.party = "party-a")
@@ -1052,8 +1096,8 @@ let check_slot_case name ~db ~query ~k =
   let config = Config.fast () in
   let n = Array.length db and d = Array.length db.(0) in
   let run jobs =
-    let dep = Protocol.deploy ~rng:(Rng.of_int 951) ~jobs config ~db in
-    (dep, Protocol.query_packed ~rng:(Rng.of_int 952) dep ~query ~k)
+    let dep = Protocol.deploy ~rng:(Rng.of_int 951) ~jobs ~path:CM.Packed config ~db in
+    (dep, Protocol.query ~rng:(Rng.of_int 952) dep ~query ~k)
   in
   let dep, r1 = run 1 in
   Alcotest.(check bool) (name ^ ": exact") true (Protocol.exact dep ~db ~query r1);
@@ -1070,7 +1114,7 @@ let check_slot_case name ~db ~query ~k =
       Alcotest.(check string) (Printf.sprintf "%s: jobs 1 = jobs %d" name jobs)
         (fingerprint r1) (fingerprint (snd (run jobs))))
     [ 2; 4 ];
-  check_prediction name config ~n ~d ~k ~include_prepare:true CM.Packed r1
+  check_prediction name config ~n ~d ~k CM.Packed r1
 
 let test_slot_return_shapes () =
   (* n ≡ 0, 1, −1 mod N/d' blocks per slot plaintext, with d < d' (d = 3,
@@ -1092,8 +1136,8 @@ let test_slot_return_zero_point () =
   let db = Array.append (Array.map (Array.map (( + ) 100)) far) [| origin |] in
   check_slot_case "packed zero point" ~db ~query:origin ~k:1;
   check_slot_case "packed next to the zero point" ~db ~query:[| 1; 0; 2 |] ~k:1;
-  let dep = Protocol.deploy ~rng:(Rng.of_int 972) (Config.fast ()) ~db in
-  let r = Protocol.query_packed dep ~query:origin ~k:1 in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 972) ~path:CM.Packed (Config.fast ()) ~db in
+  let r = Protocol.query dep ~query:origin ~k:1 in
   Alcotest.(check (array (array int))) "the zero point itself" [| origin |]
     r.Protocol.neighbours
 
@@ -1105,8 +1149,8 @@ let test_slot_return_k_equals_n () =
   let n = Array.length db in
   check_slot_case "packed k=n ties" ~db ~query:[| 1; 1; 1 |] ~k:n;
   check_slot_case "packed k=n ties from the origin" ~db ~query:[| 0; 0; 0 |] ~k:n;
-  let dep = Protocol.deploy ~rng:(Rng.of_int 973) (Config.fast ()) ~db in
-  let r = Protocol.query_packed dep ~query:[| 2; 2; 2 |] ~k:n in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 973) ~path:CM.Packed (Config.fast ()) ~db in
+  let r = Protocol.query dep ~query:[| 2; 2; 2 |] ~k:n in
   let sorted a =
     let a = Array.copy a in
     Array.sort compare a;
@@ -1126,17 +1170,16 @@ let test_indicator_count_per_path () =
   let blocks = ((n * Entities.block_width d) + slots_fast - 1) / slots_fast in
   let query = Synthetic.query_like (Rng.of_int 982) db in
   List.iter
-    (fun (name, expected, run) ->
+    (fun (name, expected, path) ->
       let audit = Audit.create () in
       let obs = Sknn_obs.Ctx.create ~audit () in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 983) (Config.fast ()) ~db in
-      run obs dep;
+      let dep = Protocol.deploy ~rng:(Rng.of_int 983) ~path (Config.fast ()) ~db in
+      ignore (Protocol.query ~obs dep ~query ~k);
       match Audit.value_of audit ~party:"party-a" ~label:"indicator-ciphertexts" with
       | Some (Audit.Int c) -> Alcotest.(check int) (name ^ ": indicators received") expected c
       | _ -> Alcotest.failf "%s: indicator-ciphertexts not recorded" name)
-    [ ("plain", k * n, fun obs dep -> ignore (Protocol.query ~obs dep ~query ~k));
-      ("prepared", k * n, fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query ~k));
-      ("packed", k * blocks, fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query ~k)) ]
+    [ ("plain", k * n, CM.Plain); ("prepared", k * n, CM.Prepared);
+      ("packed", k * blocks, CM.Packed) ]
 
 let test_slot_return_plain_surface () =
   (* The slot return widens only the packed paths' surface: the
@@ -1145,16 +1188,15 @@ let test_slot_return_plain_surface () =
   let db = small_db (Rng.of_int 985) in
   let q = Synthetic.query_like (Rng.of_int 986) db in
   List.iter
-    (fun (name, run) ->
+    (fun (name, path) ->
       let audit = Audit.create () in
       let obs = Sknn_obs.Ctx.create ~audit () in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 987) (Config.fast ()) ~db in
-      run obs dep;
+      let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 987) ~path (Config.fast ()) ~db in
+      ignore (Protocol.query ~obs dep ~query:q ~k:3);
       Alcotest.(check (list string)) (name ^ ": party-b surface")
         [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n" ]
         (Audit.labels_for audit ~party:"party-b"))
-    [ ("plain", fun obs dep -> ignore (Protocol.query ~obs dep ~query:q ~k:3));
-      ("prepared", fun obs dep -> ignore (Protocol.query_prepared ~obs dep ~query:q ~k:3)) ]
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared) ]
 
 let test_slot_return_forecast_conservative () =
   (* The packed forecast runs the slot return's plain products, and its
@@ -1164,16 +1206,16 @@ let test_slot_return_forecast_conservative () =
   let db = small_db (Rng.of_int 991) in
   let query = Synthetic.query_like (Rng.of_int 992) db in
   List.iter
-    (fun (name, path, run) ->
+    (fun (name, path) ->
       let metrics = Metrics.create () in
       let obs = Sknn_obs.Ctx.create ~metrics () in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 993) (Config.fast ()) ~db in
-      let report = Protocol.forecast_noise ~path dep in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 993) ~path (Config.fast ()) ~db in
+      let report = Protocol.forecast_noise dep in
       Alcotest.(check bool) (name ^ ": forecast prices the slot products") true
         (List.exists (fun st -> st.NM.op = "return-knn/mul_plain") report.NM.steps);
       Alcotest.(check bool) (name ^ ": no n-term inner product") false
         (List.exists (fun st -> st.NM.op = "return-knn/mul_sum") report.NM.steps);
-      run obs dep;
+      ignore (Protocol.query ~obs dep ~query ~k:3);
       List.iter
         (fun gauge ->
           match Metrics.gauge_value (Metrics.gauge metrics gauge) with
@@ -1185,11 +1227,11 @@ let test_slot_return_forecast_conservative () =
               true
               (live >= report.NM.min_headroom_bits))
         [ "bgv.masked-distance.min_noise_budget_bits"; "bgv.result.min_noise_budget_bits" ])
-    [ ("packed", CM.Packed, fun obs dep -> ignore (Protocol.query_packed ~obs dep ~query ~k:3)) ]
+    [ ("packed", CM.Packed) ]
 
 let test_slot_return_short_level_flagged () =
   (* At the secure preset the slot product needs ~108 bits at the return
-     level; three 30-bit primes cannot hold it.  The prepare-time guard
+     level; three 30-bit primes cannot hold it.  The deploy-time guard
      must warn (audit entry and flight event), and the query must fail
      loudly instead of returning a wrong neighbour set. *)
   let module Audit = Sknn_obs.Audit in
@@ -1199,17 +1241,16 @@ let test_slot_return_short_level_flagged () =
   let audit = Audit.create () in
   let flight = Flight.create () in
   let obs = Sknn_obs.Ctx.create ~audit ~flight () in
-  let dep = Protocol.deploy ~rng:(Rng.of_int 996) ~jobs:1 config ~db in
-  let report = Protocol.forecast_noise ~path:CM.Packed dep in
+  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 996) ~jobs:1 ~path:CM.Packed config ~db in
+  let report = Protocol.forecast_noise dep in
   Alcotest.(check bool) "forecast below margin" true report.NM.below_margin;
-  Protocol.prepare_packed ~obs dep;
-  Alcotest.(check bool) "warning audited at prepare time" true
+  Alcotest.(check bool) "warning audited at deploy time" true
     (Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning" <> None);
   Alcotest.(check bool) "warning flight event" true
     (List.exists
        (fun e -> e.Flight.kind = Flight.Warning && e.Flight.name = "noise-low-headroom")
        (Flight.events flight));
-  match Protocol.query_packed ~obs dep ~query:[| 5; 5 |] ~k:2 with
+  match Protocol.query ~obs dep ~query:[| 5; 5 |] ~k:2 with
   | exception Bgv.Decryption_failure _ -> ()
   | r ->
     Alcotest.failf "query returned %s instead of failing"
@@ -1262,18 +1303,20 @@ let () =
        [ Alcotest.test_case "exact over repeated queries" `Quick test_prepared_exactness;
          Alcotest.test_case "matches unprepared path" `Quick test_prepared_matches_unprepared;
          Alcotest.test_case "identical across job counts" `Quick test_prepared_jobs_determinism;
-         Alcotest.test_case "rejects non-affine masking" `Quick test_prepared_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_run_queries_batch ]);
+         Alcotest.test_case "rejects non-affine masking" `Quick test_prepared_rejects_nonaffine ]);
       ("packed",
        [ Alcotest.test_case "exact over repeated queries" `Quick test_packed_exactness;
          Alcotest.test_case "matches unpacked paths" `Quick test_packed_matches_unpacked;
          Alcotest.test_case "ragged and full batch shapes" `Quick test_packed_batch_shapes;
          Alcotest.test_case "identical across job counts" `Quick test_packed_jobs_determinism;
          Alcotest.test_case "rejects non-affine masking" `Quick test_packed_rejects_nonaffine;
-         Alcotest.test_case "run_queries batch" `Quick test_run_queries_packed;
          Alcotest.test_case "equidistant groups slot-unpacked" `Quick
            test_packed_leakage_groups;
          Alcotest.test_case "audit surface" `Quick test_packed_audit_surface ]);
+      ("deploy",
+       [ Alcotest.test_case "setup transcript per path" `Quick test_deploy_setup_transcripts;
+         Alcotest.test_case "prepares once, at setup" `Quick test_deploy_prepares_once;
+         Alcotest.test_case "perfbench shim matches ~path" `Quick test_deploy_perfbench_shim ]);
       ("leakage",
        [ Alcotest.test_case "order preserved" `Quick test_leakage_order_preserved;
          Alcotest.test_case "equidistant groups" `Quick test_leakage_equidistant_groups;

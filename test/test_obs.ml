@@ -11,6 +11,7 @@ module Audit = Sknn_obs.Audit
 module Ctx = Sknn_obs.Ctx
 module Flight = Sknn_obs.Flight
 module NM = Sknn_obs.Noise_model
+module CM = Sknn_obs.Cost_model
 module Report = Sknn_obs.Report
 
 (* ------------------------------------------------------------------ *)
@@ -299,15 +300,14 @@ let test_span_tree_jobs_determinism () =
    work lands in one-party child spans (B's indicator rows, A's row
    selections). *)
 let test_one_party_per_span () =
-  let module CM = Sknn_obs.Cost_model in
   let db = Synthetic.uniform (Rng.of_int 78) ~n:12 ~d:3 ~max_value:100 in
   List.iter
     (fun path ->
       let label = Planner.path_name path in
       let trace = Trace.create () in
       let obs = Ctx.create ~trace () in
-      let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 5) ~jobs:2 (Config.fast ()) ~db in
-      ignore (Protocol.round ~obs dep path ~query:[| 10; 20; 30 |] ~k:2);
+      let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 5) ~jobs:2 ~path (Config.fast ()) ~db in
+      ignore (Protocol.query ~obs dep ~query:[| 10; 20; 30 |] ~k:2);
       let rec walk (s : Trace.span) =
         if s.Trace.kind <> Trace.Chunk then begin
           Alcotest.(check bool)
@@ -788,14 +788,15 @@ let test_forecast_default_is_quiet () =
   let audit = Audit.create () in
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
-  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 (Config.fast ()) ~db in
+  let dep =
+    Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 ~path:CM.Prepared (Config.fast ()) ~db
+  in
   let report = Protocol.forecast_noise dep in
   Alcotest.(check bool) "steps recorded" true (List.length report.NM.steps > 5);
   Alcotest.(check bool) "default preset clears the margin" false
     report.NM.below_margin;
   Alcotest.(check bool) "positive minimum headroom" true
     (report.NM.min_headroom_bits > report.NM.margin_bits);
-  Protocol.prepare ~obs dep;
   (match
      Audit.value_of audit ~party:"party-a" ~label:"noise-min-headroom-bits"
    with
@@ -808,12 +809,12 @@ let test_forecast_default_is_quiet () =
   Alcotest.(check bool) "no warning flight event" true
     (List.for_all (fun e -> e.Flight.kind <> Flight.Warning) (Flight.events flight));
   (* A live prepared query agrees with the positive forecast. *)
-  let r = Protocol.query_prepared ~obs ~rng:(Rng.of_int 8) dep ~query:[| 1; 2; 3 |] ~k:2 in
+  let r = Protocol.query ~obs ~rng:(Rng.of_int 8) dep ~query:[| 1; 2; 3 |] ~k:2 in
   Alcotest.(check int) "query succeeds" 2 (Array.length r.Protocol.neighbours)
 
 let test_forecast_shallow_chain_warns () =
   (* Three 30-bit primes cannot absorb the prepared circuit: the
-     forecaster must warn at prepare time instead of letting the query
+     forecaster must warn at deploy time instead of letting the query
      die mid-flight. *)
   let shallow =
     let bgv =
@@ -829,7 +830,7 @@ let test_forecast_shallow_chain_warns () =
   let audit = Audit.create () in
   let flight = Flight.create () in
   let obs = Ctx.create ~audit ~flight () in
-  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 shallow ~db in
+  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 7) ~jobs:1 ~path:CM.Prepared shallow ~db in
   let report = Protocol.forecast_noise dep in
   Alcotest.(check bool) "below margin" true report.NM.below_margin;
   Alcotest.(check bool) "headroom below margin" true
@@ -837,7 +838,6 @@ let test_forecast_shallow_chain_warns () =
   let rendered = Format.asprintf "%a" NM.pp_report report in
   Alcotest.(check bool) "report renders the verdict" true
     (contains ~sub:"BELOW MARGIN" rendered);
-  Protocol.prepare ~obs dep;
   (match
      Audit.value_of audit ~party:"party-a" ~label:"noise-low-headroom-warning"
    with
@@ -967,17 +967,13 @@ let test_report_tables () =
 (* Cost_model: the analytic op-ledger replica + calibrated time        *)
 (* ------------------------------------------------------------------ *)
 
-module CM = Sknn_obs.Cost_model
-
 (* Exact ledger equality against live queries is asserted per preset in
    test_core; here we pin the model's own structural contract. *)
 
-let cm_predict ?include_prepare path =
-  Attribution.predict ?include_prepare (Config.fast ()) ~n:16 ~d:3 ~k:2 path
+let cm_predict path = Attribution.predict (Config.fast ()) ~n:16 ~d:3 ~k:2 path
 
 let protocol_phase_order =
-  [ "prepare-db"; "encrypt-query"; "compute-distances"; "find-neighbours";
-    "return-knn"; "decrypt-result" ]
+  [ "encrypt-query"; "compute-distances"; "find-neighbours"; "return-knn"; "decrypt-result" ]
 
 let test_cost_model_phase_structure () =
   List.iter
@@ -1038,20 +1034,22 @@ let test_cost_model_party_merge () =
     [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed) ]
 
 let test_cost_model_steady_state () =
-  (* include_prepare:false models a steady-state query: the prepare-db
-     phase disappears and with it some work, but the A<->B traffic of
-     the query round itself is unchanged. *)
+  (* Setup prepares the database, so every predicted query is a
+     steady-state one: no path's prediction carries a prepare-db phase,
+     while the forecast of the same symbolic run keeps the prepare-db
+     steps its deploy made. *)
   List.iter
     (fun (label, path) ->
-      let first = cm_predict ~include_prepare:true path in
-      let steady = cm_predict ~include_prepare:false path in
-      Alcotest.(check bool) (label ^ ": first query prepares") true
-        (List.exists (fun ph -> ph.CM.phase = "prepare-db") first.CM.phases);
-      Alcotest.(check bool) (label ^ ": steady query does not") false
-        (List.exists (fun ph -> ph.CM.phase = "prepare-db") steady.CM.phases);
-      Alcotest.(check int) (label ^ ": traffic unchanged") first.CM.ab_bytes
-        steady.CM.ab_bytes)
-    [ ("prepared", CM.Prepared); ("packed", CM.Packed) ]
+      Alcotest.(check bool) (label ^ ": the query does not prepare") false
+        (List.exists (fun ph -> ph.CM.phase = "prepare-db") (cm_predict path).CM.phases))
+    [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed) ];
+  (* Per-coordinate points carry no norm: prepare-db computes it. *)
+  let affine = Config.with_mask_degree 1 (Config.standard ()) in
+  let p = Attribution.model_params affine ~n:16 ~d:3 ~k:2 in
+  Alcotest.(check bool) "prepared: the forecast keeps the deploy's prepare-db steps" true
+    (List.exists
+       (fun st -> String.starts_with ~prefix:"prepare-db/" st.NM.op)
+       (Attribution.forecast p CM.Prepared).NM.steps)
 
 let test_predict_seconds_algebra () =
   (* predict_seconds is Σ count × unit_cost over the primary ops, with

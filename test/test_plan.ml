@@ -37,8 +37,7 @@ let best_exn outcome =
 
 let test_entries_clear_limits () =
   let limits =
-    { Planner.min_security_bits = 10.0; noise_margin_bits = 6.0;
-      objective = Planner.Steady_state; net = None }
+    { Planner.min_security_bits = 10.0; noise_margin_bits = 6.0; net = None }
   in
   let o = plan_toy ~limits () in
   Alcotest.(check bool) "found candidates" true (o.Planner.ranked <> []);
@@ -48,14 +47,12 @@ let test_entries_clear_limits () =
         (e.Planner.min_headroom_bits >= limits.Planner.noise_margin_bits);
       Alcotest.(check bool) "security clears the floor" true
         (e.Planner.security_bits >= limits.Planner.min_security_bits);
-      Alcotest.(check bool) "positive predicted times" true
-        (e.Planner.first_seconds > 0.0 && e.Planner.steady_seconds > 0.0
-         && e.Planner.steady_seconds <= e.Planner.first_seconds +. 1e-12))
+      Alcotest.(check bool) "positive predicted time" true (e.Planner.steady_seconds > 0.0))
     o.Planner.ranked;
-  (* Ranking is ascending in the objective. *)
+  (* Ranking is ascending in the predicted query time. *)
   let rec ascending = function
     | a :: (b :: _ as rest) ->
-      a.Planner.objective_seconds <= b.Planner.objective_seconds +. 1e-15
+      a.Planner.steady_seconds <= b.Planner.steady_seconds +. 1e-15
       && ascending rest
     | _ -> true
   in
@@ -66,7 +63,7 @@ let test_entries_clear_limits () =
     (match (Planner.best tighter, Planner.best o) with
      | None, _ -> true
      | Some t, Some b ->
-       t.Planner.objective_seconds >= b.Planner.objective_seconds -. 1e-15
+       t.Planner.steady_seconds >= b.Planner.steady_seconds -. 1e-15
      | Some _, None -> false);
   List.iter
     (fun e ->
@@ -82,7 +79,7 @@ let toy_db seed = Synthetic.uniform (Rng.of_int seed) ~n:24 ~d:3 ~max_value:15
 
 let test_roundtrip_exact () =
   List.iter
-    (fun (label, layout, path, query) ->
+    (fun (label, layout, path) ->
       let w = toy_workload ~layout ~path () in
       let o = Planner.plan ~unit_model w Planner.default_constraints in
       let best = best_exn o in
@@ -92,16 +89,13 @@ let test_roundtrip_exact () =
        | Error e -> Alcotest.failf "%s: realized config invalid: %s" label e);
       let db = toy_db 42 in
       let q = Synthetic.query_like (Rng.of_int 43) db in
-      let dep = Protocol.deploy ~rng:(Rng.of_int 44) ~jobs:1 config ~db in
-      let r = query dep q in
+      let dep = Protocol.deploy ~rng:(Rng.of_int 44) ~jobs:1 ~path config ~db in
+      let r = Protocol.query dep ~query:q ~k:3 in
       Alcotest.(check bool) (label ^ ": exact neighbours") true
         (Protocol.exact dep ~db ~query:q r))
-    [ ( "packed", Config.Per_coordinate, CM.Packed,
-        fun dep q -> Protocol.query_packed dep ~query:q ~k:3 );
-      ( "prepared", Config.Dot_product, CM.Prepared,
-        fun dep q -> Protocol.query_prepared dep ~query:q ~k:3 );
-      ( "plain per-coordinate", Config.Per_coordinate, CM.Plain,
-        fun dep q -> Protocol.query dep ~query:q ~k:3 ) ]
+    [ ("packed", Config.Per_coordinate, CM.Packed);
+      ("prepared", Config.Dot_product, CM.Prepared);
+      ("plain per-coordinate", Config.Per_coordinate, CM.Plain) ]
 
 (* ------------------------------------------------------------------ *)
 (* Forecast conservativeness: live budget >= model's minimum headroom  *)
@@ -120,8 +114,8 @@ let test_forecast_conservative () =
   let obs = Sknn_obs.Ctx.create ~metrics () in
   let db = toy_db 7 in
   let q = Synthetic.query_like (Rng.of_int 8) db in
-  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 9) ~jobs:1 config ~db in
-  let r = Protocol.query_packed ~obs dep ~query:q ~k:3 in
+  let dep = Protocol.deploy ~obs ~rng:(Rng.of_int 9) ~jobs:1 ~path:CM.Packed config ~db in
+  let r = Protocol.query ~obs dep ~query:q ~k:3 in
   Alcotest.(check bool) "query exact" true (Protocol.exact dep ~db ~query:q r);
   let suffix = ".min_noise_budget_bits" in
   let checked = ref 0 in
@@ -144,7 +138,7 @@ let test_forecast_conservative () =
             (live_budget >= best.Planner.min_headroom_bits -. 1e-6))
     (Sknn_obs.Metrics.names metrics);
   Alcotest.(check bool) "sampled at least one phase gauge" true (!checked > 0);
-  (* The same walk the planner pruned with is what the live prepare-time
+  (* The same walk the planner pruned with is what the live deploy-time
      guard runs: the realized config's forecast equals the entry's. *)
   let p = Attribution.model_params config ~n:24 ~d:3 ~k:3 in
   let report = Planner.forecast p CM.Packed in
@@ -156,9 +150,7 @@ let test_forecast_conservative () =
 (* ------------------------------------------------------------------ *)
 
 let test_plan_deterministic () =
-  let limits =
-    { Planner.default_constraints with Planner.objective = Planner.Weighted 0.3 }
-  in
+  let limits = Planner.default_constraints in
   let render () =
     Planner.json_of_outcome
       (Planner.plan ~unit_model (toy_workload ~path:CM.Prepared ()) limits)
@@ -189,17 +181,43 @@ let test_net_objective () =
      least one full round trip (the protocol always exchanges messages in
      both directions on some link). *)
   Alcotest.(check bool) "wan objective >= compute optimum + one RTT" true
-    (bw.Planner.objective_seconds
-     >= b0.Planner.objective_seconds +. Profile.wan.Profile.rtt_s);
+    (bw.Planner.steady_seconds >= b0.Planner.steady_seconds +. Profile.wan.Profile.rtt_s);
   List.iter
     (fun e ->
       Alcotest.(check bool) "every wan entry carries a positive wire term" true
-        (e.Planner.objective_seconds > Profile.wan.Profile.rtt_s))
+        (e.Planner.steady_seconds > Profile.wan.Profile.rtt_s))
     wan.Planner.ranked;
   (* Net pricing stays deterministic. *)
   Alcotest.(check string) "byte-identical wan plans"
     (Planner.json_of_outcome wan)
     (Planner.json_of_outcome (plan_toy ~limits:wan_limits ()))
+
+(* ------------------------------------------------------------------ *)
+(* Forecast: deploy and query, prepare-db steps included               *)
+(* ------------------------------------------------------------------ *)
+
+(* The forecast is the symbolic deploy plus one query, so it prices the
+   prepare-db steps Setup now runs exactly as it priced them when the
+   first query ran them.  The expected minima were measured when the
+   prepared state was still built inside the first query (n = 40, d = 3,
+   k = 4; every path but plain with the affine mask). *)
+let test_forecast_pinned () =
+  List.iter
+    (fun (preset, config, expected) ->
+      List.iter2
+        (fun path want ->
+          let config = if path = CM.Plain then config else Config.with_mask_degree 1 config in
+          let p = Attribution.model_params config ~n:40 ~d:3 ~k:4 in
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s %s" preset (Planner.path_name path))
+            want (Planner.forecast p path).NM.min_headroom_bits)
+        [ CM.Plain; CM.Prepared; CM.Packed ] expected)
+    [ ("fast", Config.fast (), [ 53.356132983468953; 53.356132983468953; 54.09309857763516 ]);
+      ( "standard",
+        Config.standard (),
+        [ 65.034182874634354; 60.039829437775467; 62.098723126829043 ] );
+      ("secure", Config.secure (), [ 76.003907403710187; 73.037616872885209; 75.096510561938771 ])
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Attribution bridge: probe pricing = realized pricing                *)
@@ -248,6 +266,8 @@ let () =
       ("network",
        [ Alcotest.test_case "wan objective prices the wire" `Quick
            test_net_objective ]);
+      ("forecast",
+       [ Alcotest.test_case "min headroom per preset and path" `Quick test_forecast_pinned ]);
       ("attribution",
        [ Alcotest.test_case "q_ibits matches ring" `Quick test_q_ibits_matches_ring;
          Alcotest.test_case "probe prices like config" `Quick
