@@ -355,7 +355,7 @@ let query_cmd =
     path_t
       ~doc:"Query pipeline, fixed at deploy: plain (the paper's per-query path) | \
             prepared (inner-product database built at setup, one product per \
-            point) | packed (slot-packed plaintext columns built at setup, \
+            point) | packed (coefficient-packed plaintext columns built at setup, \
             owner-delegated; no encrypted database is shipped).  All but plain \
             need affine masking and d <= ring degree."
   in
@@ -517,7 +517,7 @@ let cost_run data query_s k layout path_s seed jobs net quick calib verbose json
     (if tot_p > 0.0 then Printf.sprintf "%.2fx" (tot_m /. tot_p) else "-");
   (* The paper's Table 1 rows, predicted vs measured: the closed form
      (plus the exact serialized-bytes prediction) on the per-point paths
-     it describes; the replica's own ledger counts on the slot-packed
+     it describes; the replica's own ledger counts on the packed
      path, whose decryption count the closed form does not model. *)
   let t1p, t1_source =
     match cm_path with

@@ -442,16 +442,33 @@ let add_plain ?counters ct pt =
 let add_const ?counters ct v =
   add_plain ?counters ct (Plaintext.constant ct.params v)
 
-let mul_plain ?counters ct pt =
-  require_expanded "Bgv.mul_plain" ct;
+type embedded = { e_params : Params.t; e_poly : Rq.t (* Eval domain *) }
+
+let embed ?counters p ~level pt =
+  if Plaintext.params pt != p then invalid_arg "Bgv.embed: parameter mismatch";
+  if level < 1 || level > Params.chain_length p then
+    invalid_arg "Bgv.embed: level out of range";
+  record_op counters Counters.Op_ntt_fwd ~level;
+  { e_params = p;
+    e_poly =
+      Rq.of_int64_coeffs p.Params.ring ~nprimes:level Rq.Eval (Plaintext.to_coeffs pt) }
+
+let mul_embedded ?counters ct e =
+  require_expanded "Bgv.mul_embedded" ct;
+  if e.e_params != ct.params then invalid_arg "Bgv.mul_embedded: parameter mismatch";
+  let k = level ct in
+  if Rq.nprimes e.e_poly < k then
+    invalid_arg "Bgv.mul_embedded: plaintext below the ciphertext level";
   record counters Counters.Hom_mul_plain;
-  record_op counters Counters.Op_mul_plain ~level:(level ct);
-  record_op counters Counters.Op_ntt_fwd ~level:(level ct);
-  if Plaintext.params pt != ct.params then invalid_arg "Bgv.mul_plain: parameter mismatch";
-  let m = plain_to_rq ct pt in
+  record_op counters Counters.Op_mul_plain ~level:k;
+  let m = Rq.truncate e.e_poly ~nprimes:k in
   { ct with
     comps = Array.map (fun c -> Rq.mul c m) ct.comps;
     log_noise = ct.log_noise +. log2_n ct.params +. log2_t ct.params -. 1.0 }
+
+let mul_plain ?counters ct pt =
+  require_expanded "Bgv.mul_plain" ct;
+  mul_embedded ?counters ct (embed ?counters ct.params ~level:(level ct) pt)
 
 let mul_scalar ?counters ct v =
   require_expanded "Bgv.mul_scalar" ct;

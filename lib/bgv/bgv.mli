@@ -105,6 +105,22 @@ val add_const : ?counters:Util.Counters.t -> ct -> int64 -> ct
 val mul_plain : ?counters:Util.Counters.t -> ct -> Plaintext.t -> ct
 val mul_scalar : ?counters:Util.Counters.t -> ct -> int64 -> ct
 
+type embedded
+(** A plaintext embedded in the evaluation domain at one level: the
+    forward NTT {!mul_plain} pays on every call, paid once for a
+    plaintext that multiplies many ciphertexts. *)
+
+val embed : ?counters:Util.Counters.t -> Params.t -> level:int -> Plaintext.t -> embedded
+(** Records one {!Util.Counters.Op_ntt_fwd} at [level].
+    @raise Invalid_argument on a level outside the chain. *)
+
+val mul_embedded : ?counters:Util.Counters.t -> ct -> embedded -> ct
+(** {!mul_plain} by an embedded plaintext, truncated to the
+    ciphertext's level; records what {!mul_plain} records but the
+    embedding's NTT.
+    @raise Invalid_argument when the embedding sits below the
+    ciphertext's level. *)
+
 val mul :
   ?counters:Util.Counters.t -> ?rlk:relin_key -> ?rescale:bool -> ct -> ct -> ct
 (** Tensor product.  Levels are aligned automatically (the deeper operand

@@ -36,7 +36,7 @@ val measured : Protocol.result -> row
 val predicted : Sknn_obs.Cost_model.prediction -> row
 (** {!measured}'s rows from a symbolic run's ledger and transcript — the
     exact counts of a path whose shape Table 1's closed form does not
-    describe (the slot-packed path). *)
+    describe (the packed path). *)
 
 val within_asymptotic : measured:row -> predicted:row -> slack:float -> bool
 (** Each measured count is at most [slack] times the prediction (and the

@@ -34,6 +34,26 @@ let block_width d =
 (* ⌈n·d'/N⌉: how many slot plaintexts hold n blocks of width d'. *)
 let block_count ~n ~width ~slots = ((n * width) + slots - 1) / slots
 
+(* The packed distance circuit's coefficient stride g: each point owns g
+   coefficients, so one ciphertext carries ⌊N/g⌋ points and the query
+   ⌈(d+1)/g⌉ groups of its extended form.  The power of two in
+   [1, min(2d', N)] with the fewest query groups plus twice the distance
+   ciphertexts (the query and the distances are what travel), ties to
+   the smaller g.  A function of (n, d', N) only, which Party B already
+   holds. *)
+let distance_stride ~n ~width ~slots =
+  let cost g = ((width + g) / g) + (2 * ((n + (slots / g) - 1) / (slots / g))) in
+  let rec go g best =
+    if g > Stdlib.min (2 * width) slots then best
+    else go (2 * g) (if cost g < cost best then g else best)
+  in
+  go 2 1
+
+(* ⌈(d+1)/g⌉: the packed query's ciphertext count. *)
+let query_groups ~d ~stride = (d + stride) / stride
+
+exception Query_below_level of { level : int; required : int }
+
 type mask_source = Entities_intf.mask_source
 
 let draw_mask rng ~t_plain ~input_bits ~degree ~coeff_bits =
@@ -68,8 +88,9 @@ module Make (Live : CT) = struct
 
   (* What Party A answers each rank from: Π(P') as per-point return
      ciphertexts (Algorithm 3), or the Π-permuted plaintext points packed
-     point-major into slot blocks (the slot return). *)
-  type returned = Points of ct array | Blocks of Live.pt array
+     point-major into slot blocks, embedded once at the return level (the
+     slot return). *)
+  type returned = Points of ct array | Blocks of Live.ept array
 
   type result = Coeff_point of ct | Slot_block of ct
 
@@ -136,6 +157,39 @@ module Make (Live : CT) = struct
         else 0L)
 
   let constant params v = Live.pt_const params (Int64.of_int v)
+
+  let return_level config =
+    Stdlib.min config.Config.return_level (chain_length config.Config.bgv)
+
+  (* The level-drop rule, the one place a ciphertext leaves the chain
+     early: the lowest level whose modulus clears [masked_bits] (the
+     worst-case masked noise) with 17 bits of slack, floored at [floor].
+     [None] when no level below [top] qualifies; the caller then falls
+     back to the configured rescale. *)
+  let drop_level nm ~floor ~top ~masked_bits =
+    let need = masked_bits +. 17.0 in
+    let lvl = ref 0 and bits = ref 0.0 in
+    while !bits <= need && !lvl < top do
+      bits := !bits +. nm.NM.moduli_bits.(!lvl);
+      incr lvl
+    done;
+    let lvl = Stdlib.max !lvl floor in
+    if !bits > need && lvl < top then Some lvl else None
+
+  (* The level the packed query travels at, which the client encrypts at
+     and Party A expects: the level-drop rule applied to the worst masked
+     bound a fresh query reaches in the packed circuit — [groups] plain
+     products summed, the mask's scalar, the randomizer.  No op on that
+     path depends on the level, so both parties derive it from the
+     configuration alone; the full chain when no lower level
+     qualifies. *)
+  let packed_query_level config ~groups =
+    let nm = Live.noise_params config.Config.bgv in
+    let top = NM.chain_length nm in
+    let ip = NM.sum (NM.mul_plain nm (NM.fresh nm)) ~terms:groups in
+    let masked = NM.add_plain nm (NM.mul_scalar ip ~bits:nm.NM.t_bits) in
+    Option.value ~default:top
+      (drop_level nm ~floor:(return_level config) ~top ~masked_bits:masked.NM.bits)
 
   (* ---------------------------------------------------------------- *)
 
@@ -248,8 +302,7 @@ module Make (Live : CT) = struct
     let state_perm s = s.perm
     let rlk_opt t = if t.config.Config.use_relin then Some t.rlk else None
 
-    let return_level t =
-      Stdlib.min t.config.Config.return_level (NM.chain_length t.nm)
+    let return_level t = return_level t.config
 
     let fresh_mask obs t rng =
       let c = t.config in
@@ -257,21 +310,6 @@ module Make (Live : CT) = struct
           t.mask_source rng ~t_plain:(Live.t_plain c.Config.bgv)
             ~input_bits:(Config.max_distance_bits c ~d:t.db.db_d)
             ~degree:c.Config.mask_degree ~coeff_bits:c.Config.mask_coeff_bits)
-
-    (* The level-drop rule, the one place a ciphertext leaves the chain
-       early: the lowest level whose modulus clears [masked_bits] (the
-       worst-case masked noise) with 17 bits of slack, floored at the
-       return level.  [None] when no level below [top] qualifies; the
-       caller then falls back to the configured rescale. *)
-    let drop_level t ~top ~masked_bits =
-      let need = masked_bits +. 17.0 in
-      let lvl = ref 0 and bits = ref 0.0 in
-      while !bits <= need && !lvl < top do
-        bits := !bits +. t.nm.NM.moduli_bits.(!lvl);
-        incr lvl
-      done;
-      let lvl = Stdlib.max !lvl (return_level t) in
-      if !bits > need && lvl < top then Some lvl else None
 
     let rescale_if_configured t ~counters ed =
       if t.config.Config.rescale_distances then Live.rescale_to_floor ~counters ed else ed
@@ -357,7 +395,7 @@ module Make (Live : CT) = struct
     (* The inner-product trick leaves cross terms in the non-constant
        coefficients, so only affine masking keeps the constant
        coefficient sound — the same restriction Config.validate puts on
-       Dot_product.  The slot-packed path shares it. *)
+       Dot_product.  The packed path shares it. *)
     let check_affine t ~what ~caller =
       if t.config.Config.mask_degree <> 1 then
         invalid_arg
@@ -427,7 +465,7 @@ module Make (Live : CT) = struct
                on the small ciphertext. *)
             let ed =
               match
-                drop_level t ~top:(Live.level ed)
+                drop_level t.nm ~floor:(return_level t) ~top:(Live.level ed)
                   ~masked_bits:(Live.noise_bits ed +. t.nm.NM.t_bits)
               with
               | Some lvl -> Live.truncate ~counters ed lvl
@@ -473,23 +511,25 @@ module Make (Live : CT) = struct
     let permuted_packed_prepared prep state =
       Points (Perm.apply state.perm prep.prep_return_packed)
 
-    (* ---- Slot-packed (SIMD) path --------------------------------- *)
+    (* ---- Owner-delegated packed path ----------------------------- *)
 
     (* Owner-delegated mode (SANNS-style outsourced queries): Party A acts
-       for the data owner and holds the plaintext database,
-       dimension-major — column j is the n-vector of j-th coordinates,
-       one slot per point — while the client's query stays encrypted.  A
-       batch of N = slot_count points then costs d plain products plus
-       adds instead of N ciphertext products, and Party B decrypts
-       ceil(n/N) ciphertexts instead of n.  B's §5 view (masked permuted
-       distance multiset, n, k) gains only the slot return's block width
-       d'; A's plaintext access is declared through the audit channel in
-       [prepare_packed]. *)
+       for the data owner and holds the plaintext database, while the
+       client's query stays encrypted.  The distances are a
+       coefficient-encoded inner product (Cheetah's, the many-point form
+       of [reversed_query_plaintext]): point s of a batch owns the
+       coefficients [s·g, s·g+g) for the stride g of [distance_stride],
+       so a batch of ⌊N/g⌋ points costs ⌈(d+1)/g⌉ plain products, and
+       Party B decrypts ⌈n/⌊N/g⌋⌉ ciphertexts instead of n.  B's §5 view
+       (masked permuted distance multiset, n, k) gains only the slot
+       return's block width d'; A's plaintext access is declared through
+       the audit channel in [prepare_packed]. *)
     type prepared_packed = {
       pp_params : params;
-      pp_counters : Counters.t;     (* Party A's: the per-query block packing is its work *)
+      pp_counters : Counters.t;     (* Party A's: the per-query packing is its work *)
       pp_cols : int64 array array;  (* pp_cols.(j).(i) = p_i(j) mod t *)
       pp_norms : int64 array;       (* ‖p_i‖² mod t *)
+      pp_level : int;               (* the return level the blocks are embedded at *)
     }
 
     let prepare_packed ?(obs = Obs.disabled) t ~db =
@@ -508,7 +548,8 @@ module Make (Live : CT) = struct
           Array.init d (fun j ->
               Array.init n (fun i -> Mod64.reduce tp (Int64.of_int db.(i).(j))));
         pp_norms =
-          Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i)))) }
+          Array.init n (fun i -> Mod64.reduce tp (Int64.of_int (squared_norm db.(i))));
+        pp_level = return_level t }
 
     let compute_distances_packed ?(obs = Obs.disabled) t pp rng query =
       let config = t.config in
@@ -516,109 +557,110 @@ module Make (Live : CT) = struct
       let d = t.db.db_d and n = t.db.db_n in
       if query.q_dim <> d then
         invalid_arg "Party_a.compute_distances_packed: dimension mismatch";
-      let query = receive_query obs t query in
-      let q_coords, q_norm =
-        match query.q_coords, query.q_norm with
-        | Some c, Some nr when Array.length c = d -> (c, nr)
-        | _ ->
-          invalid_arg
-            "Party_a.compute_distances_packed: query lacks broadcast-slot form (use \
-             Client.encrypt_query_packed)"
-      in
       check_affine t ~what:"packed" ~caller:"Party_a.compute_distances_packed";
       if Array.length pp.pp_norms <> n || Array.length pp.pp_cols <> d then
         invalid_arg "Party_a.compute_distances_packed: prepared state mismatch";
       let slots = Live.ring_degree params in
-      let nbatches = (n + slots - 1) / slots in
+      let g = distance_stride ~n ~width:(block_width d) ~slots in
+      let groups = query_groups ~d ~stride:g in
+      let q =
+        match query.q_coords, query.q_rev, query.q_norm with
+        | Some c, None, None when Array.length c = groups -> c
+        | _ ->
+          invalid_arg
+            "Party_a.compute_distances_packed: query lacks coefficient-group form (use \
+             Client.encrypt_query_packed)"
+      in
+      (* The query should arrive at the level the drop rule picks; A cuts
+         a higher one down before expanding it, so only the limbs it keeps
+         are expanded, and refuses a lower one, whose noise the rule
+         never vetted. *)
+      let level = packed_query_level config ~groups in
+      let q =
+        Array.map
+          (fun c ->
+            if Live.level c < level then
+              raise (Query_below_level { level = Live.level c; required = level });
+            Live.truncate ~counters:t.counters c level)
+          q
+      in
+      let q = received obs (fun () -> expand_each t q) in
+      let per = slots / g in
+      let nbatches = (n + per - 1) / per in
       let mask = fresh_mask obs t rng in
       let coeffs = Masking.coeffs mask in
       let rngs = split_streams rng nbatches in
-      (* The permutation is drawn before the homomorphic loop: the slot
-         layout must already be in permuted order when the batches are
-         packed.  Party A repacks its plaintext columns per query — d+1
-         cheap slot NTTs per batch — so Π needs no Galois machinery and
-         stays uniform over all n! choices exactly as in Algorithm 1. *)
+      (* The permutation is drawn before the homomorphic loop: the
+         coefficient layout must already be in permuted order when the
+         batches are built.  Party A lays its plaintext columns out per
+         query, so Π needs no Galois machinery and stays uniform over all
+         n! choices exactly as in Algorithm 1. *)
       let perm = permute obs rng n in
-      (* The query ciphertexts are truncated up front, at the level the
-         level-drop rule picks for the masked bound predicted from the
-         query's worst noise state: every later op's noise increment is
-         level-independent, so all per-batch work runs on the short chain
-         and ends at the same bound. *)
-      let nm = t.nm and top = Live.level q_norm in
-      let q =
-        { NM.level = top;
-          degree = 1;
-          bits =
-            Array.fold_left
-              (fun m c -> Float.max m (Live.noise_bits c))
-              (Live.noise_bits q_norm) q_coords }
-      in
-      let ip = NM.mul_scalar (NM.sum (NM.mul_plain nm q) ~terms:d) ~bits:1.0 in
-      let masked_q = NM.mul_scalar (NM.sub (NM.add_plain nm q) ip) ~bits:nm.NM.t_bits in
-      let q_coords, q_norm, dropped =
-        match drop_level t ~top ~masked_bits:masked_q.NM.bits with
-        | Some lvl ->
-          let cut c = Live.truncate ~counters:t.counters c lvl in
-          (Array.map cut q_coords, cut q_norm, true)
-        | None -> (q_coords, q_norm, false)
-      in
       let cols_p = Array.map (Perm.apply perm) pp.pp_cols in
       let norms_p = Perm.apply perm pp.pp_norms in
+      let tp = Live.t_plain params in
+      let b0 = coeffs.(0) and a = coeffs.(1) in
       let masked =
         distance_batches obs t ~label:"packed-distances"
           ~args:[ ("points", string_of_int n); ("batches", string_of_int nbatches) ]
           rngs
           (fun counters b rng_b ->
-            let base = b * slots in
-            let len = Stdlib.min slots (n - base) in
-            let slice src s = if s < len then src.(base + s) else 0L in
-            (* Slot s of batch b holds point Π⁻¹(b·N + s); ED and the
-               affine mask act slot-wise, so one ciphertext carries N
-               masked distances. *)
+            let base = b * per in
+            let len = Stdlib.min per (n - base) in
+            (* Group c of point s — Π position base + s — holds x'_{cg+j}
+               at coefficient s·g + g−1−j, with x' = (x, 1); query group c
+               holds q'_{cg+j} at X^j.  Their product puts the group's
+               partial ⟨x', q'⟩ at s·g + g−1; the negacyclic wrap reaches
+               only coefficients below g−1, which are never targets. *)
+            let group c =
+              Live.pt_coeffs params (fun i ->
+                  let s = i / g and idx = (c * g) + g - 1 - (i mod g) in
+                  if s >= len || idx > d then 0L
+                  else if idx = d then 1L
+                  else cols_p.(idx).(base + s))
+            in
             let ip = ref None in
-            for j = 0 to d - 1 do
-              let col = Live.pack ~counters params (slice cols_p.(j)) in
-              let p = Live.mul_plain ~counters q_coords.(j) col in
-              ip := Some (match !ip with None -> p | Some s -> Live.add ~counters s p)
+            for c = 0 to groups - 1 do
+              let pt = Live.embed ~counters params ~level (group c) in
+              let p = Live.mul_plain ~counters q.(c) pt in
+              ip := Some (match !ip with None -> p | Some acc -> Live.add ~counters acc p)
             done;
             let ip = Option.get !ip in
-            let norms = Live.pack ~counters params (slice norms_p) in
-            let ed =
-              Live.sub ~counters
-                (Live.add_plain ~counters q_norm norms)
-                (Live.mul_scalar ~counters ip 2L)
+            let ip =
+              if level < chain_length params then ip else rescale_if_configured t ~counters ip
             in
-            let ed = if dropped then ed else rescale_if_configured t ~counters ed in
-            let m = Live.eval_poly ~counters ?rlk:(rlk_opt t) ~coeffs ed in
-            if len < slots then
-              (* Ragged tail: slots past the database carry phantom points
-                 whose masked values would order against the real ones; one
-                 uniform value per dead slot makes them carry no
-                 information before B discards them. *)
-              let tp = Live.t_plain params in
-              Live.add_plain ~counters m
-                (Live.pack ~counters params (fun s ->
-                     if s < len then 0L else Rng.int64_below rng_b tp))
-            else m)
+            (* The affine mask a·ED + b, ED = ‖x‖² + ⟨x', q'⟩: one scalar
+               product, then one plaintext holding a·‖x_s‖² + b at every
+               live target and a uniform value at every other coefficient
+               — cross terms, wrapped terms and the dead points of a
+               ragged batch alike — so B decrypts nothing but the masked
+               distances. *)
+            Live.add_plain ~counters (Live.mul_scalar ~counters ip a)
+              (Live.pt_coeffs params (fun i ->
+                   let s = i / g in
+                   if i mod g = g - 1 && s < len then
+                     Mod64.add tp (Mod64.mul tp a norms_p.(base + s)) b0
+                   else Rng.int64_below rng_b tp)))
       in
       ({ mask; perm }, masked)
 
     (* The slot return's plaintext side, point-major: permuted point i
        takes slots [i·d', i·d'+d) of block ⌊i·d'/N⌋, zeros elsewhere.
-       Re-packed per query under that query's Π, like the distance
-       columns. *)
+       Packed per query under that query's Π, and embedded once at the
+       return level for all k ranks. *)
     let permuted_return_packed pp state =
-      let params = pp.pp_params in
+      let params = pp.pp_params and counters = pp.pp_counters in
       let slots = Live.ring_degree params in
       let d = Array.length pp.pp_cols and n = Array.length pp.pp_norms in
       let width = block_width d in
       let src = Perm.apply state.perm (Array.init n Fun.id) in
       Blocks
         (Array.init (block_count ~n ~width ~slots) (fun b ->
-             Live.pack ~counters:pp.pp_counters params (fun s ->
-                 let g = (b * slots) + s in
-                 let i = g / width and c = g mod width in
-                 if i < n && c < d then pp.pp_cols.(c).(src.(i)) else 0L)))
+             Live.embed ~counters params ~level:pp.pp_level
+               (Live.pack ~counters params (fun s ->
+                    let g = (b * slots) + s in
+                    let i = g / width and c = g mod width in
+                    if i < n && c < d then pp.pp_cols.(c).(src.(i)) else 0L))))
 
     let return_knn ?obs t state rows =
       let packed = permuted_packed t state in
@@ -676,25 +718,29 @@ module Make (Live : CT) = struct
     let select_neighbours_packed ?(obs = Obs.disabled) t cts ~n ~k =
       let slots = Live.ring_degree t.config.Config.bgv in
       if n < 1 then invalid_arg "Party_b.select_neighbours_packed: empty database";
-      if Array.length cts <> (n + slots - 1) / slots then
+      let g = distance_stride ~n ~width:t.block_width ~slots in
+      let per = slots / g in
+      if Array.length cts <> (n + per - 1) / per then
         invalid_arg "Party_b.select_neighbours_packed: ciphertext count mismatch";
       check_k ~n ~k;
       let masked =
         decrypt_span obs t
           [ ("points", string_of_int n); ("ciphertexts", string_of_int (Array.length cts)) ]
           (fun () ->
-            (* Slot-unpack before any accounting: every downstream consumer
-               (Topk, Leakage, the audit channel) must see the n per-point
-               masked distances, never per-ciphertext aggregates. *)
+            (* Read point s's masked distance at coefficient s·g + g−1
+               before any accounting: every downstream consumer (Topk,
+               Leakage, the audit channel) must see the n per-point masked
+               distances, never the randomized coefficients around them. *)
             let out = Array.make n 0L in
             Array.iteri
               (fun b ct ->
-                let base = b * slots in
-                let len = Stdlib.min slots (n - base) in
-                let s =
-                  Live.unpack ~counters:t.counters (Live.decrypt ~counters:t.counters t.sk ct) ~len
+                let base = b * per in
+                let c =
+                  Live.coeffs (Live.decrypt ~counters:t.counters t.sk ct) ~len:slots
                 in
-                Array.blit s 0 out base len)
+                for s = 0 to Stdlib.min per (n - base) - 1 do
+                  out.(base + s) <- c.((s * g) + g - 1)
+                done)
               cts;
             out)
       in
@@ -742,16 +788,17 @@ module Make (Live : CT) = struct
     type t = {
       config : config;
       sk : Live.secret_key;
+      stride : int;  (* g, handed over at deploy *)
       counters : Counters.t;
       jobs : int;
     }
 
-    let create ?jobs config sk =
+    let create ?jobs ~distance_stride config sk =
       let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-      { config; sk; counters = Counters.create (); jobs }
+      { config; sk; stride = distance_stride; counters = Counters.create (); jobs }
 
     let counters t = t.counters
-    let enc t rng pt = Live.encrypt ~counters:t.counters rng t.sk pt
+    let enc t ?level rng pt = Live.encrypt ~counters:t.counters ?level rng t.sk pt
 
     let checked t ~caller query =
       let d = Array.length query in
@@ -780,15 +827,26 @@ module Make (Live : CT) = struct
         { q_coords = Some q_coords; q_rev = None; q_norm = None; q_dim = d }
       | Config.Dot_product -> encrypt_query_ip t rng query
 
-    (* Broadcast-slot query form for the packed path: d coordinate
-       ciphertexts with the same value in every slot, plus ‖q‖²
-       broadcast — still O(d) ciphertexts whatever the batch count. *)
+    (* Coefficient-group query form for the packed path: the extended
+       query q' = (−2q, ‖q‖²) mod t, g coefficients per ciphertext
+       (group c holds q'_{cg+j} at X^j), encrypted at the level Party A
+       reads it at — ⌈(d+1)/g⌉ ciphertexts whatever the batch count. *)
     let encrypt_query_packed t rng query =
       let params = t.config.Config.bgv in
       let d = checked t ~caller:"Client.encrypt_query_packed" query in
-      let q_coords = Array.map (fun v -> enc t rng (constant params v)) query in
-      let q_norm = enc t rng (constant params (squared_norm query)) in
-      { q_coords = Some q_coords; q_rev = None; q_norm = Some q_norm; q_dim = d }
+      let tp = Live.t_plain params and g = t.stride in
+      let ext i =
+        if i < d then Mod64.neg tp (Mod64.reduce tp (Int64.of_int (2 * query.(i))))
+        else Mod64.reduce tp (Int64.of_int (squared_norm query))
+      in
+      let groups = query_groups ~d ~stride:g in
+      let level = packed_query_level t.config ~groups in
+      let group c =
+        Live.pt_coeffs params (fun j ->
+            if j < g && (c * g) + j <= d then ext ((c * g) + j) else 0L)
+      in
+      { q_coords = Some (Array.init groups (fun c -> enc t ~level rng (group c)));
+        q_rev = None; q_norm = None; q_dim = d }
 
     (* A slot result is zeros plus one d'-slot block, so coordinate c is
        the sum of the slots ≡ c mod d' — wherever Π put the block, and
@@ -886,15 +944,22 @@ module Make (Live : CT) = struct
          @ [ (Transcript.Party_b, "secret key", sk_bytes);
              (Transcript.Client, "secret key", sk_bytes) ]);
       let a = Party_a.create ?jobs ?mask_source config rlk enc_db in
+      let n = Array.length db and d = Array.length db.(0) in
+      let width = block_width d in
       let prepare f = Live.phase setup [ ("party-a", Party_a.counters a) ] "prepare-db" f in
       { config;
-        db_n = Array.length db;
-        db_d = Array.length db.(0);
+        db_n = n;
+        db_d = d;
         db;
         a;
-        (* Party B learns d' here, as it learns n: no message carries it. *)
-        b = Party_b.create ?jobs ~block_width:(block_width (Array.length db.(0))) config sk;
-        cl = Client.create ?jobs config sk;
+        (* Party B learns d' here, as it learns n, and the client the
+           packed circuit's stride g: no message carries either. *)
+        b = Party_b.create ?jobs ~block_width:width config sk;
+        cl =
+          Client.create ?jobs
+            ~distance_stride:
+              (distance_stride ~n ~width ~slots:(Live.ring_degree config.Config.bgv))
+            config sk;
         query_seed = Rng.split rng;
         setup;
         state =
@@ -982,6 +1047,11 @@ module Make (Live : CT) = struct
             Party_a.compute_distances_packed ~obs d.a p )
       in
       let q = phase [ pc ] "encrypt-query" (fun () -> encrypt d.cl rng query) in
+      (* The packed query's layout shows the client the stride g. *)
+      (match d.state with
+       | Packed_state _ ->
+         audit "client" "encrypt-query" "distance-stride" (Audit.Int d.cl.Client.stride)
+       | Plain_state | Prepared_state _ -> ());
       let cts = query_cts q in
       send Transcript.Client Transcript.Party_a "encrypted query" (cts_bytes cts);
       audit "party-a" "compute-distances" "query-ciphertexts" (Audit.Int (Array.length cts));
@@ -1052,6 +1122,7 @@ module Live = struct
   type keys = Bgv.keys
   type ct = Bgv.ct
   type pt = Plaintext.t
+  type ept = Bgv.embedded
 
   type env = {
     obs : Obs.t;
@@ -1084,7 +1155,8 @@ module Live = struct
   let add ~counters a b = Bgv.add ~counters a b
   let sub ~counters a b = Bgv.sub ~counters a b
   let add_plain ~counters ct pt = Bgv.add_plain ~counters ct pt
-  let mul_plain ~counters ct pt = Bgv.mul_plain ~counters ct pt
+  let embed ~counters p ~level pt = Bgv.embed ~counters p ~level pt
+  let mul_plain ~counters ct e = Bgv.mul_embedded ~counters ct e
   let mul_scalar ~counters ct v = Bgv.mul_scalar ~counters ct v
   let mul ~counters ?rlk ?rescale a b = Bgv.mul ~counters ?rlk ?rescale a b
   let mul_sum ~counters ?jobs ?rlk a b = Bgv.mul_sum ~counters ?jobs ?rlk a b

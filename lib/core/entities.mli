@@ -29,6 +29,18 @@ val block_width : int -> int
 (** d', the slot return's block width for dimension d: the smallest
     power of two [>= d]. *)
 
+val distance_stride : n:int -> width:int -> slots:int -> int
+(** g, the packed distance circuit's coefficient stride for [n] points
+    of block width [width] (d') in a ring of [slots] (N) coefficients:
+    the power of two in [\[1, min(2d', N)\]] minimising
+    [⌈(d'+1)/g⌉ + 2·⌈n/⌊N/g⌋⌉], ties to the smaller g.  Each point owns g
+    coefficients, so a distance ciphertext carries [⌊N/g⌋] points and the
+    packed query is [⌈(d+1)/g⌉] ciphertexts. *)
+
+exception Query_below_level of { level : int; required : int }
+(** Raised by [Party_a.compute_distances_packed] on a packed query
+    ciphertext encrypted below the level the drop rule picks for it. *)
+
 module type S = Entities_intf.S
 (** The protocol over one backend. *)
 
@@ -53,6 +65,7 @@ module Live : sig
        and type keys = Bgv.keys
        and type ct = Bgv.ct
        and type pt = Plaintext.t
+       and type ept = Bgv.embedded
 
   val env : ?obs:Sknn_obs.Ctx.t -> ?net:Profile.t -> unit -> env
   val transcript : env -> Transcript.t

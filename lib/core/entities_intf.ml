@@ -12,6 +12,10 @@ module type CT = sig
   type keys
   type ct
   type pt
+  type ept
+  (** A plaintext embedded at one level, ready to multiply ciphertexts
+      at or below it. *)
+
   type env
   (** One protocol run's recorder (timing, transcript). *)
 
@@ -53,7 +57,14 @@ module type CT = sig
   val add : counters:Util.Counters.t -> ct -> ct -> ct
   val sub : counters:Util.Counters.t -> ct -> ct -> ct
   val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
-  val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val embed : counters:Util.Counters.t -> params -> level:int -> pt -> ept
+  (** The plaintext's Coeff→Eval embedding at [level] (records the
+      forward NTT), paid once however many products use it. *)
+
+  val mul_plain : counters:Util.Counters.t -> ct -> ept -> ct
+  (** Product with an embedded plaintext at or above the ciphertext's
+      level. *)
+
   val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
 
   val mul :
@@ -117,10 +128,10 @@ module type S = sig
 
   type encrypted_query = {
     q_coords : ct array option;
-        (** [Per_coordinate]: d constants; packed form: d broadcast-slot
-            coordinates *)
+        (** [Per_coordinate]: d constants; packed form: the [⌈(d+1)/g⌉]
+            coefficient groups of [q' = (−2q, ‖q‖²)] *)
     q_rev : ct option;  (** [Dot_product]: reversed query *)
-    q_norm : ct option;  (** [Dot_product] and packed: [‖q‖²] *)
+    q_norm : ct option;  (** [Dot_product]: [‖q‖²] *)
     q_dim : int;
   }
 
@@ -128,7 +139,8 @@ module type S = sig
   (** What Party A answers each rank of Return-kNN from: [Π(P')] as
       per-point return ciphertexts on the plain and prepared paths, or
       its plaintext points re-packed point-major into slot blocks under
-      the query's Π on the packed path. *)
+      the query's Π, embedded once at the return level, on the packed
+      path. *)
 
   (** One encrypted neighbour, as Party A returns it to the client. *)
   type result =
@@ -140,6 +152,13 @@ module type S = sig
             whose first d slots are its coordinates. *)
 
   val query_bytes : encrypted_query -> int
+
+  val packed_query_level : config -> groups:int -> int
+  (** The level a packed query of [groups] ciphertexts travels at: the
+      level-drop rule applied to the worst masked bound a fresh query
+      reaches in the packed distance circuit.  The client encrypts at it
+      and Party A expects it; the full chain when no lower level
+      qualifies. *)
 
   (** {1 Expansion on receipt}
 
@@ -258,19 +277,21 @@ module type S = sig
     (** {!permuted_packed} from the prepared cache (the return-level
         truncation was done once in {!prepare}). *)
 
-    (** {2 Slot-packed (SIMD) prepared state}
+    (** {2 Owner-delegated packed state}
 
         The packed path runs in {e owner-delegated} mode (SANNS-style
         outsourced queries): Party A acts for the data owner and holds
-        the database {e in the clear}, laid out dimension-major — for
-        coordinate [j] one [n]-vector whose entry [i] is [p_i(j)], packed
-        into plaintext slots per batch — while the client's query stays
-        encrypted.  A batch of [N = slot_count] points then costs [d]
-        plain products plus adds instead of [N] ciphertext products, and
-        Party B decrypts [⌈n/N⌉] ciphertexts instead of [n].  Party B's
-        §5 view (the masked permuted distance multiset, [n] and [k]) gains
-        only the slot return's block width d'; Party A's plaintext access
-        is audited. *)
+        the database {e in the clear}, laid out dimension-major, while
+        the client's query stays encrypted.  The distances are a
+        coefficient-encoded inner product with the stride g of
+        {!Entities.distance_stride}: each point owns g coefficients, so a
+        batch of [⌊N/g⌋] points costs [⌈(d+1)/g⌉] plain products instead
+        of [⌊N/g⌋] ciphertext products, and Party B decrypts
+        [⌈n/⌊N/g⌋⌉] ciphertexts instead of [n].  Party B's §5 view (the
+        masked permuted distance multiset, [n] and [k]) gains only the
+        slot return's block width d', from which it can derive g; the
+        client is handed g at deploy; Party A's plaintext access is
+        audited. *)
 
     type prepared_packed
 
@@ -285,23 +306,29 @@ module type S = sig
     val compute_distances_packed :
       ?obs:Sknn_obs.Ctx.t -> t -> prepared_packed -> Util.Rng.t -> encrypted_query ->
       query_state * ct array
-    (** Algorithm 1 on the packed layout: returns [⌈n/N⌉] ciphertexts
-        whose slot [s] of batch [b] holds the masked distance of point
-        [Π⁻¹(b·N + s)] — the permutation is applied when the plaintext
-        columns are repacked, so it stays uniform and per-query.  The
-        query must be in broadcast-slot form
-        ({!Client.encrypt_query_packed}).  Dead slots of the ragged tail
-        batch are overwritten with uniform randomness.  The query
-        ciphertexts are truncated up front by the level-drop rule,
-        applied predictively.  Results, counters and transcripts are
-        bit-identical for every job count. *)
+    (** Algorithm 1 on the packed layout: returns [⌈n/⌊N/g⌋⌉]
+        ciphertexts whose coefficient [s·g + g − 1] of batch [b] holds the
+        masked distance of point [Π⁻¹(b·⌊N/g⌋ + s)] — the permutation is
+        applied when the plaintext columns are laid out, so it stays
+        uniform and per-query.  Per batch: one plain product per query
+        group, their sum, the mask's scalar, and one plaintext that adds
+        the mask's per-point constant at every live target and a uniform
+        value mod t at every other coefficient (cross terms, wrapped
+        terms and the ragged tail's dead points).  The query must be in
+        coefficient-group form ({!Client.encrypt_query_packed}); a
+        ciphertext above the level the drop rule picks is truncated to
+        it before expansion.  Results, counters and transcripts are
+        bit-identical for every job count.
+        @raise Entities.Query_below_level on a query ciphertext below
+        that level. *)
 
     val permuted_return_packed : prepared_packed -> query_state -> returned
     (** The slot return's blocks for one query: permuted point [i] takes
         slots [[i·d', i·d'+d)] of block [⌊i·d'/N⌋] (zeros elsewhere), so
-        [⌈n·d'/N⌉] slot plaintexts, packed under the query's Π.  Replaces
-        the per-point return ciphertexts on the packed path; nothing is
-        kept at prepare time. *)
+        [⌈n·d'/N⌉] slot plaintexts, packed under the query's Π and
+        embedded once at the return level, so {!select_row} pays no NTT
+        per rank.  Replaces the per-point return ciphertexts on the
+        packed path; nothing is kept at prepare time. *)
   end
 
   (** {1 Party B — key holder, never sees the database} *)
@@ -322,7 +349,7 @@ module type S = sig
       masked_distances : int64 array;  (** What B actually decrypts, in A's permuted order. *)
       selected : int array;  (** Permuted indices of the k chosen minima. *)
       block_width : int option;
-          (** [Some d'] when the view came from slot-packed distances:
+          (** [Some d'] when the view came from packed distances:
               {!indicator_row} then builds slot indicators. *)
     }
 
@@ -340,9 +367,10 @@ module type S = sig
 
     val select_neighbours_packed :
       ?obs:Sknn_obs.Ctx.t -> t -> ct array -> n:int -> k:int -> view
-    (** {!select_neighbours} over slot-packed distances: decrypts the
-        [⌈n/N⌉] ciphertexts, unpacks the slots and discards the dead tail
-        slots, so the view carries exactly the [n] per-point masked
+    (** {!select_neighbours} over coefficient-packed distances: derives
+        g from [n] and its block width, decrypts the [⌈n/⌊N/g⌋⌉]
+        ciphertexts and reads coefficient [s·g + g − 1] of each live point
+        [s], so the view carries exactly the [n] per-point masked
         distances (and B's block width, for the slot return). *)
 
     val indicator_row :
@@ -359,8 +387,10 @@ module type S = sig
   module Client : sig
     type t
 
-    val create : ?jobs:int -> config -> secret_key -> t
-    (** [jobs] parallelises {!decrypt_points}. *)
+    val create : ?jobs:int -> distance_stride:int -> config -> secret_key -> t
+    (** [distance_stride] is g ({!Entities.distance_stride}), given to the
+        client at deploy; only the packed path uses it.  [jobs]
+        parallelises {!decrypt_points}. *)
 
     val counters : t -> Util.Counters.t
 
@@ -375,8 +405,10 @@ module type S = sig
         @raise Invalid_argument when [d] exceeds the ring degree. *)
 
     val encrypt_query_packed : t -> Util.Rng.t -> int array -> encrypted_query
-    (** Broadcast-slot query form for the packed path: [d] coordinate
-        ciphertexts with the same value in every slot plus [‖q‖²].
+    (** Coefficient-group query form for the packed path:
+        [q' = (−2q₀ … −2q_{d−1}, ‖q‖²) mod t] as [⌈(d+1)/g⌉] ciphertexts,
+        group [c] holding [q'_{cg+j}] at [X^j], encrypted directly at the
+        level Party A's drop rule picks for a fresh packed query.
         @raise Invalid_argument when [d] exceeds the ring degree. *)
 
     val decrypt_points : ?obs:Sknn_obs.Ctx.t -> t -> d:int -> result array -> int array array

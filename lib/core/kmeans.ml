@@ -31,7 +31,13 @@ let deploy ?rng config ~db =
     enc_db = { enc_db with Entities.points };
     sk = keys.Bgv.sk;
     pk = keys.Bgv.pk;
-    client = Entities.Client.create config keys.Bgv.sk;
+    client =
+      Entities.Client.create
+        ~distance_stride:
+          (Entities.distance_stride ~n:(Array.length db)
+             ~width:(Entities.block_width (Array.length db.(0)))
+             ~slots:config.Config.bgv.Params.n)
+        config keys.Bgv.sk;
     counters_a;
     counters_b = Counters.create ();
     seed = Rng.split rng }

@@ -13,7 +13,7 @@ type view = {
   masked_distances : int64 array;  (** what B decrypts, in A's permuted order *)
   selected : int array;  (** permuted indices of the k chosen minima *)
   block_width : int option;
-      (** [Some d'] on the slot-packed paths: the block width of the slot
+      (** [Some d'] on the packed path: the block width of the slot
           return, handed to B at deploy; [None] on the per-point paths *)
 }
 (** Party B's view of one query ([Entities.Party_b.view]). *)

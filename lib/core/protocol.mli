@@ -26,15 +26,18 @@
     hoists the query-independent work (packed database ciphertexts and
     encrypted norms [‖p_i‖²], so [ED = ‖p‖² − 2⟨p,q⟩ + ‖q‖²] costs one
     ciphertext product per point) into Setup.  [Packed] lays the
-    database out dimension-major across the [N] plaintext slots, so A
-    computes a batch of [N] masked distances with [d] plain products and
-    B decrypts [⌈n/N⌉] ciphertexts; it runs in owner-delegated mode — A
+    database out in polynomial coefficients with a stride g
+    ({!Entities.distance_stride}), so A computes a batch of [⌊N/g⌋]
+    masked distances with [⌈(d+1)/g⌉] coefficient products against the
+    client's [⌈(d+1)/g⌉] query ciphertexts and B decrypts [⌈n/⌊N/g⌋⌉]
+    ciphertexts; it runs in owner-delegated mode — A
     holds the plaintext database as the data owner's delegate, audited
     as [party-a/prepare-db/plaintext-database]
     (see {!Entities.Party_a.prepare_packed}) — and ships no encrypted
     database.  Both need affine (degree-1) masking and [d ≤ n].  Party
     B's §5 surface is the same on every path, plus the block width d' on
-    [Packed].  Results are exact and bit-identical across job counts. *)
+    [Packed], where the client also learns g.  Results are exact and
+    bit-identical across job counts. *)
 
 type deployment
 

@@ -89,6 +89,7 @@ module Symbolic = struct
   (* [seeded]: the wire form, c0 plus a seed (Bgv's [seed <> None]). *)
   type ct = { run : run; st : NM.state; seeded : bool }
   type pt = unit
+  type ept = int (* the level the plaintext is embedded at *)
   type env = run
 
   let start p =
@@ -185,11 +186,18 @@ module Symbolic = struct
 
   let add_const ~counters x _ = add_plain ~counters x ()
 
-  let mul_plain ~counters:c x () =
+  (* Bgv.embed: the plaintext's one Coeff→Eval pass, at its level. *)
+  let embed ~counters:c _ ~level () =
+    C.record_op c C.Op_ntt_fwd ~level;
+    level
+
+  (* Bgv.mul_embedded. *)
+  let mul_plain ~counters:c x level =
     require_expanded "mul_plain" x;
+    if level < x.st.NM.level then
+      invalid_arg "Cost_model.Symbolic.mul_plain: plaintext below the ciphertext level";
     C.record c C.Hom_mul_plain;
     C.record_op c C.Op_mul_plain ~level:x.st.NM.level;
-    C.record_op c C.Op_ntt_fwd ~level:x.st.NM.level;
     mk x.run "mul_plain" (NM.mul_plain x.run.p.nm x.st)
 
   (* Bgv.centered_magnitude: the scalar's noise factor is its centered

@@ -86,6 +86,7 @@ module Symbolic : sig
   type keys
   type ct
   type pt
+  type ept
   type env = run
 
   val t_plain : params -> int64
@@ -110,7 +111,8 @@ module Symbolic : sig
   val add : counters:Util.Counters.t -> ct -> ct -> ct
   val sub : counters:Util.Counters.t -> ct -> ct -> ct
   val add_plain : counters:Util.Counters.t -> ct -> pt -> ct
-  val mul_plain : counters:Util.Counters.t -> ct -> pt -> ct
+  val embed : counters:Util.Counters.t -> params -> level:int -> pt -> ept
+  val mul_plain : counters:Util.Counters.t -> ct -> ept -> ct
   val mul_scalar : counters:Util.Counters.t -> ct -> int64 -> ct
 
   val mul :

@@ -433,7 +433,7 @@ let test_packed_matches_unpacked () =
   (* The packed path changes the ciphertext layout, not the answer:
      under the same keys, the plain, prepared and packed paths return
      the same neighbour set — and Party B sees the same equidistant
-     structure (slot-unpacked, never per-ciphertext). *)
+     structure (one value per point, never per ciphertext). *)
   let rng = Rng.of_int 403 in
   let db = small_db rng in
   let q = Synthetic.query_like rng db in
@@ -519,10 +519,10 @@ let test_packed_rejects_nonaffine () =
 
 let test_packed_leakage_groups () =
   (* Regression for the equidistant-group accounting: the tie database
-     occupies 6 slots of a 64-slot ciphertext, so Party B's Leakage
-     extraction must run on the 6 slot-unpacked distances — never on the
-     single per-ciphertext aggregate, and never on the randomized dead
-     slots of the ragged tail. *)
+     occupies 6 points of one 64-coefficient ciphertext, so Party B's
+     Leakage extraction must run on the 6 per-point distances — never on
+     a per-ciphertext aggregate, and never on the randomized coefficients
+     around them or the dead points of the ragged tail. *)
   let tie_dep ?path rng_seed =
     Protocol.deploy ~rng:(Rng.of_int rng_seed) ?path (affine_config ())
       ~db:[| [| 0; 0 |]; [| 0; 4 |]; [| 4; 0 |]; [| 4; 4 |]; [| 9; 9 |]; [| 2; 1 |] |]
@@ -561,7 +561,7 @@ let test_packed_audit_surface () =
    | Some (Audit.Int64s a) ->
      Alcotest.(check (array int64)) "multiset matches view"
        (Leakage.view_multiset r.Protocol.view_b) a;
-     Alcotest.(check int) "multiset is slot-unpacked (n entries)" 20 (Array.length a)
+     Alcotest.(check int) "multiset has one entry per point" 20 (Array.length a)
    | _ -> Alcotest.fail "multiset not recorded as Int64s");
   (match Audit.value_of audit ~party:"party-b" ~label:"equidistant-group-sizes" with
    | Some (Audit.Ints a) ->
@@ -897,7 +897,8 @@ let test_fresh_ciphertexts_seeded () =
      A expands each one on receipt.  On every path A's expand cells match
      the client's and B's encryptions level for level, each encryption
      embeds t·e + m with one forward NTT, and the setup, query and
-     indicator messages carry exactly the seeded sizes. *)
+     indicator messages carry exactly the seeded sizes.  The packed query
+     travels at the level A's drop rule reads it at, not the top. *)
   let module C = Util.Counters in
   let db = small_db (Rng.of_int 655) in
   let n = Array.length db and d = Array.length db.(0) in
@@ -928,16 +929,27 @@ let test_fresh_ciphertexts_seeded () =
       let a = r.Protocol.counters_a and b = r.Protocol.counters_b in
       let cl = r.Protocol.counters_client in
       let count c op level = C.op_count c op ~level in
-      let nq = count cl C.Op_encrypt top and nind = count b C.Op_encrypt rl in
+      let ql =
+        if path <> CM.Packed then top
+        else
+          let width = Entities.block_width d in
+          let g = Entities.distance_stride ~n ~width ~slots:p.Params.n in
+          Entities.packed_query_level config ~groups:((d + g) / g)
+      in
+      if path = CM.Packed then
+        Alcotest.(check bool) "packed: the query level is below the top" true (ql < top);
+      let nq = count cl C.Op_encrypt ql and nind = count b C.Op_encrypt rl in
       let check what expected actual = Alcotest.(check int) (name ^ ": " ^ what) expected actual in
-      check "client encrypts at the top only" nq (C.op_total cl C.Op_encrypt);
+      check "client encrypts at the query level only" nq (C.op_total cl C.Op_encrypt);
       check "B encrypts at the return level only" nind (C.op_total b C.Op_encrypt);
-      check "A expands the query" nq (count a C.Op_expand top);
-      check "A expands the indicators" nind (count a C.Op_expand rl);
+      (* The packed query level can be the return level itself. *)
+      let at l = (if l = ql then nq else 0) + if l = rl then nind else 0 in
+      check "A expands the query" (at ql) (count a C.Op_expand ql);
+      check "A expands the indicators" (at rl) (count a C.Op_expand rl);
       check "A expands nothing else" (nq + nind) (C.op_total a C.Op_expand);
-      check "one embed per query encryption" nq (count cl C.Op_ntt_fwd top);
+      check "one embed per query encryption" nq (count cl C.Op_ntt_fwd ql);
       check "one embed per indicator" nind (count b C.Op_ntt_fwd rl);
-      check "query bytes" (nq * seeded top) (bytes r.Protocol.transcript "encrypted query");
+      check "query bytes" (nq * seeded ql) (bytes r.Protocol.transcript "encrypted query");
       check "indicator bytes" (nind * seeded rl) (bytes r.Protocol.transcript "indicator vector"))
     [ ("plain", CM.Plain); ("prepared", CM.Prepared); ("packed", CM.Packed) ];
   (* The symbolic backend sizes the wire form identically and rejects it
@@ -1081,6 +1093,312 @@ let test_net_timeline_jobs_determinism () =
     (fun j ->
       Alcotest.(check string) (Printf.sprintf "jobs 1 = jobs %d" j) t1 (run j))
     [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Coefficient-packed distances                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Party A of a packed deployment, driven directly: the owner's keys, A
+   and its plaintext columns. *)
+let packed_party_a ~seed config db =
+  let module E = Entities in
+  let keys = E.Data_owner.keys (E.Data_owner.create (Rng.of_int seed) config) in
+  let enc_db = { E.db_n = Array.length db; db_d = Array.length db.(0); points = [||] } in
+  let a = E.Party_a.create ~jobs:1 config keys.Bgv.rlk enc_db in
+  (keys, a, E.Party_a.prepare_packed a ~db)
+
+(* The distance layout at N = 64, decrypted: each batch's live targets
+   (coefficient s·g + g − 1 of point s) hold exactly the masked distances
+   of its points in Π order, and every other coefficient — cross terms,
+   wrapped terms, dead targets — is the bare product a·Σ_c P_c·Q_c,
+   recomputed here in the clear, plus a non-zero offset that no other
+   coefficient shares: A's one randomizer covers it with fresh values.
+   (Uniform offsets mod t ≈ 2^50 are zero or collide with probability
+   below 2^-30 per run.)  Cases pick g = 1, 2 and 8, ragged and full. *)
+let test_packed_targets_and_randomizer () =
+  let module E = Entities in
+  let config = Config.fast () in
+  let p = config.Config.bgv in
+  let t = p.Params.t_plain and slots = p.Params.n in
+  List.iter
+    (fun (n, d, want_g) ->
+      let name = Printf.sprintf "n=%d d=%d" n d in
+      let rng = Rng.of_int (700 + n + d) in
+      let db = Synthetic.uniform rng ~n ~d ~max_value:250 in
+      let g = E.distance_stride ~n ~width:(E.block_width d) ~slots in
+      Alcotest.(check int) (name ^ ": stride") want_g g;
+      let per = slots / g in
+      let keys, a, pp = packed_party_a ~seed:701 config db in
+      let cl = E.Client.create ~distance_stride:g config keys.Bgv.sk in
+      let q = Synthetic.query_like rng db in
+      let state, cts =
+        E.Party_a.compute_distances_packed a pp rng (E.Client.encrypt_query_packed cl rng q)
+      in
+      Alcotest.(check int) (name ^ ": ciphertexts") ((n + per - 1) / per) (Array.length cts);
+      let offsets = Hashtbl.create 64 in
+      let mask = E.Party_a.state_mask state in
+      let ma = (Masking.coeffs mask).(1) in
+      let src = Util.Perm.apply (E.Party_a.state_perm state) (Array.init n Fun.id) in
+      let m v = Mod64.reduce t (Int64.of_int v) in
+      let q' j =
+        if j < d then Mod64.neg t (m (2 * q.(j)))
+        else m (Distance.squared_euclidean q (Array.make d 0))
+      in
+      let x' i j = if j < d then m db.(i).(j) else 1L in
+      Array.iteri
+        (fun b ct ->
+          let got = Plaintext.to_coeffs (Bgv.decrypt keys.Bgv.sk ct) in
+          let base = b * per in
+          let len = min per (n - base) in
+          let bare = Array.make slots 0L in
+          for s = 0 to len - 1 do
+            for j = 0 to d do
+              for j2 = 0 to d do
+                if j / g = j2 / g then begin
+                  let e = (s * g) + g - 1 - (j mod g) + (j2 mod g) in
+                  let v = Mod64.mul t (x' src.(base + s) j) (q' j2) in
+                  if e < slots then bare.(e) <- Mod64.add t bare.(e) v
+                  else bare.(e - slots) <- Mod64.sub t bare.(e - slots) v
+                end
+              done
+            done
+          done;
+          let live = ref 0 in
+          Array.iteri
+            (fun e v ->
+              let s = e / g in
+              if e mod g = g - 1 && s < len then begin
+                incr live;
+                let i = src.(base + s) in
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s: batch %d point %d masked distance" name b s)
+                  (Masking.eval_mod mask ~t_plain:t
+                     (Int64.of_int (Distance.squared_euclidean q db.(i))))
+                  v
+              end
+              else begin
+                let r = Mod64.sub t v (Mod64.mul t ma bare.(e)) in
+                if Int64.equal r 0L || Hashtbl.mem offsets r then
+                  Alcotest.failf "%s: batch %d coefficient %d not randomized" name b e;
+                Hashtbl.add offsets r ()
+              end)
+            got;
+          Alcotest.(check int) (Printf.sprintf "%s: batch %d targets" name b) len !live)
+        cts)
+    [ (40, 3, 1); (429, 32, 2); (5, 3, 8); (8, 3, 8) ]
+
+(* The packed query travels at the level the drop rule picks, and Party
+   A holds every query to it: one level lower is refused with the typed
+   error, one level higher (a client whose return level sits one above
+   A's) is truncated on receipt and yields the identical decrypted
+   distances. *)
+let test_packed_query_level () =
+  let module E = Entities in
+  let config = affine_config () in
+  let p = config.Config.bgv in
+  let db = small_db (Rng.of_int 445) in
+  let n = Array.length db and d = Array.length db.(0) in
+  let g = E.distance_stride ~n ~width:(E.block_width d) ~slots:p.Params.n in
+  let level = E.packed_query_level config ~groups:((d + g) / g) in
+  Alcotest.(check int) "at the return level" config.Config.return_level level;
+  let keys, a, pp = packed_party_a ~seed:446 config db in
+  let query = Synthetic.query_like (Rng.of_int 447) db in
+  let encrypt config =
+    E.Client.encrypt_query_packed
+      (E.Client.create ~distance_stride:g config keys.Bgv.sk)
+      (Rng.of_int 448) query
+  in
+  let distances q =
+    let _, cts = E.Party_a.compute_distances_packed a pp (Rng.of_int 449) q in
+    Array.map (fun ct -> Plaintext.to_coeffs (Bgv.decrypt keys.Bgv.sk ct)) cts
+  in
+  let q = encrypt config in
+  let levels q = Array.map Bgv.level (Option.get q.E.q_coords) in
+  Alcotest.(check (array int)) "client encrypts at the rule's level"
+    (Array.make ((d + g) / g) level) (levels q);
+  let low =
+    { q with
+      E.q_coords =
+        Option.map (Array.map (fun c -> Bgv.truncate_to_level c (level - 1))) q.E.q_coords }
+  in
+  (match E.Party_a.compute_distances_packed a pp (Rng.of_int 449) low with
+   | exception E.Query_below_level { level = l; required } ->
+     Alcotest.(check (pair int int)) "typed error" (level - 1, level) (l, required)
+   | _ -> Alcotest.fail "a query below its level was accepted");
+  let high = encrypt (Config.with_return_level (level + 1) config) in
+  Alcotest.(check (array int)) "the other client encrypts one level up"
+    (Array.make ((d + g) / g) (level + 1)) (levels high);
+  Alcotest.(check bool) "truncated on receipt, identical distances" true
+    (distances q = distances high)
+
+(* The audit surface and scheduling transparency on the coefficient
+   circuit: Party B's labels are the packed path's five, the client's
+   exactly {neighbour-count, distance-stride}, and results, transcripts
+   and the non-Chunk span tree are bit-identical at jobs 1, 2 and 4. *)
+let test_packed_client_surface_and_jobs () =
+  let module Audit = Sknn_obs.Audit in
+  let module Trace = Sknn_obs.Trace in
+  let db = Synthetic.uniform (Rng.of_int 441) ~n:70 ~d:5 ~max_value:200 in
+  let q = Synthetic.query_like (Rng.of_int 442) db in
+  let run jobs =
+    let audit = Audit.create () and trace = Trace.create () in
+    let obs = Sknn_obs.Ctx.create ~audit ~trace () in
+    let dep =
+      Protocol.deploy ~obs ~rng:(Rng.of_int 443) ~jobs ~path:CM.Packed (Config.fast ()) ~db
+    in
+    let r = Protocol.query ~obs ~rng:(Rng.of_int 444) dep ~query:q ~k:3 in
+    (audit, trace, r)
+  in
+  let audit, trace1, r1 = run 1 in
+  Alcotest.(check (list string)) "party-b surface unchanged"
+    [ "equidistant-group-sizes"; "k"; "masked-distance-multiset"; "n"; "return-block-width" ]
+    (Audit.labels_for audit ~party:"party-b");
+  Alcotest.(check (list string)) "client surface"
+    [ "distance-stride"; "neighbour-count" ]
+    (Audit.labels_for audit ~party:"client");
+  (match Audit.value_of audit ~party:"client" ~label:"distance-stride" with
+   | Some (Audit.Int g) ->
+     Alcotest.(check int) "g for n = 70, d' = 8, N = 64"
+       (Entities.distance_stride ~n:70 ~width:8 ~slots:64) g
+   | _ -> Alcotest.fail "distance-stride not recorded as Int");
+  let rec shape (s : Trace.span) =
+    if s.Trace.kind = Trace.Chunk then ""
+    else
+      Format.asprintf "%s[%s]{%s}(%s)" s.Trace.name
+        (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) s.Trace.args))
+        (String.concat ";"
+           (List.map
+              (fun (o, c) -> Format.asprintf "%s:%a" o Util.Counters.pp c)
+              s.Trace.deltas))
+        (String.concat "," (List.filter (( <> ) "") (List.map shape s.Trace.children)))
+  in
+  let tree tr = String.concat "\n" (List.map shape (Trace.roots tr)) in
+  List.iter
+    (fun jobs ->
+      let _, trace, r = run jobs in
+      let label what = Printf.sprintf "%s: jobs 1 = jobs %d" what jobs in
+      Alcotest.(check bool) (label "results") true
+        (r1.Protocol.neighbours = r.Protocol.neighbours && r1.Protocol.view_b = r.Protocol.view_b);
+      Alcotest.(check bool) (label "transcript") true
+        (Transcript.entries r1.Protocol.transcript = Transcript.entries r.Protocol.transcript);
+      Alcotest.(check string) (label "span tree") (tree trace1) (tree trace))
+    [ 2; 4 ]
+
+(* QCheck: random (n, d, k) on the packed path at N = 64, exact against
+   plaintext k-NN and predicted exactly by the symbolic run.  d is 1, d'−1
+   or d' for a block width d' up to 64; n is built from a stride's batch
+   size so that n mod ⌊N/g⌋ lands on 0, 1 or ⌊N/g⌋ − 1 (and n = 1); k is
+   1, random or n.  [test_packed_strides_covered] checks that these
+   shapes reach every stride the rule can pick at N = 64. *)
+let packed_case_gen =
+  let open QCheck.Gen in
+  let* width = oneofl [ 1; 2; 4; 8; 16; 32; 64 ] in
+  let* d = oneofl (List.sort_uniq compare [ 1; max 1 (width - 1); width ]) in
+  let* g0 = oneofl (List.filter (fun g -> g <= 2 * width) [ 1; 2; 4; 8; 16; 32; 64 ]) in
+  let per = 64 / g0 in
+  let* batches = int_range 0 2 in
+  let* r = oneofl [ 0; 1; per - 1 ] in
+  let n = max 1 ((batches * per) + r) in
+  let* k = oneof [ return 1; return n; int_range 1 n ] in
+  let* seed = int_range 0 100_000 in
+  return (n, d, k, seed)
+
+let packed_case_print (n, d, k, seed) = Printf.sprintf "n=%d d=%d k=%d seed=%d" n d k seed
+
+let test_packed_strides_covered () =
+  (* Every (n, d) the generator can build, against every stride the rule
+     picks for any n <= 3·64 and d <= 64. *)
+  let slots = 64 in
+  let pick n d = Entities.distance_stride ~n ~width:(Entities.block_width d) ~slots in
+  let reachable = ref [] and generated = ref [] in
+  for d = 1 to 64 do
+    for n = 1 to 3 * slots do
+      reachable := pick n d :: !reachable
+    done
+  done;
+  List.iter
+    (fun width ->
+      List.iter
+        (fun d ->
+          List.iter
+            (fun g0 ->
+              if g0 <= 2 * width then
+                let per = slots / g0 in
+                List.iter
+                  (fun batches ->
+                    List.iter
+                      (fun r -> generated := pick (max 1 ((batches * per) + r)) d :: !generated)
+                      [ 0; 1; per - 1 ])
+                  [ 0; 1; 2 ])
+            [ 1; 2; 4; 8; 16; 32; 64 ])
+        [ 1; max 1 (width - 1); width ])
+    [ 1; 2; 4; 8; 16; 32; 64 ];
+  let uniq l = List.sort_uniq compare l in
+  Alcotest.(check (list int)) "generated strides = reachable strides" (uniq !reachable)
+    (uniq !generated);
+  Alcotest.(check bool) "g = 1 is among them" true (List.mem 1 (uniq !generated))
+
+let prop_packed_exact =
+  QCheck.Test.make ~count:40 ~name:"packed path exact and predicted (N = 64)"
+    (QCheck.make ~print:packed_case_print packed_case_gen)
+    (fun (n, d, k, seed) ->
+      let rng = Rng.of_int seed in
+      let config = Config.fast () in
+      let db = Synthetic.uniform rng ~n ~d ~max_value:255 in
+      let q = Synthetic.query_like rng db in
+      let dep = Protocol.deploy ~rng ~path:CM.Packed config ~db in
+      let r = Protocol.query dep ~query:q ~k in
+      check_prediction (packed_case_print (n, d, k, seed)) config ~n ~d ~k CM.Packed r;
+      Protocol.exact dep ~db ~query:q r)
+
+(* The packed path's first exact gate, at the secure-packed shape (n = 429,
+   d = 32, k = 2, N = 8192, 7 × 30-bit primes, t = 2^40; g = 16): the
+   symbolic run's per-phase ledger and transcript, which no machine can
+   move.  A change to a phase's ops updates this pin and says why. *)
+let secure_packed_config () = Config.with_layout Config.Dot_product (Config.secure ())
+
+let test_packed_pin_secure () =
+  let module C = Util.Counters in
+  let pred = Attribution.predict (secure_packed_config ()) ~n:429 ~d:32 ~k:2 CM.Packed in
+  Alcotest.(check (list string)) "per-phase ledger"
+    [ "encrypt-query client: encrypt@6=3 ntt_fwd@6=3";
+      "compute-distances party-a: ct_add@6=3 mul_plain@6=4 ntt_fwd@6=4 expand@6=3";
+      "find-neighbours party-b: decrypt@6=1 ntt_inv@6=1";
+      "return-knn party-a: ct_add@6=2 mul_plain@6=4 ntt_fwd@6=2 slot_pack@0=2 expand@6=4";
+      "return-knn party-b: encrypt@6=4 ntt_fwd@6=4 slot_pack@0=4";
+      "decrypt-result client: decrypt@6=2 ntt_inv@6=2 slot_unpack@0=2" ]
+    (List.map
+       (fun (ph : CM.phase) ->
+         Printf.sprintf "%s %s:%s" ph.CM.phase ph.CM.party
+           (String.concat ""
+              (List.map
+                 (fun (op, l, c) -> Printf.sprintf " %s@%d=%d" (C.op_name op) l c)
+                 (C.ledger_entries ph.CM.counters))))
+       pred.CM.phases);
+  Alcotest.(check (list string)) "transcript"
+    [ "client->party-A encrypted query 589968";
+      "party-A->party-B masked permuted distances 393256";
+      "party-B->party-A indicator vector B^1 393312";
+      "party-B->party-A indicator vector B^2 393312";
+      "party-A->client encrypted k-NN result 786512" ]
+    (List.map
+       (fun (e : Transcript.entry) ->
+         Printf.sprintf "%s->%s %s %d"
+           (Transcript.party_name e.Transcript.sender)
+           (Transcript.party_name e.Transcript.receiver)
+           e.Transcript.label e.Transcript.bytes)
+       (Transcript.entries pred.CM.transcript))
+
+(* The same shape live at N = 8192: exact, and the symbolic run predicts
+   its ledger and transcript exactly. *)
+let test_cost_model_packed_secure () =
+  let config = secure_packed_config () in
+  let db = Synthetic.uniform (Rng.of_int 641) ~n:429 ~d:32 ~max_value:63 in
+  let q = Synthetic.query_like (Rng.of_int 642) db in
+  let dep = Protocol.deploy ~rng:(Rng.of_int 643) ~path:CM.Packed config ~db in
+  let r = Protocol.query dep ~query:q ~k:2 in
+  Alcotest.(check bool) "exact" true (Protocol.exact dep ~db ~query:q r);
+  check_prediction "packed/secure" config ~n:429 ~d:32 ~k:2 CM.Packed r
 
 (* ------------------------------------------------------------------ *)
 (* Slot return (packed Return-kNN)                                     *)
@@ -1312,7 +1630,14 @@ let () =
          Alcotest.test_case "rejects non-affine masking" `Quick test_packed_rejects_nonaffine;
          Alcotest.test_case "equidistant groups slot-unpacked" `Quick
            test_packed_leakage_groups;
-         Alcotest.test_case "audit surface" `Quick test_packed_audit_surface ]);
+         Alcotest.test_case "audit surface" `Quick test_packed_audit_surface;
+         Alcotest.test_case "targets and randomizer" `Quick
+           test_packed_targets_and_randomizer;
+         Alcotest.test_case "query level checked" `Quick test_packed_query_level;
+         Alcotest.test_case "client surface, identical across jobs" `Quick
+           test_packed_client_surface_and_jobs;
+         Alcotest.test_case "generated shapes reach every stride" `Quick
+           test_packed_strides_covered ]);
       ("deploy",
        [ Alcotest.test_case "setup transcript per path" `Quick test_deploy_setup_transcripts;
          Alcotest.test_case "prepares once, at setup" `Quick test_deploy_prepares_once;
@@ -1330,6 +1655,10 @@ let () =
          Alcotest.test_case "ledger exact (plain)" `Quick test_cost_model_plain;
          Alcotest.test_case "ledger exact (prepared)" `Quick test_cost_model_prepared;
          Alcotest.test_case "ledger exact (packed)" `Quick test_cost_model_packed;
+         Alcotest.test_case "ledger exact (packed, N = 8192)" `Quick
+           test_cost_model_packed_secure;
+         Alcotest.test_case "packed pin at the secure-packed shape" `Quick
+           test_packed_pin_secure;
          Alcotest.test_case "fresh ciphertexts seeded" `Quick test_fresh_ciphertexts_seeded;
          Alcotest.test_case "seed hides the noise stream" `Quick test_seed_hides_noise_stream;
          Alcotest.test_case "end-to-end prediction consistent" `Quick
@@ -1351,4 +1680,5 @@ let () =
        [ Alcotest.test_case "distance + mask pipeline" `Quick test_black_box_pipeline ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_masking_order_preserving; prop_masking_fresh_each_draw; prop_end_to_end_exact ]) ]
+         [ prop_masking_order_preserving; prop_masking_fresh_each_draw; prop_end_to_end_exact;
+           prop_packed_exact ]) ]
